@@ -47,6 +47,7 @@ from .core import (
     ZERO,
     HodgeProfile,
     HypergeometricParams,
+    InternalEngineError,
     InternalUnknownConsulted,
     LocalHodgeTable,
     NoValidPeel,
@@ -71,6 +72,7 @@ from .recursion import (
     PeelPlan,
     base_profile,
     choose_peel,
+    compare_profiles,
     profile_recursive,
     verify_cross_engine,
 )

@@ -19,12 +19,20 @@ from .combinatorics import special_exponent
 from .core import (
     HodgeProfile,
     HypergeometricParams,
-    InternalUnknownConsulted,
+    InternalEngineError,
+    NoValidPeel,
     ReducibleInput,
+    UnknownData,
     parse_rational,
+    profile_min_p,
     total_from_primitive,
 )
-from .recursion import profile_recursive, verify_cross_engine
+from .recursion import (
+    EngineReport,
+    compare_profiles,
+    profile_recursive,
+    verify_cross_engine,
+)
 from .serialize import (
     SCHEMA_VERSION,
     build_compute_document,
@@ -40,6 +48,9 @@ EXIT_PARSE = 2
 EXIT_REDUCIBLE = 3
 EXIT_INTERNAL = 4
 
+ENGINE_ERRORS = (InternalEngineError, NoValidPeel, UnknownData)
+"""Failures of the engines themselves, never of the input: exit code 4."""
+
 
 def _parse_tuple(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip()]
@@ -48,45 +59,33 @@ def _parse_tuple(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _profiles_for(params: HypergeometricParams, engine: str) -> dict[str, HodgeProfile]:
+def _compute(
+    params: HypergeometricParams, engine: str, normalize: bool
+) -> tuple[dict[str, HodgeProfile], EngineReport | None, int]:
+    """Profiles of the chosen engines, their comparison, and the shift.
+
+    Each profile is computed once; the report compares the unshifted
+    profiles and normalization shifts them only afterwards.
+    """
     profiles: dict[str, HodgeProfile] = {}
     if engine in ("closed", "both"):
         profiles["closed"] = profile_closed(params)
     if engine in ("recursive", "both"):
         profiles["recursive"] = profile_recursive(params)
-    return profiles
-
-
-def _min_p(profile: HodgeProfile) -> int:
-    ps = [min(profile.hodge)]
-    for table in (
-        profile.nearby_zero,
-        profile.nearby_infinity,
-        *profile.nearby_finite,
-        *profile.vanishing_finite,
-    ):
-        ps.extend(p for (_r, _lv, p) in table.entries)
-    if profile.degrees:
-        ps.extend(profile.degrees)
-    return min(ps)
-
-
-def _compute_profiles(
-    params: HypergeometricParams, engine: str, normalize: bool
-) -> tuple[dict[str, HodgeProfile], int]:
-    profiles = _profiles_for(params, engine)
+    report = None
+    if engine == "both":
+        report = compare_profiles(params, profiles["closed"], profiles["recursive"])
     shift = 0
     if normalize:
-        shift = -min(_min_p(p) for p in profiles.values())
+        shift = -min(profile_min_p(p) for p in profiles.values())
         profiles = {name: p.shifted(shift) for name, p in profiles.items()}
-    return profiles, shift
+    return profiles, report, shift
 
 
 def _compute_document(
     params: HypergeometricParams, engine: str, normalize: bool
 ) -> dict[str, Any]:
-    profiles, shift = _compute_profiles(params, engine, normalize)
-    report = verify_cross_engine(params) if engine == "both" else None
+    profiles, report, shift = _compute(params, engine, normalize)
     return build_compute_document(params, engine, profiles, report, shift)
 
 
@@ -99,14 +98,14 @@ def _run_compute(args: argparse.Namespace) -> int:
     try:
         params.require_irreducible()
         if args.format == "tsv":
-            profiles, shift = _compute_profiles(params, args.engine, args.normalize)
+            profiles, _report, shift = _compute(params, args.engine, args.normalize)
             print("\n".join(tsv_lines(params, profiles, shift)))
         else:
             print(document_to_json(_compute_document(params, args.engine, args.normalize)))
     except ReducibleInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REDUCIBLE
-    except InternalUnknownConsulted as exc:
+    except ENGINE_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
@@ -213,6 +212,14 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
+def _error_document(line: int, code: int, exc: Exception) -> dict[str, Any]:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "line": line,
+        "error": {"code": code, "message": str(exc)},
+    }
+
+
 def _run_batch(args: argparse.Namespace) -> int:
     for i, line in enumerate(sys.stdin):
         line = line.strip()
@@ -227,24 +234,12 @@ def _run_batch(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown engine {engine!r}")
             doc = _compute_document(params, engine, args.normalize)
         except ReducibleInput as exc:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "line": i + 1,
-                "error": {"code": EXIT_REDUCIBLE, "message": str(exc)},
-            }
-        except InternalUnknownConsulted as exc:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "line": i + 1,
-                "error": {"code": EXIT_INTERNAL, "message": str(exc)},
-            }
+            doc = _error_document(i + 1, EXIT_REDUCIBLE, exc)
+        except ENGINE_ERRORS as exc:
+            doc = _error_document(i + 1, EXIT_INTERNAL, exc)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "line": i + 1,
-                "error": {"code": EXIT_PARSE, "message": str(exc)},
-            }
-        print(document_to_json(doc, compact=True))
+            doc = _error_document(i + 1, EXIT_PARSE, exc)
+        print(document_to_json(doc, compact=True), flush=True)
     return EXIT_OK
 
 

@@ -35,7 +35,11 @@ class NoValidPeel(Exception):
     """No rank-one factor can be peeled for the requested target."""
 
 
-class InternalUnknownConsulted(Exception):
+class InternalEngineError(Exception):
+    """The recursive engine reached a state its invariants exclude; a bug."""
+
+
+class InternalUnknownConsulted(InternalEngineError):
     """The recursive engine needed an undetermined slot; this is a bug."""
 
 
@@ -69,12 +73,16 @@ def parse_rational(text: str) -> Fraction:
     """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
 
     A Unicode minus sign is accepted.  Anything else (floats, whitespace
-    inside the number, empty strings) is rejected with :class:`ValueError`.
+    inside the number, empty strings, a zero denominator) is rejected with
+    :class:`ValueError`.
     """
     s = text.strip().replace("−", "-")
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational in a/b form: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -378,7 +386,8 @@ class HodgeProfile:
         )
 
 
-def _profile_min_p(profile: HodgeProfile) -> int:
+def profile_min_p(profile: HodgeProfile) -> int:
+    """The lowest Hodge index anywhere in the profile, degrees included."""
     ps = [min(profile.hodge)]
     for table in (
         profile.nearby_zero,
@@ -417,5 +426,5 @@ def equal_up_to_shift(a: HodgeProfile, b: HodgeProfile) -> int | None:
     """
     if a.rank != b.rank:
         return None
-    s = _profile_min_p(b) - _profile_min_p(a)
+    s = profile_min_p(b) - profile_min_p(a)
     return s if _profiles_match(a.shifted(s), b) else None

@@ -6,16 +6,24 @@ transforms and the rank-one base case.  It shares no formulas with the
 closed-form module, which makes exact agreement of the two engines a real
 cross-check.
 
-Each nearby class at 0 or infinity is computed with its own peel choice so
-that the transform rows it passes through are always determined: peel a
-factor from a different class when possible, otherwise a factor inside the
-target class of multiplicity at least two.  The undetermined level-0 slots
-of the transforms are then never consulted; the graded middle cohomology
-input at 0 is supplied as zero, which is exact for irreducible rigid
-modules.  Degrees are propagated along a single canonical peel order.
+Every transform maps an output eigenvalue class from the same input class
+only, so each nearby class at 0 or infinity is followed down its own peel
+chain, one class per step, and never carries the rest of the table along
+(Katz's middle-convolution algorithm).  Each step picks its peel so that the
+transform row the class passes through is always determined: peel a factor
+from a different class when possible, otherwise a factor inside the target
+class of multiplicity at least two.  The undetermined level-0 slots of the
+transforms are then never consulted; the graded middle cohomology input at 0
+is supplied as zero, which is exact for irreducible rigid modules.  Degrees
+and the vanishing entry are propagated along a single canonical peel order,
+whose full nearby tables are assembled from per-class results.
 
-Sub-results are memoized per canonically sorted factor list; the caches are
-write-once by purity of all operations.
+Memoization is scoped to one profile: class entries and tables, keyed by the
+canonically sorted factor list, live in a dict that one profile computation
+creates and drops, and a rank-``n`` profile visits about ``1.5 * n**2``
+class states.  Finished profiles are kept in one bounded least-recently-used
+cache, so memory stays flat across batch lines while repeated instances are
+still answered from it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .closed_form import hodge_numbers, profile_closed
 from .combinatorics import check_count_identity
@@ -43,6 +51,7 @@ from .core import (
     ZERO,
     HodgeProfile,
     HypergeometricParams,
+    InternalEngineError,
     InternalUnknownConsulted,
     LocalHodgeTable,
     NoValidPeel,
@@ -56,6 +65,9 @@ from .core import (
 )
 
 Pairs = tuple[tuple[Fraction, Fraction], ...]
+Memo = dict[tuple, object]
+"""Per-profile memo: ``(point, pairs, residue)`` maps to a class's
+``(level, p)`` and ``(point, pairs)`` to a whole table."""
 
 
 class PeelCase(Enum):
@@ -86,8 +98,6 @@ def base_profile(a: Fraction, b: Fraction) -> HodgeProfile:
         raise ReducibleInput(
             "a rank-one factor needs distinct exponents: alpha_1 != beta_1"
         )
-    degree = -(a + frac(-b) + frac(b - a))
-    assert degree.denominator == 1
     return HodgeProfile(
         rank=1,
         nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
@@ -97,9 +107,17 @@ def base_profile(a: Fraction, b: Fraction) -> HodgeProfile:
             LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
         ),
         hodge={1: 1},
-        degrees={1: int(degree)},
+        degrees={1: _rank_one_degree(a, b)},
         note="rank-one base",
     )
+
+
+def _rank_one_degree(a: Fraction, b: Fraction) -> int:
+    """Minus the sum of the three local exponents taken in ``[0, 1)``."""
+    degree = -(a + frac(-b) + frac(b - a))
+    if degree.denominator != 1:
+        raise InternalEngineError(f"rank-one degree {degree} is not an integer")
+    return int(degree)
 
 
 def choose_peel(
@@ -167,55 +185,70 @@ def _pick_single_entry(
             raise InternalUnknownConsulted(
                 f"class {residue} is entirely undetermined after the transform"
             )
-        raise AssertionError(f"no data for class {residue}")
+        raise InternalEngineError(f"no data for class {residue}")
     if len(picked) != 1 or picked[0][2] != 1:
-        raise AssertionError(f"class {residue} is not a single unit entry: {picked}")
+        raise InternalEngineError(
+            f"class {residue} is not a single unit entry: {picked}"
+        )
     return picked[0][0], picked[0][1]
 
 
-@cache
-def _nearby_zero(pairs: Pairs) -> LocalHodgeTable:
+def _nearby_class(
+    pairs: Pairs, point: SingularPoint, residue: Fraction, memo: Memo
+) -> tuple[int, int]:
+    """The (level, p) of one nearby class at 0 or infinity.
+
+    The peeled sub-module carries the class shifted by the peeled alpha.
+    Every transform maps a class from the same input class only, so the
+    transform of a one-entry table holding that sub-class gives this class.
+    """
     if len(pairs) == 1:
-        a, _b = pairs[0]
-        return LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1})
-    params = _params_of(pairs)
-    entries = {}
-    for r in sorted(set(params.alpha)):
-        plan = choose_peel(params, (ZERO, r))
-        a0 = pairs[plan.index][0]
-        sub = _peeled_shifted(pairs, plan.index)
-        out = convolve_nearby_zero(
-            _nearby_zero(sub), ConvolutionContext(plan.kernel_rep), h1={}
+        # The rank-one class (alpha at 0, beta at infinity) is (0, 1).
+        return 0, 1
+    key = (point, pairs, residue)
+    if key in memo:
+        return memo[key]
+    plan = choose_peel(_params_of(pairs), (point, residue))
+    sub_residue = frac(residue - pairs[plan.index][0])
+    sub = _peeled_shifted(pairs, plan.index)
+    level, p = _nearby_class(sub, point, sub_residue, memo)
+    table = LocalHodgeTable(point, TableKind.NEARBY, {(sub_residue, level, p): 1})
+    ctx = ConvolutionContext(plan.kernel_rep)
+    if point == ZERO:
+        out = convolve_nearby_zero(table, ctx, h1={})
+    else:
+        out = conjugate_table(convolve_nearby_infinity(conjugate_table(table), ctx))
+    memo[key] = _pick_single_entry(out, sub_residue)
+    return memo[key]
+
+
+def _nearby_table(
+    pairs: Pairs, point: SingularPoint, memo: Memo | None
+) -> LocalHodgeTable:
+    memo = {} if memo is None else memo
+    key = (point, pairs)
+    if key not in memo:
+        side = 0 if point == ZERO else 1
+        memo[key] = LocalHodgeTable(
+            point,
+            TableKind.NEARBY,
+            {
+                (r, *_nearby_class(pairs, point, r, memo)): 1
+                for r in sorted({pair[side] for pair in pairs})
+            },
         )
-        level, p = _pick_single_entry(out, frac(r - a0))
-        entries[(r, level, p)] = 1
-    return LocalHodgeTable(ZERO, TableKind.NEARBY, entries)
+    return memo[key]
 
 
-@cache
-def _nearby_infinity(pairs: Pairs) -> LocalHodgeTable:
-    if len(pairs) == 1:
-        _a, b = pairs[0]
-        return LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1})
-    params = _params_of(pairs)
-    entries = {}
-    for r in sorted(set(params.beta)):
-        plan = choose_peel(params, (INFINITY, r))
-        a0 = pairs[plan.index][0]
-        sub = _peeled_shifted(pairs, plan.index)
-        out = conjugate_table(
-            convolve_nearby_infinity(
-                conjugate_table(_nearby_infinity(sub)),
-                ConvolutionContext(plan.kernel_rep),
-            )
-        )
-        level, p = _pick_single_entry(out, frac(r - a0))
-        entries[(r, level, p)] = 1
-    return LocalHodgeTable(INFINITY, TableKind.NEARBY, entries)
+def _nearby_zero(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
+    return _nearby_table(pairs, ZERO, memo)
 
 
-@cache
-def _vanishing_raw(pairs: Pairs) -> LocalHodgeTable:
+def _nearby_infinity(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
+    return _nearby_table(pairs, INFINITY, memo)
+
+
+def _vanishing_raw(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
     """Vanishing table at the finite point in the rank-one base grading.
 
     The pipeline convolves the base entry through every factor; the kernel
@@ -223,56 +256,63 @@ def _vanishing_raw(pairs: Pairs) -> LocalHodgeTable:
     relabeling is needed.  The transvection regrade is applied only when a
     profile is finalized, never inside the pipeline.
     """
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return LocalHodgeTable(
-            AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}
-        )
-    a0, b0 = pairs[0]
-    sub = _peeled_shifted(pairs, 0)
-    ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
-    return convolve_vanishing_finite(_vanishing_raw(sub), ctx)
+    memo = {} if memo is None else memo
+    key = (AT_ONE, pairs)
+    if key not in memo:
+        a0, b0 = pairs[0]
+        if len(pairs) == 1:
+            memo[key] = LocalHodgeTable(
+                AT_ONE, TableKind.VANISHING, {(frac(b0 - a0), 0, 0): 1}
+            )
+        else:
+            sub = _peeled_shifted(pairs, 0)
+            ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
+            memo[key] = convolve_vanishing_finite(_vanishing_raw(sub, memo), ctx)
+    return memo[key]
 
 
-def _vanishing_final(pairs: Pairs) -> LocalHodgeTable:
+def _vanishing_final(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
     """Profile grading: the unipotent entry moves one step up.
 
     A unipotent vanishing entry is graded through the image of the nilpotent
     operator, one step above the pipeline normalization used for the
     non-unipotent classes.
     """
-    raw = _vanishing_raw(pairs)
+    raw = _vanishing_raw(pairs, memo)
     entries = {
         (r, lv, p + 1 if r == 0 else p): m for (r, lv, p), m in raw.entries.items()
     }
     return LocalHodgeTable(raw.point, raw.kind, entries, raw.unknown)
 
 
-def _vanishing_fiber(pairs: Pairs) -> LocalHodgeTable:
+def _vanishing_fiber(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
     """Fibre-consistent grading used by the degree bookkeeping.
 
     Every vanishing entry, unipotent or not, sits one step above the
     pipeline normalization when measured against the graded fibre.
     """
-    return table_shift(_vanishing_raw(pairs), 1)
+    return table_shift(_vanishing_raw(pairs, memo), 1)
 
 
-@cache
-def _degrees(pairs: Pairs) -> tuple[tuple[int, int], ...]:
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        degree = -(a + frac(-b) + frac(b - a))
-        return ((1, int(degree)),)
+def _degrees(pairs: Pairs, memo: Memo | None = None) -> tuple[tuple[int, int], ...]:
+    memo = {} if memo is None else memo
     a0, b0 = pairs[0]
+    if len(pairs) == 1:
+        return ((1, _rank_one_degree(a0, b0)),)
     ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
     sub = _peeled_shifted(pairs, 0)
     delta_q = convolve_degrees(
-        dict(_degrees(sub)), _nearby_zero(sub), (_vanishing_fiber(sub),), ctx
+        dict(_degrees(sub, memo)),
+        _nearby_zero(sub, memo),
+        (_vanishing_fiber(sub, memo),),
+        ctx,
     )
     if a0 == 0:
         return tuple(sorted(delta_q.items()))
-    nearby_zero_q = shift_residues(_nearby_zero(pairs), a0)
-    nearby_infinity_q = conjugate_table(shift_residues(_nearby_infinity(pairs), a0))
+    nearby_zero_q = shift_residues(_nearby_zero(pairs, memo), a0)
+    nearby_infinity_q = conjugate_table(
+        shift_residues(_nearby_infinity(pairs, memo), a0)
+    )
     delta = twist_degrees(
         delta_q,
         hodge_numbers(nearby_zero_q),
@@ -281,6 +321,27 @@ def _degrees(pairs: Pairs) -> tuple[tuple[int, int], ...]:
         ConvolutionContext(frac(-a0)),
     )
     return tuple(sorted(delta.items()))
+
+
+@lru_cache(maxsize=1024)
+def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
+    """The profile of a canonically sorted factor list of rank at least two.
+
+    Cached across calls with a fixed bound; callers share the returned
+    profile and must not mutate it.
+    """
+    memo: Memo = {}
+    nearby_zero = _nearby_zero(pairs, memo)
+    return HodgeProfile(
+        rank=len(pairs),
+        nearby_zero=nearby_zero,
+        nearby_infinity=_nearby_infinity(pairs, memo),
+        nearby_finite=(),
+        vanishing_finite=(_vanishing_final(pairs, memo),),
+        hodge=hodge_numbers(nearby_zero),
+        degrees=dict(_degrees(pairs, memo)),
+        note="recursive engine; pairs canonically sorted; degrees experimental",
+    )
 
 
 def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
@@ -294,18 +355,7 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     params.require_irreducible()
     if params.n == 1:
         return base_profile(params.alpha[0], params.beta[0])
-    pairs = tuple(sorted(params.pairs()))
-    nearby_zero = _nearby_zero(pairs)
-    return HodgeProfile(
-        rank=len(pairs),
-        nearby_zero=nearby_zero,
-        nearby_infinity=_nearby_infinity(pairs),
-        nearby_finite=(),
-        vanishing_finite=(_vanishing_final(pairs),),
-        hodge=hodge_numbers(nearby_zero),
-        degrees=dict(_degrees(pairs)),
-        note="recursive engine; pairs canonically sorted; degrees experimental",
-    )
+    return _profile_of_pairs(tuple(sorted(params.pairs())))
 
 
 @dataclass(frozen=True)
@@ -319,6 +369,35 @@ class EngineReport:
     identities_ok: bool
     mismatches: tuple[str, ...]
     error: str | None = None
+
+
+def compare_profiles(
+    params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
+) -> EngineReport:
+    """Compare the two engines' unshifted profiles of ``params`` exactly.
+
+    Also runs the index identities.  Mismatches are reported as data, not
+    raised.
+    """
+    table_equal = {
+        "nearby_zero": closed.nearby_zero == recursive.nearby_zero,
+        "nearby_infinity": closed.nearby_infinity == recursive.nearby_infinity,
+        "vanishing_finite": closed.vanishing_finite == recursive.vanishing_finite,
+        "hodge": closed.hodge == recursive.hodge,
+    }
+    identities_ok = all(
+        check_count_identity(params, m, point)
+        for m in range(params.n)
+        for point in (ZERO, INFINITY)
+    )
+    return EngineReport(
+        params=params,
+        agree=all(table_equal.values()),
+        shift=equal_up_to_shift(closed, recursive),
+        table_equal=table_equal,
+        identities_ok=identities_ok,
+        mismatches=tuple(name for name, ok in table_equal.items() if not ok),
+    )
 
 
 def verify_cross_engine(params: HypergeometricParams) -> EngineReport:
@@ -339,24 +418,4 @@ def verify_cross_engine(params: HypergeometricParams) -> EngineReport:
             mismatches=(),
             error=str(exc),
         )
-    closed = profile_closed(params)
-    recursive = profile_recursive(params)
-    table_equal = {
-        "nearby_zero": closed.nearby_zero == recursive.nearby_zero,
-        "nearby_infinity": closed.nearby_infinity == recursive.nearby_infinity,
-        "vanishing_finite": closed.vanishing_finite == recursive.vanishing_finite,
-        "hodge": closed.hodge == recursive.hodge,
-    }
-    identities_ok = all(
-        check_count_identity(params, m, point)
-        for m in range(params.n)
-        for point in (ZERO, INFINITY)
-    )
-    return EngineReport(
-        params=params,
-        agree=all(table_equal.values()),
-        shift=equal_up_to_shift(closed, recursive),
-        table_equal=table_equal,
-        identities_ok=identities_ok,
-        mismatches=tuple(name for name, ok in table_equal.items() if not ok),
-    )
+    return compare_profiles(params, profile_closed(params), profile_recursive(params))

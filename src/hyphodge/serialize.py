@@ -142,10 +142,13 @@ def params_from_dict(data: Mapping[str, Any]) -> HypergeometricParams:
             return Fraction(value)
         raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
 
-    return HypergeometricParams(
-        tuple(one(v) for v in data["alpha"]),
-        tuple(one(v) for v in data["beta"]),
-    )
+    def many(key: str) -> tuple[Fraction, ...]:
+        values = data[key]
+        if not isinstance(values, list):
+            raise ValueError(f"{key} must be a list of exponents, got {values!r}")
+        return tuple(one(v) for v in values)
+
+    return HypergeometricParams(many("alpha"), many("beta"))
 
 
 def report_to_dict(report: EngineReport) -> dict[str, Any]:

@@ -1,8 +1,41 @@
 import io
 import json
+import os
+import select
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import pytest
+
+import hyphodge
+from hyphodge import InternalEngineError, NoValidPeel, UnknownData
 from hyphodge.cli import main
+
+SRC = str(Path(hyphodge.__file__).resolve().parent.parent)
+ENGINE_ERRORS = [InternalEngineError, NoValidPeel, UnknownData]
+
+
+def cli_env():
+    """The environment of a child ``python -m hyphodge.cli`` process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def fail_on_rank(monkeypatch, rank, error):
+    """Make the recursive engine raise ``error`` on inputs of one rank."""
+    from hyphodge import cli
+
+    real = cli.profile_recursive
+
+    def engine(params):
+        if params.n == rank:
+            raise error("injected engine failure")
+        return real(params)
+
+    monkeypatch.setattr(cli, "profile_recursive", engine)
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -36,6 +69,34 @@ class TestCompute:
     def test_length_mismatch_exits_2(self, capsys):
         code = main(["compute", "--alpha", "0,1/3", "--beta", "1/2"])
         assert code == 2
+
+    def test_zero_denominator_exits_2(self, capsys):
+        code = main(["compute", "--alpha", "1/0", "--beta", "1/2"])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ENGINE_ERRORS)
+    def test_engine_error_exits_4(self, monkeypatch, capsys, error):
+        fail_on_rank(monkeypatch, 2, error)
+        code = main(["compute", "--alpha", "0,0", "--beta", "1/2,1/2"])
+        assert code == 4
+        assert "injected engine failure" in capsys.readouterr().err
+
+    def test_optimized_interpreter_same_output(self):
+        argv = ["-m", "hyphodge.cli", "compute", "--alpha", "0,0", "--beta", "1/2,1/2"]
+        outputs = [
+            subprocess.run(
+                [sys.executable, *flags, *argv],
+                env=cli_env(),
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            ).stdout
+            for flags in ([], ["-O"])
+        ]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["report"]["agree"] is True
 
     def test_both_engines_report_agreement(self):
         code, out = run_cli(
@@ -158,3 +219,60 @@ class TestBatch:
         code, out = run_cli(["batch"], "", monkeypatch)
         assert code == 0
         assert out == ""
+
+    def test_zero_denominator_is_inline_and_stream_continues(self, monkeypatch):
+        stdin = '{"alpha": ["1/0"], "beta": ["1/2"]}\n{"alpha": ["0"], "beta": ["1/2"]}\n'
+        code, out = run_cli(["batch"], stdin, monkeypatch)
+        assert code == 0
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert lines[0]["error"]["code"] == 2
+        assert "profiles" in lines[1]
+
+    def test_exponents_must_be_lists(self, monkeypatch):
+        stdin = '{"alpha": "12", "beta": ["1/2", "1/3"]}\n'
+        code, out = run_cli(["batch"], stdin, monkeypatch)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["error"]["code"] == 2
+        assert "alpha must be a list" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("error", ENGINE_ERRORS)
+    def test_engine_error_is_inline_and_stream_continues(self, monkeypatch, error):
+        fail_on_rank(monkeypatch, 2, error)
+        stdin = (
+            '{"alpha": ["0"], "beta": ["1/2"]}\n'
+            '{"alpha": ["0", "0"], "beta": ["1/2", "1/2"]}\n'
+            '{"alpha": ["0", "1/3", "2/3"], "beta": ["1/2", "1/4", "3/4"]}\n'
+        )
+        code, out = run_cli(["batch"], stdin, monkeypatch)
+        assert code == 0
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert len(lines) == 3
+        assert lines[1] == {
+            "schema_version": "1",
+            "line": 2,
+            "error": {"code": 4, "message": "injected engine failure"},
+        }
+        assert lines[2]["report"]["agree"] is True
+
+    def test_each_document_is_flushed(self):
+        # A closed-loop client reads each answer before sending the next
+        # line, so the document must arrive while stdin is still open.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyphodge.cli", "batch"],
+            env=cli_env(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            proc.stdin.write('{"alpha": ["0"], "beta": ["1/2"]}\n')
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "no document before stdin was closed"
+            assert json.loads(proc.stdout.readline())["command"] == "compute"
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert proc.returncode == 0

@@ -23,7 +23,7 @@ from hyphodge import (
     unit_rep,
     verify_cross_engine,
 )
-from conftest import random_irreducible, residue_grid
+from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction
 
@@ -112,6 +112,19 @@ class TestProfileRecursive:
     def test_memoized_calls_are_stable(self):
         p = HypergeometricParams((F(0), F(1, 5)), (F(1, 2), F(7, 8)))
         assert profile_recursive(p) == profile_recursive(p)
+
+    def test_profile_cache_is_bounded_and_order_blind(self, rng):
+        from hyphodge.recursion import _profile_of_pairs
+
+        assert _profile_of_pairs.cache_info().maxsize is not None
+        p = disjoint_pool_instance(rng, 6, 8)
+        order = list(range(p.n))
+        rng.shuffle(order)
+        first = profile_recursive(p)
+        hits = _profile_of_pairs.cache_info().hits
+        assert profile_recursive(p.permuted(order)) == first
+        assert _profile_of_pairs.cache_info().hits == hits + 1
+        assert _profile_of_pairs.__wrapped__(tuple(sorted(p.pairs()))) == first
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleInput):
@@ -206,6 +219,13 @@ class TestCrossEngine:
             p = random_irreducible(rng, rng.randint(1, 4), 8)
             rep = verify_cross_engine(p)
             assert rep.agree and rep.shift == 0, p
+
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_high_rank(self, rng, n):
+        for _ in range(2):
+            p = disjoint_pool_instance(rng, n, 12)
+            rep = verify_cross_engine(p)
+            assert rep.agree and rep.shift == 0 and rep.identities_ok, p
 
     def test_transvections(self, rng):
         # Inputs whose drops sum to an integer exercise the unipotent
