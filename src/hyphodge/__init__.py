@@ -1,16 +1,15 @@
 """Exact local Hodge data of irreducible hypergeometric connections.
 
 Two independent engines compute the complete local numerical package (graded
-nearby and vanishing tables at 0, 1 and infinity, fibre dimensions, degrees)
-from exact rational exponents: closed combinatorial formulas and a recursive
-middle-convolution engine.  They are cross-validated against each other and
+nearby tables at 0 and infinity, the vanishing table at 1, fibre dimensions,
+degrees) from exact rational exponents: closed combinatorial formulas and a
+recursive middle-convolution engine.  They are cross-validated against each other and
 against the combinatorial identities relating the two index conventions.
 """
 
 from .closed_form import (
     JordanStructure,
     counts_at_one,
-    hodge_numbers,
     jordan_structure,
     nearby_closed,
     profile_closed,
@@ -30,16 +29,12 @@ from .combinatorics import (
 )
 from .convolution import (
     ConvolutionContext,
-    conjugate_table,
     convolve_degrees,
     convolve_hodge_numbers,
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
-    shift_residues,
-    twist,
     twist_degrees,
-    unipotent_vanishing_from_nearby,
 )
 from .core import (
     AT_ONE,
@@ -52,18 +47,19 @@ from .core import (
     LocalHodgeTable,
     NoValidPeel,
     ReducibleInput,
-    Residue,
     SingularPoint,
     TableKind,
     UnknownData,
+    class_totals,
+    conjugate_table,
     equal_up_to_shift,
     format_rational,
     frac,
+    hodge_numbers,
     multiplicity_and_level,
     parse_rational,
-    primitive_and_coprimitive,
+    shift_residues,
     table_shift,
-    total_from_primitive,
     unit_rep,
 )
 from .recursion import (

@@ -22,8 +22,8 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
-    UnknownData,
     frac,
+    hodge_numbers,
     multiplicity_and_level,
 )
 
@@ -137,20 +137,6 @@ def counts_at_one(params: HypergeometricParams) -> tuple[int, int]:
     return params.n - 1, 1
 
 
-def hodge_numbers(nearby_zero: LocalHodgeTable) -> dict[int, int]:
-    """Graded fibre dimensions obtained by summing the table at 0.
-
-    An entry of level ``l`` at index ``p`` spreads over ``p - l .. p``.
-    """
-    if nearby_zero.unknown:
-        raise UnknownData("cannot sum a table with undetermined slots")
-    out: dict[int, int] = {}
-    for (_r, lv, p), m in nearby_zero.entries.items():
-        for k in range(lv + 1):
-            out[p - k] = out.get(p - k, 0) + m
-    return dict(sorted(out.items()))
-
-
 def profile_closed(params: HypergeometricParams) -> HodgeProfile:
     """Assemble the full closed-form profile.
 
@@ -165,7 +151,6 @@ def profile_closed(params: HypergeometricParams) -> HodgeProfile:
         rank=params.n,
         nearby_zero=nearby_zero,
         nearby_infinity=nearby_closed(params, INFINITY),
-        nearby_finite=(),
         vanishing_finite=(vanishing_at_one_closed(params),),
         hodge=hodge_numbers(nearby_zero),
         degrees=None,

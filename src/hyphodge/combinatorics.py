@@ -16,6 +16,7 @@ from .core import (
     HypergeometricParams,
     LocalHodgeTable,
     SingularPoint,
+    conjugate_table,
     frac,
     unit_rep,
 )
@@ -141,12 +142,10 @@ def dualize_table(table: LocalHodgeTable) -> LocalHodgeTable:
     slots follow their residues.  This is an involution and preserves the
     total Jordan dimension.
     """
+    conjugate = conjugate_table(table)
     return LocalHodgeTable(
-        table.point,
-        table.kind,
-        {
-            (frac(-r), lv, lv - p): m
-            for (r, lv, p), m in table.entries.items()
-        },
-        frozenset((frac(-r), lv) for r, lv in table.unknown),
+        conjugate.point,
+        conjugate.kind,
+        {(r, lv, lv - p): m for (r, lv, p), m in conjugate.entries.items()},
+        conjugate.unknown,
     )

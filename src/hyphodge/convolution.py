@@ -4,7 +4,8 @@ The convolution kernel is the rank-one hypergeometric module with exponent
 drop ``g0`` in ``(0, 1)``.  All transforms here are total forward maps on
 tables keyed so that a residue ``r`` stands for the eigenvalue
 ``exp(-2*pi*i*r)``; profile tables at infinity use the opposite orientation
-and must pass through :func:`conjugate_table` on the way in and out.
+and must pass through :func:`hyphodge.core.conjugate_table` on the way in and
+out.
 
 Interval conditions are evaluated on ``(0, 1]`` representatives with the
 bracket placement written out case by case.  Two slots are genuinely not
@@ -21,10 +22,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
-    HodgeProfile,
     LocalHodgeTable,
     TableKind,
     UnknownData,
+    class_totals,
     frac,
     unit_rep,
 )
@@ -54,58 +55,6 @@ class ConvolutionContext:
     @property
     def conjugate_rep(self) -> Fraction:
         return 1 - self.kernel_rep
-
-
-def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
-    """Flip the orientation of the eigenvalue keys (``r`` to ``{-r}``)."""
-    return LocalHodgeTable(
-        table.point,
-        table.kind,
-        {(frac(-r), lv, p): m for (r, lv, p), m in table.entries.items()},
-        frozenset((frac(-r), lv) for r, lv in table.unknown),
-    )
-
-
-def shift_residues(table: LocalHodgeTable, c: Fraction) -> LocalHodgeTable:
-    """Relabel every eigenvalue residue by ``{r - c}``; grading untouched."""
-    return LocalHodgeTable(
-        table.point,
-        table.kind,
-        {(frac(r - c), lv, p): m for (r, lv, p), m in table.entries.items()},
-        frozenset((frac(r - c), lv) for r, lv in table.unknown),
-    )
-
-
-def twist(profile: HodgeProfile, c: Fraction) -> HodgeProfile:
-    """Twist by the rank-one module shifting residues at 0 and infinity.
-
-    Residues at both open ends become ``{r - c}``; finite-point tables and
-    the graded fibre are untouched.  Degrees are dropped: they change under
-    the twist and must be recomputed with :func:`twist_degrees`.
-    """
-    return HodgeProfile(
-        rank=profile.rank,
-        nearby_zero=shift_residues(profile.nearby_zero, c),
-        nearby_infinity=shift_residues(profile.nearby_infinity, c),
-        nearby_finite=profile.nearby_finite,
-        vanishing_finite=profile.vanishing_finite,
-        hodge=profile.hodge,
-        degrees=None,
-        note=profile.note,
-    )
-
-
-def _class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
-    """Total graded dimensions of one eigenvalue class, indexed by p."""
-    if table.has_unknown(residue):
-        raise UnknownData(f"class {residue} has undetermined slots")
-    out: dict[int, int] = {}
-    for (r, lv, q), m in table.entries.items():
-        if r != residue:
-            continue
-        for k in range(lv + 1):
-            out[q - k] = out.get(q - k, 0) + m
-    return out
 
 
 def _primitive_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
@@ -150,6 +99,21 @@ def convolve_vanishing_finite(
     return LocalHodgeTable(table.point, table.kind, entries, unknown)
 
 
+def _infinity_row(
+    r: Fraction, lv: int, ctx: ConvolutionContext
+) -> tuple[int, int] | None:
+    """Where a class at infinity goes: ``(level, index step)``, or ``None``.
+
+    The rows of :func:`convolve_nearby_infinity`; ``None`` drops the slot.
+    """
+    rep = unit_rep(r)
+    if rep == 1:
+        return (lv - 1, 0) if lv >= 1 else None
+    if rep == ctx.conjugate_rep:
+        return lv + 1, 1
+    return (lv, 1) if rep < ctx.conjugate_rep else (lv, 0)
+
+
 def convolve_nearby_infinity(
     table: LocalHodgeTable, ctx: ConvolutionContext
 ) -> LocalHodgeTable:
@@ -170,30 +134,31 @@ def convolve_nearby_infinity(
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown = {(frac(ctx.conjugate_rep), 0)}
     for (r, lv, p), m in table.entries.items():
-        rep = unit_rep(r)
-        if rep == 1:
-            if lv >= 1:
-                key = (r, lv - 1, p)
-            else:
-                continue
-        elif rep == ctx.conjugate_rep:
-            key = (r, lv + 1, p + 1)
-        elif rep < ctx.conjugate_rep:
-            key = (r, lv, p + 1)
-        else:
-            key = (r, lv, p)
-        entries[key] = entries.get(key, 0) + m
+        row = _infinity_row(r, lv, ctx)
+        if row is not None:
+            key = (r, row[0], p + row[1])
+            entries[key] = entries.get(key, 0) + m
     for r, lv in table.unknown:
-        rep = unit_rep(r)
-        if rep == 1:
-            if lv >= 1:
-                unknown.add((r, lv - 1))
-        elif rep == ctx.conjugate_rep:
-            unknown.add((r, lv + 1))
-        else:
-            unknown.add((r, lv))
+        row = _infinity_row(r, lv, ctx)
+        if row is not None:
+            unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
     return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
+
+
+def _zero_row(
+    r: Fraction, lv: int, ctx: ConvolutionContext
+) -> tuple[int, int] | None:
+    """Where a class at 0 goes: ``(level, index step)``, or ``None``.
+
+    The rows of :func:`convolve_nearby_zero`; ``None`` drops the slot.
+    """
+    rep = unit_rep(r)
+    if rep == ctx.kernel_rep:
+        return (lv - 1, 0) if lv >= 1 else None
+    if rep == 1:
+        return lv + 1, 1
+    return (lv, 0) if rep < ctx.kernel_rep else (lv, 1)
 
 
 def convolve_nearby_zero(
@@ -221,19 +186,10 @@ def convolve_nearby_zero(
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown: set[tuple[Fraction, int]] = set()
     for (r, lv, p), m in table.entries.items():
-        rep = unit_rep(r)
-        if rep == ctx.kernel_rep:
-            if lv >= 1:
-                key = (r, lv - 1, p)
-            else:
-                continue
-        elif rep == 1:
-            key = (zero, lv + 1, p + 1)
-        elif rep < ctx.kernel_rep:
-            key = (r, lv, p)
-        else:
-            key = (r, lv, p + 1)
-        entries[key] = entries.get(key, 0) + m
+        row = _zero_row(r, lv, ctx)
+        if row is not None:
+            key = (r, row[0], p + row[1])
+            entries[key] = entries.get(key, 0) + m
     if h1 is None:
         unknown.add((zero, 0))
     else:
@@ -242,14 +198,9 @@ def convolve_nearby_zero(
                 key = (zero, 0, int(p))
                 entries[key] = entries.get(key, 0) + int(v)
     for r, lv in table.unknown:
-        rep = unit_rep(r)
-        if rep == ctx.kernel_rep:
-            if lv >= 1:
-                unknown.add((r, lv - 1))
-        elif rep == 1:
-            unknown.add((zero, lv + 1))
-        else:
-            unknown.add((r, lv))
+        row = _zero_row(r, lv, ctx)
+        if row is not None:
+            unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
     return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
 
@@ -274,7 +225,7 @@ def convolve_hodge_numbers(
     _add(acc, {int(p): int(v) for p, v in h1.items()})
     for r in sorted(nearby_zero.residues()):
         if ctx.kernel_rep <= unit_rep(r) < 1:
-            totals = _class_totals(nearby_zero, r)
+            totals = class_totals(nearby_zero, r)
             _add(acc, totals, +1, shift=1)
             _add(acc, totals, -1)
     return _pruned(acc)
@@ -298,15 +249,15 @@ def convolve_degrees(
     acc: dict[int, int] = dict(delta)
     for r in sorted(nearby_zero.residues()):
         if ctx.kernel_rep <= unit_rep(r) < 1:
-            totals = _class_totals(nearby_zero, r)
+            totals = class_totals(nearby_zero, r)
             _add(acc, totals, +1)
             _add(acc, totals, -1, shift=1)
     _add(acc, _primitive_totals(nearby_zero, ctx.residue), +1, shift=1)
     for table in vanishing_finite:
-        _add(acc, _class_totals(table, Fraction(0)), -1)
+        _add(acc, class_totals(table, Fraction(0)), -1)
         for r in sorted(table.residues()):
             if r != 0 and unit_rep(r) < ctx.conjugate_rep:
-                _add(acc, _class_totals(table, r), -1, shift=1)
+                _add(acc, class_totals(table, r), -1, shift=1)
     return _pruned(acc)
 
 
@@ -329,25 +280,8 @@ def twist_degrees(
     _add(acc, h, -1)
     for r in sorted(nearby_zero.residues()):
         if ctx.kernel_rep <= unit_rep(r) < 1:
-            _add(acc, _class_totals(nearby_zero, r))
+            _add(acc, class_totals(nearby_zero, r))
     for r in sorted(nearby_infinity.residues()):
         if ctx.conjugate_rep <= unit_rep(r) < 1:
-            _add(acc, _class_totals(nearby_infinity, r))
-    return _pruned(acc)
-
-
-def unipotent_vanishing_from_nearby(nearby: LocalHodgeTable) -> dict[int, int]:
-    """Total unipotent vanishing dimensions from a nearby table.
-
-    For a minimal extension the level-``l`` unipotent vanishing part is the
-    image of the nilpotent operator on the level-``l+1`` nearby part, so the
-    totals at index ``p`` are the unipotent nearby totals at ``p - 1`` minus
-    the primitive part at ``p - 1``.
-    """
-    zero = Fraction(0)
-    totals = _class_totals(nearby, zero)
-    prim = _primitive_totals(nearby, zero)
-    acc: dict[int, int] = {}
-    _add(acc, totals, +1, shift=1)
-    _add(acc, prim, -1, shift=1)
+            _add(acc, class_totals(nearby_infinity, r))
     return _pruned(acc)

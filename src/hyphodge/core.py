@@ -2,8 +2,8 @@
 
 Eigenvalues of local monodromies are recorded through rational residues in
 ``[0, 1)``.  Which complex eigenvalue a residue ``r`` stands for depends on the
-singular point: ``exp(-2*pi*i*r)`` at 0 and at finite points, ``exp(+2*pi*i*r)``
-at infinity.  Interval conditions used by the convolution transforms are
+singular point: ``exp(-2*pi*i*r)`` at 0 and at 1, ``exp(+2*pi*i*r)`` at
+infinity.  Interval conditions used by the convolution transforms are
 evaluated on the half-open representative in ``(0, 1]`` (see :func:`unit_rep`),
 where the class of 0 is represented by 1.
 
@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Residue = Fraction
-"""Type alias: a residue is an exact rational in [0, 1)."""
 
 
 class UnknownData(Exception):
@@ -107,43 +104,22 @@ class TableKind(Enum):
     VANISHING = "vanishing"
 
 
-_POINT_KINDS = ("zero", "finite", "infinity")
+class SingularPoint(Enum):
+    """One of the three regular singularities; the value is its serialized name."""
 
-
-@dataclass(frozen=True)
-class SingularPoint:
-    """One of the regular singularities: 0, a finite point, or infinity.
-
-    For hypergeometric modules the only finite singular point is 1, which is
-    ``SingularPoint("finite", 0)``.
-    """
-
-    kind: str
-    index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _POINT_KINDS:
-            raise ValueError(f"unknown point kind {self.kind!r}")
-        if self.kind != "finite" and self.index != 0:
-            raise ValueError("only finite points carry an index")
-        if self.index < 0:
-            raise ValueError("negative point index")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
+    ZERO = "zero"
+    ONE = "one"
+    INFINITY = "infinity"
 
     def __str__(self) -> str:
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "infinity":
-            return "oo"
-        return "1" if self.index == 0 else f"x{self.index + 1}"
+        return _POINT_LABELS[self.value]
 
 
-ZERO = SingularPoint("zero")
-INFINITY = SingularPoint("infinity")
-AT_ONE = SingularPoint("finite", 0)
+_POINT_LABELS = {"zero": "0", "one": "1", "infinity": "oo"}
+
+ZERO = SingularPoint.ZERO
+INFINITY = SingularPoint.INFINITY
+AT_ONE = SingularPoint.ONE
 
 Entry = tuple[Fraction, int, int]
 """Table key: (eigenvalue residue, nilpotency level, Hodge index)."""
@@ -226,35 +202,54 @@ def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
     )
 
 
-def total_from_primitive(table: LocalHodgeTable, residue: Fraction, p: int) -> int:
-    """Total graded dimension at ``(residue, p)`` from the primitive entries.
+def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
+    """Flip the orientation of the eigenvalue keys (``r`` to ``{-r}``)."""
+    return LocalHodgeTable(
+        table.point,
+        table.kind,
+        {(frac(-r), lv, p): m for (r, lv, p), m in table.entries.items()},
+        frozenset((frac(-r), lv) for r, lv in table.unknown),
+    )
 
-    An entry of level ``l`` spreads over the ``l + 1`` consecutive indices
-    below and including its own, so the total at ``p`` collects every entry
-    ``(residue, l, q)`` with ``p <= q <= p + l``.
+
+def shift_residues(table: LocalHodgeTable, c: Fraction) -> LocalHodgeTable:
+    """Relabel every eigenvalue residue by ``{r - c}``; grading untouched."""
+    return LocalHodgeTable(
+        table.point,
+        table.kind,
+        {(frac(r - c), lv, p): m for (r, lv, p), m in table.entries.items()},
+        frozenset((frac(r - c), lv) for r, lv in table.unknown),
+    )
+
+
+def _spread_sum(items: Iterable[tuple[Entry, int]]) -> dict[int, int]:
+    """Total graded dimensions of primitive entries, in one pass.
+
+    An entry of level ``l`` at index ``q`` spreads over the ``l + 1``
+    consecutive indices ``q - l .. q``.
     """
-    if table.has_unknown(residue):
-        raise UnknownData(f"class {residue} has undetermined slots")
-    return sum(
-        m
-        for (r, lv, q), m in table.entries.items()
-        if r == residue and p <= q <= p + lv
-    )
+    out: dict[int, int] = {}
+    for (_r, lv, q), m in items:
+        for p in range(q - lv, q + 1):
+            out[p] = out.get(p, 0) + m
+    return out
 
 
-def primitive_and_coprimitive(
-    table: LocalHodgeTable, residue: Fraction, p: int
-) -> tuple[int, int]:
-    """Primitive and coprimitive graded dimensions at ``(residue, p)``."""
+def hodge_numbers(table: LocalHodgeTable) -> dict[int, int]:
+    """Total graded dimensions of a whole table, sorted by index.
+
+    Summed over the nearby table at 0 these are the graded fibre dimensions.
+    """
+    if table.unknown:
+        raise UnknownData("cannot sum a table with undetermined slots")
+    return dict(sorted(_spread_sum(table.entries.items()).items()))
+
+
+def class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
+    """Total graded dimensions of one eigenvalue class, indexed by p."""
     if table.has_unknown(residue):
         raise UnknownData(f"class {residue} has undetermined slots")
-    prim = sum(
-        m for (r, lv, q), m in table.entries.items() if r == residue and q == p
-    )
-    coprim = sum(
-        m for (r, lv, q), m in table.entries.items() if r == residue and q == p + lv
-    )
-    return prim, coprim
+    return _spread_sum(e for e in table.entries.items() if e[0][0] == residue)
 
 
 @dataclass(frozen=True)
@@ -341,15 +336,14 @@ class HodgeProfile:
 
     ``hodge`` gives the graded dimensions of the generic fibre and ``degrees``
     (optional) the graded degrees of the natural extension across the
-    singularities.  ``nearby_finite`` is empty for hypergeometric profiles:
-    the theory pins only the eigenvalue counts at the finite point, not their
-    grading (see :func:`hyphodge.closed_form.counts_at_one`).
+    singularities.  There is no nearby table at 1: the theory pins only the
+    eigenvalue counts there, not their grading (see
+    :func:`hyphodge.closed_form.counts_at_one`).
     """
 
     rank: int
     nearby_zero: LocalHodgeTable
     nearby_infinity: LocalHodgeTable
-    nearby_finite: tuple[LocalHodgeTable, ...] = ()
     vanishing_finite: tuple[LocalHodgeTable, ...] = ()
     hodge: dict[int, int] = field(default_factory=dict)
     degrees: dict[int, int] | None = None
@@ -359,7 +353,6 @@ class HodgeProfile:
         object.__setattr__(self, "hodge", _prune(dict(self.hodge)))
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _prune(dict(self.degrees)))
-        object.__setattr__(self, "nearby_finite", tuple(self.nearby_finite))
         object.__setattr__(self, "vanishing_finite", tuple(self.vanishing_finite))
         if sum(self.hodge.values()) != self.rank:
             raise ValueError("graded fibre dimensions do not sum to the rank")
@@ -376,7 +369,6 @@ class HodgeProfile:
             rank=self.rank,
             nearby_zero=table_shift(self.nearby_zero, s),
             nearby_infinity=table_shift(self.nearby_infinity, s),
-            nearby_finite=tuple(table_shift(t, s) for t in self.nearby_finite),
             vanishing_finite=tuple(table_shift(t, s) for t in self.vanishing_finite),
             hodge={p + s: v for p, v in self.hodge.items()},
             degrees=None
@@ -392,7 +384,6 @@ def profile_min_p(profile: HodgeProfile) -> int:
     for table in (
         profile.nearby_zero,
         profile.nearby_infinity,
-        *profile.nearby_finite,
         *profile.vanishing_finite,
     ):
         ps.extend(p for (_r, _lv, p) in table.entries)
@@ -406,7 +397,6 @@ def _profiles_match(a: HodgeProfile, b: HodgeProfile) -> bool:
         a.rank != b.rank
         or a.nearby_zero != b.nearby_zero
         or a.nearby_infinity != b.nearby_infinity
-        or a.nearby_finite != b.nearby_finite
         or a.vanishing_finite != b.vanishing_finite
         or a.hodge != b.hodge
     ):

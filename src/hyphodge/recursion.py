@@ -2,9 +2,9 @@
 
 The engine rebuilds every local invariant of a hypergeometric module by
 induction on the number of factors, using only the forward convolution
-transforms and the rank-one base case.  It shares no formulas with the
-closed-form module, which makes exact agreement of the two engines a real
-cross-check.
+transforms and the rank-one base case.  It shares only the data model in
+:mod:`hyphodge.core` with the closed engine, which makes exact agreement of
+the two engines' tables a real cross-check.
 
 Every transform maps an output eigenvalue class from the same input class
 only, so each nearby class at 0 or infinity is followed down its own peel
@@ -33,16 +33,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .closed_form import hodge_numbers, profile_closed
+from .closed_form import profile_closed
 from .combinatorics import check_count_identity
 from .convolution import (
     ConvolutionContext,
-    conjugate_table,
     convolve_degrees,
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
-    shift_residues,
     twist_degrees,
 )
 from .core import (
@@ -58,8 +56,11 @@ from .core import (
     ReducibleInput,
     SingularPoint,
     TableKind,
+    conjugate_table,
     equal_up_to_shift,
     frac,
+    hodge_numbers,
+    shift_residues,
     table_shift,
     unit_rep,
 )
@@ -102,7 +103,6 @@ def base_profile(a: Fraction, b: Fraction) -> HodgeProfile:
         rank=1,
         nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
         nearby_infinity=LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1}),
-        nearby_finite=(),
         vanishing_finite=(
             LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
         ),
@@ -336,7 +336,6 @@ def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
         rank=len(pairs),
         nearby_zero=nearby_zero,
         nearby_infinity=_nearby_infinity(pairs, memo),
-        nearby_finite=(),
         vanishing_finite=(_vanishing_final(pairs, memo),),
         hodge=hodge_numbers(nearby_zero),
         degrees=dict(_degrees(pairs, memo)),
@@ -377,7 +376,9 @@ def compare_profiles(
     """Compare the two engines' unshifted profiles of ``params`` exactly.
 
     Also runs the index identities.  Mismatches are reported as data, not
-    raised.
+    raised.  Both engines take ``hodge`` as :func:`hyphodge.core.hodge_numbers`
+    of their ``nearby_zero``, so the ``"hodge"`` entry is implied by the
+    ``"nearby_zero"`` entry and is not an independent check.
     """
     table_equal = {
         "nearby_zero": closed.nearby_zero == recursive.nearby_zero,

@@ -12,9 +12,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .core import (
-    AT_ONE,
-    INFINITY,
-    ZERO,
     HodgeProfile,
     HypergeometricParams,
     LocalHodgeTable,
@@ -28,31 +25,14 @@ from .recursion import EngineReport
 SCHEMA_VERSION = "1"
 
 
-def point_to_str(point: SingularPoint) -> str:
-    if point == ZERO:
-        return "zero"
-    if point == INFINITY:
-        return "infinity"
-    if point == AT_ONE:
-        return "one"
-    return f"finite:{point.index}"
-
-
 def point_from_str(text: str) -> SingularPoint:
-    if text == "zero":
-        return ZERO
-    if text == "infinity":
-        return INFINITY
-    if text == "one":
-        return AT_ONE
-    if text.startswith("finite:"):
-        return SingularPoint("finite", int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown singular point {text!r}")
+    """The point serialized as ``text``; :class:`ValueError` for any other name."""
+    return SingularPoint(text)
 
 
 def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
     return {
-        "point": point_to_str(table.point),
+        "point": table.point.value,
         "kind": table.kind.value,
         "entries": [
             {
@@ -100,7 +80,7 @@ def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
         "rank": profile.rank,
         "nearby_zero": table_to_dict(profile.nearby_zero),
         "nearby_infinity": table_to_dict(profile.nearby_infinity),
-        "nearby_finite": [table_to_dict(t) for t in profile.nearby_finite],
+        "nearby_finite": [],
         "vanishing_finite": [table_to_dict(t) for t in profile.vanishing_finite],
         "hodge": _int_map_to_dict(profile.hodge),
         "degrees": None
@@ -111,11 +91,12 @@ def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> HodgeProfile:
+    if data["nearby_finite"] != []:
+        raise ValueError("nearby_finite must be empty in schema v1")
     return HodgeProfile(
         rank=int(data["rank"]),
         nearby_zero=table_from_dict(data["nearby_zero"]),
         nearby_infinity=table_from_dict(data["nearby_infinity"]),
-        nearby_finite=tuple(table_from_dict(t) for t in data["nearby_finite"]),
         vanishing_finite=tuple(
             table_from_dict(t) for t in data["vanishing_finite"]
         ),
@@ -254,10 +235,9 @@ def tsv_lines(
         for table in (
             profile.nearby_zero,
             profile.nearby_infinity,
-            *profile.nearby_finite,
             *profile.vanishing_finite,
         ):
-            label = point_to_str(table.point)
+            label = table.point.value
             for (r, lv, p), m in table.sorted_items():
                 lines.append(f"{label}\t{format_rational(r)}\t{lv}\t{p}\t{m}")
     return lines

@@ -18,6 +18,7 @@ from hyphodge import (
     LocalHodgeTable,
     TableKind,
     check_count_identity,
+    class_totals,
     contribution_pair,
     convolve_nearby_infinity,
     counts_at_one,
@@ -27,7 +28,6 @@ from hyphodge import (
     profile_closed,
     profile_recursive,
     special_exponent,
-    total_from_primitive,
 )
 from conftest import random_irreducible, residue_grid
 
@@ -173,11 +173,11 @@ def _fiber_consistent(profile, n):
         indices.update(p for (_r, _lv, p) in table.entries)
     for p in indices:
         zero_total = sum(
-            total_from_primitive(profile.nearby_zero, r, p)
+            class_totals(profile.nearby_zero, r).get(p, 0)
             for r in profile.nearby_zero.residues()
         )
         inf_total = sum(
-            total_from_primitive(profile.nearby_infinity, r, p)
+            class_totals(profile.nearby_infinity, r).get(p, 0)
             for r in profile.nearby_infinity.residues()
         )
         if not zero_total == inf_total == profile.hodge.get(p, 0):

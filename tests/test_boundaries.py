@@ -1,0 +1,37 @@
+"""The engines share only the data model: package imports read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import hyphodge
+
+PACKAGE = Path(hyphodge.__file__).resolve().parent
+
+
+def package_imports(module: str) -> dict[str, set[str]]:
+    """Names imported from each sibling module, keyed by that module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hyphodge"):
+            raise AssertionError(f"{module} imports {node.module} absolutely")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hyphodge") for a in node.names), module
+    return out
+
+
+def test_convolution_uses_only_the_data_model():
+    assert set(package_imports("convolution")) == {"core"}
+
+
+def test_closed_engine_never_reaches_the_recursive_engine():
+    for module in ("closed_form", "combinatorics"):
+        assert not set(package_imports(module)) & {"convolution", "recursion"}, module
+
+
+def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
+    imports = package_imports("recursion")
+    assert imports.get("closed_form") == {"profile_closed"}
+    assert imports.get("combinatorics") == {"check_count_identity"}

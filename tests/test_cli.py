@@ -178,6 +178,29 @@ class TestVerify:
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["verify", "--n-max", "0"]) == 2
 
+    def run_verify(self, *bounds):
+        # A child process, so a sampler stuck rejecting draws fails on the
+        # timeout; a constructive draw answers these bounds in well under 1 s.
+        return subprocess.run(
+            [sys.executable, "-m", "hyphodge.cli", "verify", *bounds],
+            env=cli_env(),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+
+    def test_sample_on_crowded_grid_terminates(self):
+        # Rank 12 on a four-residue grid: disjoint draws are rare by rejection.
+        proc = self.run_verify("--n-max", "12", "--den-max", "3", "--sample", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["instances"] == 5
+
+    def test_sample_on_one_residue_grid_exits_2(self):
+        # With the single residue 0 no irreducible instance exists.
+        proc = self.run_verify("--n-max", "1", "--den-max", "1", "--sample", "1")
+        assert proc.returncode == 2
+        assert "--den-max" in proc.stderr
+
 
 class TestBatch:
     def test_two_valid_lines(self, monkeypatch):

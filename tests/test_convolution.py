@@ -19,9 +19,8 @@ from hyphodge import (
     convolve_vanishing_finite,
     hodge_numbers,
     profile_closed,
-    twist,
+    shift_residues,
     twist_degrees,
-    unipotent_vanishing_from_nearby,
 )
 from conftest import random_irreducible
 
@@ -49,32 +48,22 @@ class TestContext:
 
 
 class TestTwist:
+    """The twist relabels residues at 0 and infinity with ``shift_residues``."""
+
     def test_by_zero_is_identity_on_tables(self):
         prof = profile_closed(HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2))))
-        twisted = twist(prof, F(0))
-        assert twisted.nearby_zero == prof.nearby_zero
-        assert twisted.nearby_infinity == prof.nearby_infinity
+        assert shift_residues(prof.nearby_zero, F(0)) == prof.nearby_zero
+        assert shift_residues(prof.nearby_infinity, F(0)) == prof.nearby_infinity
 
     def test_residue_subtraction(self):
         prof = profile_closed(HypergeometricParams((F(1, 3),), (F(0),)))
-        twisted = twist(prof, F(1, 3))
-        assert twisted.nearby_zero.entries == {(F(0), 0, 1): 1}
+        twisted = shift_residues(prof.nearby_zero, F(1, 3))
+        assert twisted.entries == {(F(0), 0, 1): 1}
 
     def test_inverse_twist(self):
         prof = profile_closed(HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
-        round_trip = twist(twist(prof, F(1, 5)), F(-1, 5))
-        assert round_trip.nearby_zero == prof.nearby_zero
-        assert round_trip.nearby_infinity == prof.nearby_infinity
-        assert round_trip.vanishing_finite == prof.vanishing_finite
-        assert round_trip.hodge == prof.hodge
-
-    def test_finite_tables_untouched_and_degrees_dropped(self):
-        from hyphodge import profile_recursive
-
-        prof = profile_recursive(HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2))))
-        twisted = twist(prof, F(1, 7))
-        assert twisted.vanishing_finite == prof.vanishing_finite
-        assert twisted.degrees is None
+        for table in (prof.nearby_zero, prof.nearby_infinity):
+            assert shift_residues(shift_residues(table, F(1, 5)), F(-1, 5)) == table
 
 
 class TestVanishingFinite:
@@ -231,17 +220,6 @@ class TestDegreesTransport:
         table = nearby({}, unknown=[(F(3, 4), 0)])
         with pytest.raises(UnknownData):
             convolve_degrees({}, table, (), HALF)
-
-
-class TestUnipotentVanishing:
-    def test_level_one_block(self):
-        assert unipotent_vanishing_from_nearby(nearby({(F(0), 1, 1): 1})) == {1: 1}
-
-    def test_level_zero_gives_nothing(self):
-        assert unipotent_vanishing_from_nearby(nearby({(F(0), 0, 0): 1})) == {}
-
-    def test_empty(self):
-        assert unipotent_vanishing_from_nearby(nearby({})) == {}
 
 
 class TestConjugation:

@@ -15,14 +15,13 @@ from hyphodge import (
     SingularPoint,
     TableKind,
     UnknownData,
+    class_totals,
     equal_up_to_shift,
     format_rational,
     frac,
     multiplicity_and_level,
     parse_rational,
-    primitive_and_coprimitive,
     table_shift,
-    total_from_primitive,
     unit_rep,
 )
 
@@ -114,34 +113,28 @@ class TestMultiplicityAndLevel:
 class TestTotals:
     def test_total_at_own_index(self):
         t = nearby({(F(1, 3), 1, 2): 1})
-        assert total_from_primitive(t, F(1, 3), 2) == 1
+        assert class_totals(t, F(1, 3)).get(2, 0) == 1
 
     def test_total_spreads_down(self):
         t = nearby({(F(1, 3), 1, 2): 1})
-        assert total_from_primitive(t, F(1, 3), 1) == 1
+        assert class_totals(t, F(1, 3)).get(1, 0) == 1
 
     def test_total_zero_outside(self):
         t = nearby({(F(1, 3), 1, 2): 1})
-        assert total_from_primitive(t, F(1, 3), 0) == 0
+        assert class_totals(t, F(1, 3)).get(0, 0) == 0
 
     def test_unknown_slot_raises(self):
         t = nearby({(F(1, 3), 1, 2): 1}, unknown=[(F(1, 3), 0)])
         with pytest.raises(UnknownData):
-            total_from_primitive(t, F(1, 3), 1)
-
-    def test_prim_and_coprim(self):
-        t = nearby({(F(1, 3), 1, 2): 1})
-        assert primitive_and_coprimitive(t, F(1, 3), 2) == (1, 0)
-        assert primitive_and_coprimitive(t, F(1, 3), 1) == (0, 1)
+            class_totals(t, F(1, 3))
 
     def test_empty(self):
-        t = nearby({})
-        assert primitive_and_coprimitive(t, F(1, 3), 0) == (0, 0)
+        assert class_totals(nearby({}), F(1, 3)) == {}
 
     def test_dimension_count_matches_totals(self):
         t = nearby({(F(0), 2, 3): 2, (F(1, 2), 1, 0): 1})
         by_totals = sum(
-            total_from_primitive(t, r, p)
+            class_totals(t, r).get(p, 0)
             for r in t.residues()
             for p in range(-5, 6)
         )

@@ -11,6 +11,7 @@ from hyphodge.serialize import (
     emit_document,
     parse_document,
     params_from_dict,
+    point_from_str,
     profile_from_dict,
     profile_to_dict,
     table_from_dict,
@@ -62,9 +63,23 @@ class TestRoundTrips:
 
     def test_document_json_round_trip(self):
         doc = make_document(PARAMS)
-        recovered = json.loads(document_to_json(doc))
+        text = document_to_json(doc)
+        recovered = json.loads(text)
         assert recovered == doc
         assert emit_document(parse_document(recovered)) == doc
+        assert document_to_json(emit_document(parse_document(recovered))) == text
+        assert recovered["profiles"]["closed"]["nearby_finite"] == []
+
+    @pytest.mark.parametrize("text", ["finite:3", "finite:0", "pole", "x2", ""])
+    def test_point_rejects_unknown_names(self, text):
+        with pytest.raises(ValueError):
+            point_from_str(text)
+
+    def test_profile_rejects_nearby_finite_tables(self):
+        data = profile_to_dict(profile_closed(PARAMS))
+        data["nearby_finite"] = [table_to_dict(profile_closed(PARAMS).nearby_zero)]
+        with pytest.raises(ValueError):
+            profile_from_dict(data)
 
 
 class TestJsonHygiene:
