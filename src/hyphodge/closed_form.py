@@ -9,10 +9,13 @@ recursive engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .combinatorics import nonseparated_count, special_exponent
+from .combinatorics import special_exponent
 from .core import (
     AT_ONE,
     INFINITY,
@@ -24,7 +27,6 @@ from .core import (
     TableKind,
     frac,
     hodge_numbers,
-    multiplicity_and_level,
 )
 
 
@@ -72,20 +74,41 @@ def nearby_closed(
 ) -> LocalHodgeTable:
     """Graded nearby table at 0 or infinity.
 
-    Each distinct residue class contributes exactly one entry: its level is
-    the multiplicity minus one and its Hodge index is the non-separation
-    count of the class representative.
+    Each distinct residue class ``g`` contributes exactly one entry: its level
+    is the multiplicity minus one and its Hodge index is the number of pairs
+    not separated by ``g`` (:func:`~hyphodge.combinatorics.nonseparated_count`).
+
+    A pair ``(a, b)``, where ``a != b`` by irreducibility, is separated by
+    ``g`` exactly when ``[a < g] - [b <= g] + [a > b]`` is 1, and that
+    expression is always 0 or 1.  For ``a < b`` it is 1 only on
+    ``a < g < b``; for ``a > b`` it is 0 only on ``b <= g <= a``, so it is 1
+    on ``g < b < a`` and on ``b < a < g``.  Summing over the pairs,
+
+        nonseparated(g) = #{k : a_k < b_k} + #{k : b_k <= g} - #{k : a_k < g},
+
+    so every index is read off the sorted tuples by bisection.  The residues
+    are first put over their common denominator, so the sort and the
+    bisections compare integers.  The cost is O(n log n) per table.
     """
     params.require_irreducible()
     if point not in (ZERO, INFINITY):
         raise ValueError("closed nearby tables exist at 0 and infinity only")
     values = params.alpha if point == ZERO else params.beta
+    den = lcm(*(r.denominator for r in params.alpha + params.beta))
+
+    def numerator(r: Fraction) -> int:
+        return r.numerator * (den // r.denominator)
+
+    alpha = [numerator(r) for r in params.alpha]
+    beta = [numerator(r) for r in params.beta]
+    ascending = sum(a < b for a, b in zip(alpha, beta))
+    alpha.sort()
+    beta.sort()
     entries = {}
-    for m, r in enumerate(values):
-        if r in (key[0] for key in entries):
-            continue
-        _mult, level = multiplicity_and_level(values, m)
-        entries[(r, level, nonseparated_count(params, r))] = 1
+    for r, mult in Counter(values).items():
+        g = numerator(r)
+        p = ascending + bisect_right(beta, g) - bisect_left(alpha, g)
+        entries[(r, mult - 1, p)] = 1
     return LocalHodgeTable(point, TableKind.NEARBY, entries)
 
 

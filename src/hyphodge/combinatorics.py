@@ -54,7 +54,11 @@ def nonseparated_count(params: HypergeometricParams, g: Fraction) -> int:
     """Number of pairs not separated by ``g``.
 
     Independent of the pair order; this is the Hodge index attached to the
-    eigenvalue class of ``g`` at 0 and at infinity.
+    eigenvalue class of ``g`` at 0 and at infinity.  This pair-by-pair loop
+    is the literal definition, kept as the reference that
+    :func:`check_count_identity` and the tests hold the closed engine to.
+    The closed engine itself reads the same count from a sorted sweep
+    (:func:`hyphodge.closed_form.nearby_closed`) and does not call this.
     """
     g = frac(g)
     return sum(

@@ -63,15 +63,15 @@ def unit_rep(value: Fraction | int) -> Fraction:
     return r if r else Fraction(1)
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
 
-    A Unicode minus sign is accepted.  Anything else (floats, whitespace
-    inside the number, empty strings, a zero denominator) is rejected with
-    :class:`ValueError`.
+    Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
+    (floats, whitespace inside the number, other scripts' digits, empty
+    strings, a zero denominator) is rejected with :class:`ValueError`.
     """
     s = text.strip().replace("−", "-")
     if not _RATIONAL_RE.fullmatch(s):

@@ -115,7 +115,16 @@ def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
     }
 
 
-def params_from_dict(data: Mapping[str, Any]) -> HypergeometricParams:
+def params_from_dict(data: Any) -> HypergeometricParams:
+    """The instance in a ``{"alpha": [...], "beta": [...]}`` JSON object.
+
+    Anything else (a line that is not an object, a missing key, exponents
+    that are not a list of ``a/b`` strings or integers) raises
+    :class:`ValueError` naming the problem.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("line must be a JSON object")
+
     def one(value: Any) -> Fraction:
         if isinstance(value, str):
             return parse_rational(value)
@@ -124,6 +133,8 @@ def params_from_dict(data: Mapping[str, Any]) -> HypergeometricParams:
         raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
 
     def many(key: str) -> tuple[Fraction, ...]:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
         values = data[key]
         if not isinstance(values, list):
             raise ValueError(f"{key} must be a list of exponents, got {values!r}")

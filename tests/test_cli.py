@@ -6,8 +6,11 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyphodge
 from hyphodge import InternalEngineError, NoValidPeel, UnknownData
@@ -259,6 +262,26 @@ class TestBatch:
         assert doc["error"]["code"] == 2
         assert "alpha must be a list" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("line", ["[]", '"x"', "null", "5"])
+    def test_line_that_is_not_an_object(self, monkeypatch, line):
+        code, out = run_cli(["batch"], line + "\n", monkeypatch)
+        assert code == 0
+        assert json.loads(out)["error"] == {
+            "code": 2,
+            "message": "line must be a JSON object",
+        }
+
+    @pytest.mark.parametrize(
+        "line, key", [('{"beta": ["1/2"]}', "alpha"), ('{"alpha": ["0"]}', "beta")]
+    )
+    def test_missing_key(self, monkeypatch, line, key):
+        code, out = run_cli(["batch"], line + "\n", monkeypatch)
+        assert code == 0
+        assert json.loads(out)["error"] == {
+            "code": 2,
+            "message": f"missing key {key!r}",
+        }
+
     @pytest.mark.parametrize("error", ENGINE_ERRORS)
     def test_engine_error_is_inline_and_stream_continues(self, monkeypatch, error):
         fail_on_rank(monkeypatch, 2, error)
@@ -299,3 +322,57 @@ class TestBatch:
             proc.wait(timeout=30)
             proc.stdout.close()
         assert proc.returncode == 0
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    max_leaves=12,
+)
+residues = st.sampled_from(["0", "1/2", "1/3", "2/3", "1/4", "3/4", "-1/5", "7"])
+engines = st.sampled_from(["closed", "recursive", "both"])
+# Equal-length lists of valid exponents, so most of these reach the engines.
+instance_objects = st.integers(1, 6).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "alpha": st.lists(residues, min_size=n, max_size=n),
+            "beta": st.lists(residues, min_size=n, max_size=n),
+        },
+        optional={"engine": engines},
+    )
+)
+malformed_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": st.lists(residues | st.integers(-3, 3) | json_values, max_size=6),
+        "beta": st.lists(residues | st.integers(-3, 3) | json_values, max_size=6),
+        "engine": engines | json_values,
+    },
+)
+batch_lines = (
+    st.text().map(lambda t: t.replace("\n", ""))
+    | json_values.map(json.dumps)
+    | malformed_objects.map(json.dumps)
+    | instance_objects.map(json.dumps)
+)
+
+class TestBatchFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(batch_lines, max_size=6))
+    def test_one_document_per_non_empty_line(self, lines):
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO("".join(l + "\n" for l in lines))):
+            with redirect_stdout(out):
+                assert main(["batch"]) == 0
+        answered = [i + 1 for i, l in enumerate(lines) if l.strip()]
+        docs = [json.loads(d) for d in out.getvalue().splitlines()]
+        assert len(docs) == len(answered)
+        for line_no, doc in zip(answered, docs):
+            if "error" in doc:
+                assert doc["line"] == line_no
+                assert doc["error"]["code"] in (2, 3, 4)
+                assert isinstance(doc["error"]["message"], str)
+            else:
+                assert doc["command"] == "compute"
+                assert "profiles" in doc

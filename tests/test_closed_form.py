@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from hyphodge import (
     equal_up_to_shift,
     hodge_numbers,
     jordan_structure,
+    multiplicity_and_level,
     nearby_closed,
+    nonseparated_count,
     profile_closed,
     vanishing_at_one_closed,
 )
-from conftest import random_irreducible, residue_grid
+from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction
 
@@ -72,6 +75,42 @@ class TestNearbyClosed:
     def test_rank_one_zero(self):
         assert nearby_closed(RANK_ONE, ZERO) == entries(
             ZERO, TableKind.NEARBY, {(F(1, 3), 0, 1): 1}
+        )
+
+    @staticmethod
+    def assert_sweep_is_literal_count(p):
+        """Each class entry against the pair-by-pair definition."""
+        for point, values in ((ZERO, p.alpha), (INFINITY, p.beta)):
+            expected = {}
+            for m, r in enumerate(values):
+                level = multiplicity_and_level(values, m)[1]
+                expected[(r, level, nonseparated_count(p, r))] = 1
+            assert nearby_closed(p, point).entries == expected, (p, point)
+
+    def test_sweep_is_literal_count_exhaustive_n3(self):
+        grid = residue_grid(4)
+        for n in range(1, 4):
+            for a in itertools.product(grid, repeat=n):
+                for b in itertools.product(grid, repeat=n):
+                    if not set(a) & set(b):
+                        self.assert_sweep_is_literal_count(HypergeometricParams(a, b))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_sweep_is_literal_count_high_rank(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            self.assert_sweep_is_literal_count(disjoint_pool_instance(rng, n, 64))
+
+    def test_sweep_is_literal_count_large_prime_denominators(self):
+        # 128 distinct primes: the common denominator has about 770 digits.
+        primes = [
+            q for q in range(1_000_003, 1_010_000, 2)
+            if all(q % d for d in range(3, int(q**0.5) + 1, 2))
+        ][:128]
+        rng = random.Random(7)
+        residues = [F(rng.randrange(1, q), q) for q in primes]
+        self.assert_sweep_is_literal_count(
+            HypergeometricParams(tuple(residues[:64]), tuple(residues[64:]))
         )
 
 

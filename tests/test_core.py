@@ -83,7 +83,9 @@ class TestRationalFormat:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["0.5", "1e3", "a/b", "1/", "", "1 / 2", "1/0"])
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "a/b", "1/", "", "1 / 2", "1/0", "٣/4", "３"]
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
