@@ -34,7 +34,9 @@ from .convolution import (
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
+    infinity_row,
     twist_degrees,
+    zero_row,
 )
 from .core import (
     AT_ONE,
@@ -43,7 +45,6 @@ from .core import (
     HodgeProfile,
     HypergeometricParams,
     InternalEngineError,
-    InternalUnknownConsulted,
     LocalHodgeTable,
     NoValidPeel,
     ReducibleInput,

@@ -221,7 +221,10 @@ def _run_batch(args: argparse.Namespace) -> int:
         if not line:
             continue
         try:
-            data = json.loads(line)
+            try:
+                data = json.loads(line)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
             params = params_from_dict(data)
             params.require_irreducible()
             engine = data.get("engine", args.engine)

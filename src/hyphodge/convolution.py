@@ -49,10 +49,6 @@ class ConvolutionContext:
         object.__setattr__(self, "kernel_rep", rep)
 
     @property
-    def residue(self) -> Fraction:
-        return self.kernel_rep
-
-    @property
     def conjugate_rep(self) -> Fraction:
         return 1 - self.kernel_rep
 
@@ -90,16 +86,16 @@ def convolve_vanishing_finite(
         raise ValueError("expected a vanishing table")
     entries: dict[tuple[Fraction, int, int], int] = {}
     for (r, lv, p), m in table.entries.items():
-        out_r = frac(r + ctx.residue)
+        out_r = frac(r + ctx.kernel_rep)
         rep = unit_rep(out_r)
         q = p if rep <= ctx.kernel_rep else p + 1
         key = (out_r, lv, q)
         entries[key] = entries.get(key, 0) + m
-    unknown = frozenset((frac(r + ctx.residue), lv) for r, lv in table.unknown)
+    unknown = frozenset((frac(r + ctx.kernel_rep), lv) for r, lv in table.unknown)
     return LocalHodgeTable(table.point, table.kind, entries, unknown)
 
 
-def _infinity_row(
+def infinity_row(
     r: Fraction, lv: int, ctx: ConvolutionContext
 ) -> tuple[int, int] | None:
     """Where a class at infinity goes: ``(level, index step)``, or ``None``.
@@ -134,19 +130,19 @@ def convolve_nearby_infinity(
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown = {(frac(ctx.conjugate_rep), 0)}
     for (r, lv, p), m in table.entries.items():
-        row = _infinity_row(r, lv, ctx)
+        row = infinity_row(r, lv, ctx)
         if row is not None:
             key = (r, row[0], p + row[1])
             entries[key] = entries.get(key, 0) + m
     for r, lv in table.unknown:
-        row = _infinity_row(r, lv, ctx)
+        row = infinity_row(r, lv, ctx)
         if row is not None:
             unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
     return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
 
 
-def _zero_row(
+def zero_row(
     r: Fraction, lv: int, ctx: ConvolutionContext
 ) -> tuple[int, int] | None:
     """Where a class at 0 goes: ``(level, index step)``, or ``None``.
@@ -186,7 +182,7 @@ def convolve_nearby_zero(
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown: set[tuple[Fraction, int]] = set()
     for (r, lv, p), m in table.entries.items():
-        row = _zero_row(r, lv, ctx)
+        row = zero_row(r, lv, ctx)
         if row is not None:
             key = (r, row[0], p + row[1])
             entries[key] = entries.get(key, 0) + m
@@ -198,7 +194,7 @@ def convolve_nearby_zero(
                 key = (zero, 0, int(p))
                 entries[key] = entries.get(key, 0) + int(v)
     for r, lv in table.unknown:
-        row = _zero_row(r, lv, ctx)
+        row = zero_row(r, lv, ctx)
         if row is not None:
             unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
@@ -221,7 +217,7 @@ def convolve_hodge_numbers(
     """
     acc: dict[int, int] = dict(h)
     _add(acc, _primitive_totals(nearby_zero, Fraction(0)), +1, shift=1)
-    _add(acc, _primitive_totals(nearby_zero, ctx.residue), -1, shift=1)
+    _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), -1, shift=1)
     _add(acc, {int(p): int(v) for p, v in h1.items()})
     for r in sorted(nearby_zero.residues()):
         if ctx.kernel_rep <= unit_rep(r) < 1:
@@ -252,7 +248,7 @@ def convolve_degrees(
             totals = class_totals(nearby_zero, r)
             _add(acc, totals, +1)
             _add(acc, totals, -1, shift=1)
-    _add(acc, _primitive_totals(nearby_zero, ctx.residue), +1, shift=1)
+    _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), +1, shift=1)
     for table in vanishing_finite:
         _add(acc, class_totals(table, Fraction(0)), -1)
         for r in sorted(table.residues()):

@@ -36,10 +36,6 @@ class InternalEngineError(Exception):
     """The recursive engine reached a state its invariants exclude; a bug."""
 
 
-class InternalUnknownConsulted(InternalEngineError):
-    """The recursive engine needed an undetermined slot; this is a bug."""
-
-
 def frac(value: Fraction | int) -> Fraction:
     """Fractional part of an exact rational, always in ``[0, 1)``.
 

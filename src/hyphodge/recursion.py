@@ -6,24 +6,26 @@ transforms and the rank-one base case.  It shares only the data model in
 :mod:`hyphodge.core` with the closed engine, which makes exact agreement of
 the two engines' tables a real cross-check.
 
-Every transform maps an output eigenvalue class from the same input class
-only, so each nearby class at 0 or infinity is followed down its own peel
-chain, one class per step, and never carries the rest of the table along
-(Katz's middle-convolution algorithm).  Each step picks its peel so that the
-transform row the class passes through is always determined: peel a factor
-from a different class when possible, otherwise a factor inside the target
-class of multiplicity at least two.  The undetermined level-0 slots of the
-transforms are then never consulted; the graded middle cohomology input at 0
-is supplied as zero, which is exact for irreducible rigid modules.  Degrees
-and the vanishing entry are propagated along a single canonical peel order,
-whose full nearby tables are assembled from per-class results.
+It runs as two loops (Katz's middle-convolution algorithm, one rank-one
+factor per step), and neither calls itself:
 
-Memoization is scoped to one profile: class entries and tables, keyed by the
-canonically sorted factor list, live in a dict that one profile computation
-creates and drops, and a rank-``n`` profile visits about ``1.5 * n**2``
-class states.  Finished profiles are kept in one bounded least-recently-used
-cache, so memory stays flat across batch lines while repeated instances are
-still answered from it.
+* Nearby classes.  Every transform maps an output eigenvalue class from the
+  same input class only, so each class at 0 or infinity walks down its own
+  peel chain to rank one or a memo hit, then back up, reading one transform
+  row per step.  Each step picks its peel so that the row is determined:
+  peel a factor from a different class when possible, otherwise a factor
+  inside the target class of multiplicity at least two.  The engine thus
+  reads only determined rows; no class it follows lands in the level-0
+  unipotent slot at 0 or the level-0 conjugate-kernel slot at infinity.
+* Degrees and the vanishing entry.  Both ride up one canonical chain
+  (always peel factor 0) from its rank-one end, together with the nearby
+  table at 0 of the link below, which the degree transport consumes.
+
+The memo maps ``(point, pairs, residue)`` to a class's ``(level, p)``; one
+profile computation creates and drops it, and a rank-``n`` profile visits
+about ``1.5 * n**2`` class states.  Finished profiles are kept in one bounded
+least-recently-used cache, so memory stays flat across batch lines while
+repeated instances are still answered from it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .combinatorics import check_count_identity
 from .convolution import (
     ConvolutionContext,
     convolve_degrees,
-    convolve_nearby_infinity,
-    convolve_nearby_zero,
     convolve_vanishing_finite,
+    infinity_row,
     twist_degrees,
+    zero_row,
 )
 from .core import (
     AT_ONE,
@@ -50,7 +52,6 @@ from .core import (
     HodgeProfile,
     HypergeometricParams,
     InternalEngineError,
-    InternalUnknownConsulted,
     LocalHodgeTable,
     NoValidPeel,
     ReducibleInput,
@@ -66,9 +67,8 @@ from .core import (
 )
 
 Pairs = tuple[tuple[Fraction, Fraction], ...]
-Memo = dict[tuple, object]
-"""Per-profile memo: ``(point, pairs, residue)`` maps to a class's
-``(level, p)`` and ``(point, pairs)`` to a whole table."""
+Memo = dict[tuple[SingularPoint, Pairs, Fraction], tuple[int, int]]
+"""Per-profile memo: ``(point, pairs, residue)`` maps to a class's ``(level, p)``."""
 
 
 class PeelCase(Enum):
@@ -120,44 +120,40 @@ def _rank_one_degree(a: Fraction, b: Fraction) -> int:
     return int(degree)
 
 
-def choose_peel(
-    params: HypergeometricParams, target: tuple[SingularPoint, Fraction]
-) -> PeelPlan:
+def choose_peel(pairs: Pairs, target: tuple[SingularPoint, Fraction]) -> PeelPlan:
     """Pick the lowest factor index whose peeling keeps the target determined.
 
-    The target is an eigenvalue class at 0 or infinity.  Peeling a factor
-    from a different class routes the target through the interval rows;
-    peeling inside the target class is safe only when the class has
-    multiplicity at least two (the output then comes from one level down).
-    A multiplicity-one target whose class meets factor 0 is re-targeted to
-    the first factor of a different class.
+    ``pairs`` lists the factors as ``(alpha_k, beta_k)``; the target is an
+    eigenvalue class at 0 or infinity.  Peeling a factor from a different
+    class routes the target through the interval rows; peeling inside the
+    target class is safe only when the class has multiplicity at least two
+    (the output then comes from one level down).  A multiplicity-one target
+    whose class meets factor 0 is re-targeted to the first factor of a
+    different class.
     """
     point, residue = target
     residue = frac(residue)
-    if params.n < 2:
+    if len(pairs) < 2:
         raise NoValidPeel("peeling needs at least two factors")
     if point == ZERO:
-        values = params.alpha
+        values = [a for a, _b in pairs]
     elif point == INFINITY:
-        values = params.beta
+        values = [b for _a, b in pairs]
     else:
         raise NoValidPeel("peel targets live at 0 or infinity")
 
     def plan(j: int, case: PeelCase) -> PeelPlan:
-        return PeelPlan(j, case, unit_rep(frac(params.beta[j] - params.alpha[j])))
+        a, b = pairs[j]
+        return PeelPlan(j, case, unit_rep(frac(b - a)))
 
     if values[0] != residue:
         return plan(0, PeelCase.CASE1)
     if values.count(residue) >= 2:
         return plan(0, PeelCase.CASE2)
-    for j in range(1, params.n):
+    for j in range(1, len(pairs)):
         if values[j] != residue:
             return plan(j, PeelCase.CASE3)
     raise NoValidPeel("every factor sits in a multiplicity-one target class")
-
-
-def _params_of(pairs: Pairs) -> HypergeometricParams:
-    return HypergeometricParams.from_pairs(pairs)
 
 
 def _peeled_shifted(pairs: Pairs, j: int) -> Pairs:
@@ -168,177 +164,108 @@ def _peeled_shifted(pairs: Pairs, j: int) -> Pairs:
     return tuple(sorted(rest))
 
 
-def _pick_single_entry(
-    table: LocalHodgeTable, residue: Fraction
-) -> tuple[int, int]:
-    """The unique (level, p) of one class; guards the undetermined slots.
-
-    A leftover level-0 unknown slot on a class that already has an entry is
-    pinned to zero by the single-block structure of hypergeometric monodromy
-    and is therefore not consulted.
-    """
-    picked = [
-        (lv, p, m) for (r, lv, p), m in table.entries.items() if r == residue
-    ]
-    if not picked:
-        if table.has_unknown(residue):
-            raise InternalUnknownConsulted(
-                f"class {residue} is entirely undetermined after the transform"
-            )
-        raise InternalEngineError(f"no data for class {residue}")
-    if len(picked) != 1 or picked[0][2] != 1:
-        raise InternalEngineError(
-            f"class {residue} is not a single unit entry: {picked}"
-        )
-    return picked[0][0], picked[0][1]
-
-
 def _nearby_class(
     pairs: Pairs, point: SingularPoint, residue: Fraction, memo: Memo
 ) -> tuple[int, int]:
     """The (level, p) of one nearby class at 0 or infinity.
 
-    The peeled sub-module carries the class shifted by the peeled alpha.
-    Every transform maps a class from the same input class only, so the
-    transform of a one-entry table holding that sub-class gives this class.
+    Walks down the peel chain to rank one, whose class (alpha at 0, beta at
+    infinity) is ``(0, 1)``, or to a memo hit.  The peeled sub-module carries
+    the class shifted by the peeled alpha; walking back up, each step applies
+    the one transform row of that sub-class.  Rows at infinity are keyed in
+    the transforms' orientation, so the profile residue is negated.
     """
-    if len(pairs) == 1:
-        # The rank-one class (alpha at 0, beta at infinity) is (0, 1).
-        return 0, 1
-    key = (point, pairs, residue)
-    if key in memo:
-        return memo[key]
-    plan = choose_peel(_params_of(pairs), (point, residue))
-    sub_residue = frac(residue - pairs[plan.index][0])
-    sub = _peeled_shifted(pairs, plan.index)
-    level, p = _nearby_class(sub, point, sub_residue, memo)
-    table = LocalHodgeTable(point, TableKind.NEARBY, {(sub_residue, level, p): 1})
-    ctx = ConvolutionContext(plan.kernel_rep)
-    if point == ZERO:
-        out = convolve_nearby_zero(table, ctx, h1={})
-    else:
-        out = conjugate_table(convolve_nearby_infinity(conjugate_table(table), ctx))
-    memo[key] = _pick_single_entry(out, sub_residue)
-    return memo[key]
+    steps = []
+    while len(pairs) > 1 and (point, pairs, residue) not in memo:
+        plan = choose_peel(pairs, (point, residue))
+        sub_residue = frac(residue - pairs[plan.index][0])
+        steps.append(((point, pairs, residue), sub_residue, plan.kernel_rep))
+        pairs, residue = _peeled_shifted(pairs, plan.index), sub_residue
+    level, p = memo.get((point, pairs, residue), (0, 1))
+    for key, sub_residue, kernel_rep in reversed(steps):
+        ctx = ConvolutionContext(kernel_rep)
+        if point == ZERO:
+            row = zero_row(sub_residue, level, ctx)
+        else:
+            row = infinity_row(frac(-sub_residue), level, ctx)
+        if row is None:
+            raise InternalEngineError(
+                f"class {sub_residue} at {point} reached a dropped row"
+            )
+        level, p = memo[key] = row[0], p + row[1]
+    return level, p
 
 
 def _nearby_table(
-    pairs: Pairs, point: SingularPoint, memo: Memo | None
+    pairs: Pairs, point: SingularPoint, memo: Memo
 ) -> LocalHodgeTable:
-    memo = {} if memo is None else memo
-    key = (point, pairs)
-    if key not in memo:
-        side = 0 if point == ZERO else 1
-        memo[key] = LocalHodgeTable(
-            point,
-            TableKind.NEARBY,
-            {
-                (r, *_nearby_class(pairs, point, r, memo)): 1
-                for r in sorted({pair[side] for pair in pairs})
-            },
-        )
-    return memo[key]
-
-
-def _nearby_zero(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
-    return _nearby_table(pairs, ZERO, memo)
-
-
-def _nearby_infinity(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
-    return _nearby_table(pairs, INFINITY, memo)
-
-
-def _vanishing_raw(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
-    """Vanishing table at the finite point in the rank-one base grading.
-
-    The pipeline convolves the base entry through every factor; the kernel
-    never moves finite-point residues under the twist, so no conjugation or
-    relabeling is needed.  The transvection regrade is applied only when a
-    profile is finalized, never inside the pipeline.
-    """
-    memo = {} if memo is None else memo
-    key = (AT_ONE, pairs)
-    if key not in memo:
-        a0, b0 = pairs[0]
-        if len(pairs) == 1:
-            memo[key] = LocalHodgeTable(
-                AT_ONE, TableKind.VANISHING, {(frac(b0 - a0), 0, 0): 1}
-            )
-        else:
-            sub = _peeled_shifted(pairs, 0)
-            ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
-            memo[key] = convolve_vanishing_finite(_vanishing_raw(sub, memo), ctx)
-    return memo[key]
-
-
-def _vanishing_final(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
-    """Profile grading: the unipotent entry moves one step up.
-
-    A unipotent vanishing entry is graded through the image of the nilpotent
-    operator, one step above the pipeline normalization used for the
-    non-unipotent classes.
-    """
-    raw = _vanishing_raw(pairs, memo)
-    entries = {
-        (r, lv, p + 1 if r == 0 else p): m for (r, lv, p), m in raw.entries.items()
-    }
-    return LocalHodgeTable(raw.point, raw.kind, entries, raw.unknown)
-
-
-def _vanishing_fiber(pairs: Pairs, memo: Memo | None = None) -> LocalHodgeTable:
-    """Fibre-consistent grading used by the degree bookkeeping.
-
-    Every vanishing entry, unipotent or not, sits one step above the
-    pipeline normalization when measured against the graded fibre.
-    """
-    return table_shift(_vanishing_raw(pairs, memo), 1)
-
-
-def _degrees(pairs: Pairs, memo: Memo | None = None) -> tuple[tuple[int, int], ...]:
-    memo = {} if memo is None else memo
-    a0, b0 = pairs[0]
-    if len(pairs) == 1:
-        return ((1, _rank_one_degree(a0, b0)),)
-    ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
-    sub = _peeled_shifted(pairs, 0)
-    delta_q = convolve_degrees(
-        dict(_degrees(sub, memo)),
-        _nearby_zero(sub, memo),
-        (_vanishing_fiber(sub, memo),),
-        ctx,
+    side = 0 if point == ZERO else 1
+    return LocalHodgeTable(
+        point,
+        TableKind.NEARBY,
+        {
+            (r, *_nearby_class(pairs, point, r, memo)): 1
+            for r in sorted({pair[side] for pair in pairs})
+        },
     )
-    if a0 == 0:
-        return tuple(sorted(delta_q.items()))
-    nearby_zero_q = shift_residues(_nearby_zero(pairs, memo), a0)
-    nearby_infinity_q = conjugate_table(
-        shift_residues(_nearby_infinity(pairs, memo), a0)
-    )
-    delta = twist_degrees(
-        delta_q,
-        hodge_numbers(nearby_zero_q),
-        nearby_zero_q,
-        nearby_infinity_q,
-        ConvolutionContext(frac(-a0)),
-    )
-    return tuple(sorted(delta.items()))
 
 
 @lru_cache(maxsize=1024)
 def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
     """The profile of a canonically sorted factor list of rank at least two.
 
+    Degrees and the vanishing table ride up the canonical chain (peel factor
+    0 down to rank one) from the rank-one profile.  The vanishing table is
+    carried in the pipeline grading: the kernel never moves finite-point
+    residues under the twist, and the degree transport reads it one step up
+    (the fibre-consistent grading).  In the profile grading only the
+    unipotent entry moves one step up, as it is graded through the image of
+    the nilpotent operator.
+
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
     memo: Memo = {}
-    nearby_zero = _nearby_zero(pairs, memo)
+    chain = [pairs]
+    while len(chain[-1]) > 1:
+        chain.append(_peeled_shifted(chain[-1], 0))
+    base = base_profile(*chain.pop()[0])
+    degrees = base.degrees
+    vanishing = base.vanishing_finite[0]
+    nearby_zero = base.nearby_zero
+    for link in reversed(chain):
+        a0, b0 = link[0]
+        ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
+        degrees = convolve_degrees(
+            degrees, nearby_zero, (table_shift(vanishing, 1),), ctx
+        )
+        vanishing = convolve_vanishing_finite(vanishing, ctx)
+        nearby_zero = _nearby_table(link, ZERO, memo)
+        nearby_infinity = None
+        if a0 != 0:
+            nearby_infinity = _nearby_table(link, INFINITY, memo)
+            nearby_zero_q = shift_residues(nearby_zero, a0)
+            nearby_infinity_q = conjugate_table(shift_residues(nearby_infinity, a0))
+            degrees = twist_degrees(
+                degrees,
+                hodge_numbers(nearby_zero_q),
+                nearby_zero_q,
+                nearby_infinity_q,
+                ConvolutionContext(frac(-a0)),
+            )
+    if nearby_infinity is None:
+        nearby_infinity = _nearby_table(pairs, INFINITY, memo)
+    regraded = {
+        (r, lv, p + 1 if r == 0 else p): m
+        for (r, lv, p), m in vanishing.entries.items()
+    }
     return HodgeProfile(
         rank=len(pairs),
         nearby_zero=nearby_zero,
-        nearby_infinity=_nearby_infinity(pairs, memo),
-        vanishing_finite=(_vanishing_final(pairs, memo),),
+        nearby_infinity=nearby_infinity,
+        vanishing_finite=(LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded),),
         hodge=hodge_numbers(nearby_zero),
-        degrees=dict(_degrees(pairs, memo)),
+        degrees=degrees,
         note="recursive engine; pairs canonically sorted; degrees experimental",
     )
 

@@ -344,7 +344,7 @@ def test_criterion_10_degrees(c1_profiles):
             if profile_recursive(params.permuted(order)).degrees != degrees:
                 bad += 1
     # No unknown slot was consulted: every profile above was assembled
-    # without InternalUnknownConsulted and carries no unknown slots.
+    # without an InternalEngineError and carries no unknown slots.
     leaked = sum(
         1
         for _params, _closed, recursive in c1_profiles

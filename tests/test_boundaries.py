@@ -35,3 +35,8 @@ def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     imports = package_imports("recursion")
     assert imports.get("closed_form") == {"profile_closed"}
     assert imports.get("combinatorics") == {"check_count_identity"}
+
+
+def test_recursive_engine_reads_rows_not_table_transforms():
+    imports = package_imports("recursion").get("convolution", set())
+    assert not imports & {"convolve_nearby_zero", "convolve_nearby_infinity"}

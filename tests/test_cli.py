@@ -241,6 +241,15 @@ class TestBatch:
         assert lines[0]["error"]["code"] == 2
         assert "profiles" in lines[1]
 
+    def test_deeply_nested_line_is_inline_and_stream_continues(self, monkeypatch):
+        stdin = "[" * 100000 + '\n{"alpha": ["0"], "beta": ["1/2"]}\n'
+        code, out = run_cli(["batch"], stdin, monkeypatch)
+        assert code == 0
+        lines = [json.loads(l) for l in out.strip().splitlines()]
+        assert len(lines) == 2
+        assert lines[0]["line"] == 1 and lines[0]["error"]["code"] == 2
+        assert "profiles" in lines[1]
+
     def test_empty_input(self, monkeypatch):
         code, out = run_cli(["batch"], "", monkeypatch)
         assert code == 0

@@ -17,12 +17,15 @@ from hyphodge import (
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
+    frac,
     hodge_numbers,
+    infinity_row,
     profile_closed,
     shift_residues,
     twist_degrees,
+    zero_row,
 )
-from conftest import random_irreducible
+from conftest import random_irreducible, residue_grid
 
 F = Fraction
 HALF = ConvolutionContext(F(1, 2))
@@ -136,6 +139,31 @@ class TestNearbyZero:
     def test_middle_cohomology_entries(self):
         out = convolve_nearby_zero(nearby({}), HALF, h1={0: 2, 1: 1})
         assert out == nearby({(F(0), 0, 0): 2, (F(0), 0, 1): 1})
+
+
+class TestRowReads:
+    """One row read equals the whole-table transform of a one-entry table."""
+
+    @pytest.mark.parametrize("kernel_rep", residue_grid(6)[1:])
+    def test_rows_match_table_transforms(self, kernel_rep):
+        ctx = ConvolutionContext(kernel_rep)
+        for r in residue_grid(6):
+            for lv in range(3):
+                row = zero_row(r, lv, ctx)
+                out = convolve_nearby_zero(nearby({(r, lv, 4): 1}), ctx, h1={})
+                assert out.entries == (
+                    {} if row is None else {(r, row[0], 4 + row[1]): 1}
+                ), (r, lv)
+                # Profile tables at infinity are keyed in the opposite
+                # orientation; the row is read at the negated residue.
+                row = infinity_row(frac(-r), lv, ctx)
+                table = nearby({(r, lv, 4): 1}, INFINITY)
+                out = conjugate_table(
+                    convolve_nearby_infinity(conjugate_table(table), ctx)
+                )
+                assert out.entries == (
+                    {} if row is None else {(r, row[0], 4 + row[1]): 1}
+                ), (r, lv)
 
 
 class TestHodgeTransport:

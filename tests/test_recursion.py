@@ -1,21 +1,27 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hyphodge import (
+    AT_ONE,
     INFINITY,
     ZERO,
     ConvolutionContext,
     HypergeometricParams,
+    LocalHodgeTable,
     PeelCase,
     ReducibleInput,
+    TableKind,
     base_profile,
     choose_peel,
     conjugate_table,
     convolve_degrees,
+    convolve_vanishing_finite,
     frac,
     hodge_numbers,
+    profile_closed,
     profile_recursive,
     shift_residues,
     special_exponent,
@@ -75,22 +81,22 @@ class TestBaseProfile:
 class TestChoosePeel:
     def test_same_class_with_multiplicity(self):
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
-        plan = choose_peel(p, (INFINITY, F(1, 2)))
+        plan = choose_peel(p.pairs(), (INFINITY, F(1, 2)))
         assert (plan.index, plan.case) == (0, PeelCase.CASE2)
 
     def test_retarget_when_multiplicity_one(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p, (ZERO, F(0)))
+        plan = choose_peel(p.pairs(), (ZERO, F(0)))
         assert (plan.index, plan.case) == (1, PeelCase.CASE3)
 
     def test_different_class(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p, (ZERO, F(1, 2)))
+        plan = choose_peel(p.pairs(), (ZERO, F(1, 2)))
         assert (plan.index, plan.case) == (0, PeelCase.CASE1)
 
     def test_kernel_rep(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p, (ZERO, F(1, 2)))
+        plan = choose_peel(p.pairs(), (ZERO, F(1, 2)))
         assert plan.kernel_rep == F(1, 4)
 
 
@@ -175,32 +181,38 @@ class TestDegrees:
     def test_peel_choice_does_not_matter(self, rng):
         # Recompute the degrees peeling each factor first; the transport
         # formulas must give the same answer along every route.
-        from hyphodge.recursion import _degrees, _nearby_infinity, _nearby_zero
-        from hyphodge.recursion import _peeled_shifted, _vanishing_fiber
+        from hyphodge.recursion import _peeled_shifted
 
         for _ in range(40):
             p = random_irreducible(rng, rng.randint(2, 3), 6)
+            prof = profile_recursive(p)
             pairs = tuple(sorted(p.pairs()))
-            expected = dict(_degrees(pairs))
             for j in range(len(pairs)):
                 aj, bj = pairs[j]
                 ctx = ConvolutionContext(unit_rep(frac(bj - aj)))
-                sub = _peeled_shifted(pairs, j)
-                delta_q = convolve_degrees(
-                    dict(_degrees(sub)),
-                    _nearby_zero(sub),
-                    (_vanishing_fiber(sub),),
-                    ctx,
+                sub = profile_recursive(
+                    HypergeometricParams.from_pairs(_peeled_shifted(pairs, j))
                 )
+                # Fibre-consistent grading: every vanishing entry one step
+                # above the pipeline, where the unipotent one already sits.
+                fiber = LocalHodgeTable(
+                    AT_ONE,
+                    TableKind.VANISHING,
+                    {
+                        (r, lv, q if r == 0 else q + 1): m
+                        for (r, lv, q), m in sub.vanishing_finite[0].entries.items()
+                    },
+                )
+                delta_q = convolve_degrees(sub.degrees, sub.nearby_zero, (fiber,), ctx)
                 if aj == 0:
                     got = delta_q
                 else:
-                    nz = shift_residues(_nearby_zero(pairs), aj)
-                    ni = conjugate_table(shift_residues(_nearby_infinity(pairs), aj))
+                    nz = shift_residues(prof.nearby_zero, aj)
+                    ni = conjugate_table(shift_residues(prof.nearby_infinity, aj))
                     got = twist_degrees(
                         delta_q, hodge_numbers(nz), nz, ni, ConvolutionContext(frac(-aj))
                     )
-                assert got == expected, (p, j)
+                assert got == prof.degrees, (p, j)
 
 
 class TestCrossEngine:
@@ -250,18 +262,17 @@ class TestRecursionInternals:
     def test_vanishing_pipeline_matches_closed_grading(self):
         # The pipeline grading sits one below the profile grading exactly on
         # the unipotent class.
-        from hyphodge.recursion import _vanishing_final, _vanishing_raw
-
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
-        pairs = tuple(sorted(p.pairs()))
-        raw = _vanishing_raw(pairs)
-        final = _vanishing_final(pairs)
+        raw = convolve_vanishing_finite(
+            base_profile(F(0), F(1, 2)).vanishing_finite[0], ConvolutionContext(F(1, 2))
+        )
+        final = profile_recursive(p).vanishing_finite[0]
         assert raw.entries == {(F(0), 0, 1): 1}
         assert final.entries == {(F(0), 0, 2): 1}
 
     def test_depth_is_rank(self):
-        # Each peel removes one factor, so a rank-n input never recurses
-        # past depth n; just exercise a rank-5 input.
+        # Each peel removes one factor, so a rank-n peel chain has n - 1
+        # steps; just exercise a rank-5 input.
         p = HypergeometricParams(
             (F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5)),
             (F(1, 10), F(3, 10), F(7, 10), F(9, 10), F(1, 2)),
@@ -269,3 +280,24 @@ class TestRecursionInternals:
         prof = profile_recursive(p)
         assert prof.rank == 5
         assert sum(prof.hodge.values()) == 5
+
+    def test_needs_no_python_recursion(self, rng):
+        # Both engine loops walk their peel chains iteratively, so a rank-40
+        # profile fits in a few frames above the caller's depth.
+        from hyphodge.recursion import _profile_of_pairs
+
+        p = disjoint_pool_instance(rng, 40, 64)
+        closed = profile_closed(p)
+        _profile_of_pairs.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            recursive = profile_recursive(p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert recursive.nearby_zero == closed.nearby_zero
+        assert recursive.nearby_infinity == closed.nearby_infinity
+        assert recursive.vanishing_finite == closed.vanishing_finite
