@@ -13,7 +13,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .combinatorics import special_exponent
 from .core import (
@@ -25,8 +24,10 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
+    common_denominator,
     frac,
     hodge_numbers,
+    numerator_over,
 )
 
 
@@ -94,19 +95,15 @@ def nearby_closed(
     if point not in (ZERO, INFINITY):
         raise ValueError("closed nearby tables exist at 0 and infinity only")
     values = params.alpha if point == ZERO else params.beta
-    den = lcm(*(r.denominator for r in params.alpha + params.beta))
-
-    def numerator(r: Fraction) -> int:
-        return r.numerator * (den // r.denominator)
-
-    alpha = [numerator(r) for r in params.alpha]
-    beta = [numerator(r) for r in params.beta]
+    den = common_denominator(params.alpha + params.beta)
+    alpha = [numerator_over(r, den) for r in params.alpha]
+    beta = [numerator_over(r, den) for r in params.beta]
     ascending = sum(a < b for a, b in zip(alpha, beta))
     alpha.sort()
     beta.sort()
     entries = {}
     for r, mult in Counter(values).items():
-        g = numerator(r)
+        g = numerator_over(r, den)
         p = ascending + bisect_right(beta, g) - bisect_left(alpha, g)
         entries[(r, mult - 1, p)] = 1
     return LocalHodgeTable(point, TableKind.NEARBY, entries)
@@ -118,15 +115,17 @@ def _tail_no_wrap_count(params: HypergeometricParams) -> int:
     Scanning the exponent drops ``d_i = {beta_i - alpha_i}``, factor ``i``
     counts when the fractional tail ``{d_{i+1} + ... + d_n}`` is non-zero and
     at most ``1 - d_i`` (the accumulation does not wrap past the circle).
-    The result does not depend on the order of the factors.
+    The result does not depend on the order of the factors.  The drops and
+    tails are numerators over the common denominator of the exponents.
     """
-    drops = params.differences()
-    tail = Fraction(0)
+    den = common_denominator(params.alpha + params.beta)
+    tail = 0
     count = 0
-    for d in reversed(drops):
-        if 0 < tail <= 1 - d:
+    for a, b in zip(reversed(params.alpha), reversed(params.beta)):
+        d = (numerator_over(b, den) - numerator_over(a, den)) % den
+        if 0 < tail <= den - d:
             count += 1
-        tail = frac(tail + d)
+        tail = (tail + d) % den
     return count
 
 

@@ -26,7 +26,10 @@ from .core import (
     TableKind,
     UnknownData,
     class_totals,
+    common_denominator,
     frac,
+    kept_totals,
+    numerator_over,
     unit_rep,
 )
 
@@ -95,19 +98,36 @@ def convolve_vanishing_finite(
     return LocalHodgeTable(table.point, table.kind, entries, unknown)
 
 
-def infinity_row(
-    r: Fraction, lv: int, ctx: ConvolutionContext
-) -> tuple[int, int] | None:
+def _check_row_args(r: int, kernel: int, den: int) -> None:
+    if not (0 <= r < den and 0 < kernel < den):
+        raise ValueError(
+            f"row needs 0 <= r < den and 0 < kernel < den, got {r}, {kernel}, {den}"
+        )
+
+
+def infinity_row(r: int, lv: int, kernel: int, den: int) -> tuple[int, int] | None:
     """Where a class at infinity goes: ``(level, index step)``, or ``None``.
 
     The rows of :func:`convolve_nearby_infinity`; ``None`` drops the slot.
+    Residues are numerators over the common denominator ``den``: the class
+    ``r`` in ``[0, den)`` and the kernel drop ``kernel`` in ``(0, den)``.
     """
-    rep = unit_rep(r)
-    if rep == 1:
+    _check_row_args(r, kernel, den)
+    if r == 0:
         return (lv - 1, 0) if lv >= 1 else None
-    if rep == ctx.conjugate_rep:
+    conjugate = den - kernel
+    if r == conjugate:
         return lv + 1, 1
-    return (lv, 1) if rep < ctx.conjugate_rep else (lv, 0)
+    return (lv, 1) if r < conjugate else (lv, 0)
+
+
+def _row_numerators(
+    table: LocalHodgeTable, ctx: ConvolutionContext
+) -> tuple[int, int]:
+    """A common denominator of the table's residues and the kernel, and the
+    kernel's numerator over it."""
+    den = common_denominator([ctx.kernel_rep, *table.residues()])
+    return den, numerator_over(ctx.kernel_rep, den)
 
 
 def convolve_nearby_infinity(
@@ -129,32 +149,32 @@ def convolve_nearby_infinity(
         raise ValueError("expected a nearby table")
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown = {(frac(ctx.conjugate_rep), 0)}
+    den, kernel = _row_numerators(table, ctx)
     for (r, lv, p), m in table.entries.items():
-        row = infinity_row(r, lv, ctx)
+        row = infinity_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
             key = (r, row[0], p + row[1])
             entries[key] = entries.get(key, 0) + m
     for r, lv in table.unknown:
-        row = infinity_row(r, lv, ctx)
+        row = infinity_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
             unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
     return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
 
 
-def zero_row(
-    r: Fraction, lv: int, ctx: ConvolutionContext
-) -> tuple[int, int] | None:
+def zero_row(r: int, lv: int, kernel: int, den: int) -> tuple[int, int] | None:
     """Where a class at 0 goes: ``(level, index step)``, or ``None``.
 
     The rows of :func:`convolve_nearby_zero`; ``None`` drops the slot.
+    Residues are numerators over ``den``, as for :func:`infinity_row`.
     """
-    rep = unit_rep(r)
-    if rep == ctx.kernel_rep:
+    _check_row_args(r, kernel, den)
+    if r == kernel:
         return (lv - 1, 0) if lv >= 1 else None
-    if rep == 1:
+    if r == 0:
         return lv + 1, 1
-    return (lv, 0) if rep < ctx.kernel_rep else (lv, 1)
+    return (lv, 0) if r < kernel else (lv, 1)
 
 
 def convolve_nearby_zero(
@@ -181,8 +201,9 @@ def convolve_nearby_zero(
     zero = Fraction(0)
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown: set[tuple[Fraction, int]] = set()
+    den, kernel = _row_numerators(table, ctx)
     for (r, lv, p), m in table.entries.items():
-        row = zero_row(r, lv, ctx)
+        row = zero_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
             key = (r, row[0], p + row[1])
             entries[key] = entries.get(key, 0) + m
@@ -194,7 +215,7 @@ def convolve_nearby_zero(
                 key = (zero, 0, int(p))
                 entries[key] = entries.get(key, 0) + int(v)
     for r, lv in table.unknown:
-        row = zero_row(r, lv, ctx)
+        row = zero_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
             unknown.add((r, row[0]))
     unknown -= {(r, lv) for (r, lv, _p) in entries}
@@ -219,11 +240,9 @@ def convolve_hodge_numbers(
     _add(acc, _primitive_totals(nearby_zero, Fraction(0)), +1, shift=1)
     _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), -1, shift=1)
     _add(acc, {int(p): int(v) for p, v in h1.items()})
-    for r in sorted(nearby_zero.residues()):
-        if ctx.kernel_rep <= unit_rep(r) < 1:
-            totals = class_totals(nearby_zero, r)
-            _add(acc, totals, +1, shift=1)
-            _add(acc, totals, -1)
+    totals = kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep)
+    _add(acc, totals, +1, shift=1)
+    _add(acc, totals, -1)
     return _pruned(acc)
 
 
@@ -243,17 +262,15 @@ def convolve_degrees(
     with representative strictly inside ``(0, 1 - g0)``.
     """
     acc: dict[int, int] = dict(delta)
-    for r in sorted(nearby_zero.residues()):
-        if ctx.kernel_rep <= unit_rep(r) < 1:
-            totals = class_totals(nearby_zero, r)
-            _add(acc, totals, +1)
-            _add(acc, totals, -1, shift=1)
+    totals = kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep)
+    _add(acc, totals, +1)
+    _add(acc, totals, -1, shift=1)
     _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), +1, shift=1)
+    conjugate = ctx.conjugate_rep
     for table in vanishing_finite:
         _add(acc, class_totals(table, Fraction(0)), -1)
-        for r in sorted(table.residues()):
-            if r != 0 and unit_rep(r) < ctx.conjugate_rep:
-                _add(acc, class_totals(table, r), -1, shift=1)
+        inside = kept_totals(table, lambda r: 0 < r < conjugate)
+        _add(acc, inside, -1, shift=1)
     return _pruned(acc)
 
 
@@ -274,10 +291,7 @@ def twist_degrees(
     """
     acc: dict[int, int] = dict(delta)
     _add(acc, h, -1)
-    for r in sorted(nearby_zero.residues()):
-        if ctx.kernel_rep <= unit_rep(r) < 1:
-            _add(acc, class_totals(nearby_zero, r))
-    for r in sorted(nearby_infinity.residues()):
-        if ctx.conjugate_rep <= unit_rep(r) < 1:
-            _add(acc, class_totals(nearby_infinity, r))
+    _add(acc, kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep))
+    conjugate = ctx.conjugate_rep
+    _add(acc, kept_totals(nearby_infinity, lambda r: r >= conjugate))
     return _pruned(acc)

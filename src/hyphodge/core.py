@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 
 class UnknownData(Exception):
@@ -57,6 +58,20 @@ def unit_rep(value: Fraction | int) -> Fraction:
     """
     r = frac(value)
     return r if r else Fraction(1)
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least common multiple of the denominators of ``values``."""
+    return lcm(*(v.denominator for v in values))
+
+
+def numerator_over(value: Fraction, den: int) -> int:
+    """The numerator of ``value`` written over ``den``, a multiple of its denominator.
+
+    Residues in ``[0, 1)`` map to integers in ``[0, den)``, and the map keeps
+    order, sums and differences.
+    """
+    return value.numerator * (den // value.denominator)
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z", re.ASCII)
@@ -121,6 +136,10 @@ Entry = tuple[Fraction, int, int]
 """Table key: (eigenvalue residue, nilpotency level, Hodge index)."""
 
 
+def _as_fraction(value: Fraction | int) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class LocalHodgeTable:
     """Multiset of graded primitive dimensions at one singular point.
@@ -139,8 +158,8 @@ class LocalHodgeTable:
     def __post_init__(self) -> None:
         ent: dict[Entry, int] = {}
         for (residue, level, p), mult in self.entries.items():
-            residue = Fraction(residue)
-            if residue != frac(residue):
+            residue = _as_fraction(residue)
+            if not 0 <= residue.numerator < residue.denominator:
                 raise ValueError(f"residue {residue} not reduced to [0, 1)")
             if level < 0:
                 raise ValueError("negative nilpotency level")
@@ -149,8 +168,8 @@ class LocalHodgeTable:
             ent[(residue, int(level), int(p))] = int(mult)
         unk = set()
         for residue, level in self.unknown:
-            residue = Fraction(residue)
-            if residue != frac(residue) or level < 0:
+            residue = _as_fraction(residue)
+            if not 0 <= residue.numerator < residue.denominator or level < 0:
                 raise ValueError("malformed unknown slot")
             unk.add((residue, int(level)))
         overlap = {(r, lv) for (r, lv, _p) in ent} & unk
@@ -159,15 +178,8 @@ class LocalHodgeTable:
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "unknown", frozenset(unk))
 
-    def has_unknown(self, residue: Fraction, level: int | None = None) -> bool:
-        if level is None:
-            return any(r == residue for r, _ in self.unknown)
-        return (residue, level) in self.unknown
-
-    def multiplicity(self, residue: Fraction, level: int, p: int) -> int:
-        if self.has_unknown(residue, level):
-            raise UnknownData(f"slot ({residue}, {level}) is undetermined")
-        return self.entries.get((residue, level, p), 0)
+    def has_unknown(self, residue: Fraction) -> bool:
+        return any(r == residue for r, _ in self.unknown)
 
     def class_entries(self, residue: Fraction) -> dict[tuple[int, int], int]:
         """All (level, p) -> multiplicity data for one eigenvalue class."""
@@ -241,11 +253,23 @@ def hodge_numbers(table: LocalHodgeTable) -> dict[int, int]:
     return dict(sorted(_spread_sum(table.entries.items()).items()))
 
 
+def kept_totals(
+    table: LocalHodgeTable, keep: Callable[[Fraction], bool]
+) -> dict[int, int]:
+    """Total graded dimensions of all classes whose residue passes ``keep``.
+
+    One pass over the table.  A kept class with undetermined slots raises
+    :class:`UnknownData`; a class that is not kept is never read.
+    """
+    for r, _lv in table.unknown:
+        if keep(r):
+            raise UnknownData(f"class {r} has undetermined slots")
+    return _spread_sum(e for e in table.entries.items() if keep(e[0][0]))
+
+
 def class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
     """Total graded dimensions of one eigenvalue class, indexed by p."""
-    if table.has_unknown(residue):
-        raise UnknownData(f"class {residue} has undetermined slots")
-    return _spread_sum(e for e in table.entries.items() if e[0][0] == residue)
+    return kept_totals(table, lambda r: r == residue)
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,32 @@ factor per step), and neither calls itself:
   (always peel factor 0) from its rank-one end, together with the nearby
   table at 0 of the link below, which the degree transport consumes.
 
-The memo maps ``(point, pairs, residue)`` to a class's ``(level, p)``; one
-profile computation creates and drops it, and a rank-``n`` profile visits
-about ``1.5 * n**2`` class states.  Finished profiles are kept in one bounded
+Integer kernel.  An instance is put on the common denominator ``den`` of its
+exponents once, on entry; from there every residue, peeled factor list and
+kernel drop is an integer numerator in ``[0, den)``, and the rows
+:func:`~hyphodge.convolution.zero_row` / ``infinity_row`` read those
+integers.  ``Fraction`` keys appear only in the tables the engine builds:
+the link tables the degree transport reads, and the profile itself.
+
+The memo keys a class's ``(level, p)`` by ``(point, pairs, residue)``, with
+``pairs`` the sorted tuple of integer factors; one profile computation
+creates and drops it.  Each factor list is interned once as a state that
+also records where each of its peels leads, so a peel shared by many
+classes is computed once.  A rank-``n`` profile visits about
+``1.8 * n**2`` class states but only about ``0.5 * n**2`` distinct peels,
+and each peel re-sorts a shifted factor list, so a profile costs O(n**3)
+integer operations.  Finished profiles are kept in one bounded
 least-recently-used cache, so memory stays flat across batch lines while
 repeated instances are still answered from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .closed_form import profile_closed
 from .combinatorics import check_count_identity
@@ -57,18 +70,42 @@ from .core import (
     ReducibleInput,
     SingularPoint,
     TableKind,
-    conjugate_table,
+    common_denominator,
     equal_up_to_shift,
     frac,
     hodge_numbers,
-    shift_residues,
+    numerator_over,
     table_shift,
-    unit_rep,
 )
 
-Pairs = tuple[tuple[Fraction, Fraction], ...]
-Memo = dict[tuple[SingularPoint, Pairs, Fraction], tuple[int, int]]
-"""Per-profile memo: ``(point, pairs, residue)`` maps to a class's ``(level, p)``."""
+Pairs = tuple[tuple[int, int], ...]
+"""Factors ``(alpha_k, beta_k)`` as numerators over the profile's common denominator."""
+Classes = list[tuple[int, int, int]]
+"""A nearby table as ``(residue numerator, level, p)`` triples, one per class."""
+
+
+@dataclass(eq=False, slots=True)
+class _State:
+    """One peel state: a sorted factor list and what is known about it.
+
+    ``peels`` maps a factor index to the state its peel leads to, and
+    ``classes`` maps ``(point, residue)`` to that class's ``(level, p)``.
+    """
+
+    pairs: Pairs
+    peels: dict[int, _State] = field(default_factory=dict)
+    classes: dict[tuple[SingularPoint, int], tuple[int, int]] = field(
+        default_factory=dict
+    )
+
+
+Memo = dict[Pairs, _State]
+"""Per-profile memo: every state reached, interned by its factor list.
+
+A class's ``(level, p)`` is thus keyed by ``(point, pairs, residue)``.  Routes
+that reach the same factor list share one state, and each peel of a state is
+computed once, however many of its classes take it.
+"""
 
 
 class PeelCase(Enum):
@@ -79,11 +116,15 @@ class PeelCase(Enum):
 
 @dataclass(frozen=True)
 class PeelPlan:
-    """Which factor to peel for one target invariant, and why it is safe."""
+    """Which factor to peel for one target invariant, and why it is safe.
+
+    ``kernel_rep`` is the peeled factor's exponent drop, as a numerator in
+    ``(0, den)`` over the common denominator ``den`` of the factor list.
+    """
 
     index: int
     case: PeelCase
-    kernel_rep: Fraction
+    kernel_rep: int
 
 
 def base_profile(a: Fraction, b: Fraction) -> HodgeProfile:
@@ -120,34 +161,36 @@ def _rank_one_degree(a: Fraction, b: Fraction) -> int:
     return int(degree)
 
 
-def choose_peel(pairs: Pairs, target: tuple[SingularPoint, Fraction]) -> PeelPlan:
+def choose_peel(
+    pairs: Pairs, target: tuple[SingularPoint, int], den: int
+) -> PeelPlan:
     """Pick the lowest factor index whose peeling keeps the target determined.
 
-    ``pairs`` lists the factors as ``(alpha_k, beta_k)``; the target is an
-    eigenvalue class at 0 or infinity.  Peeling a factor from a different
-    class routes the target through the interval rows; peeling inside the
-    target class is safe only when the class has multiplicity at least two
-    (the output then comes from one level down).  A multiplicity-one target
-    whose class meets factor 0 is re-targeted to the first factor of a
-    different class.
+    ``pairs`` lists the factors as ``(alpha_k, beta_k)`` and the target is an
+    eigenvalue class at 0 or infinity, all as numerators over ``den``.
+    Peeling a factor from a different class routes the target through the
+    interval rows; peeling inside the target class is safe only when the
+    class has multiplicity at least two (the output then comes from one level
+    down).  A multiplicity-one target whose class meets factor 0 is
+    re-targeted to the first factor of a different class.
     """
     point, residue = target
-    residue = frac(residue)
     if len(pairs) < 2:
         raise NoValidPeel("peeling needs at least two factors")
     if point == ZERO:
-        values = [a for a, _b in pairs]
+        side = 0
     elif point == INFINITY:
-        values = [b for _a, b in pairs]
+        side = 1
     else:
         raise NoValidPeel("peel targets live at 0 or infinity")
 
     def plan(j: int, case: PeelCase) -> PeelPlan:
         a, b = pairs[j]
-        return PeelPlan(j, case, unit_rep(frac(b - a)))
+        return PeelPlan(j, case, (b - a) % den)
 
-    if values[0] != residue:
+    if pairs[0][side] != residue:
         return plan(0, PeelCase.CASE1)
+    values = [pair[side] for pair in pairs]
     if values.count(residue) >= 2:
         return plan(0, PeelCase.CASE2)
     for j in range(1, len(pairs)):
@@ -156,63 +199,91 @@ def choose_peel(pairs: Pairs, target: tuple[SingularPoint, Fraction]) -> PeelPla
     raise NoValidPeel("every factor sits in a multiplicity-one target class")
 
 
-def _peeled_shifted(pairs: Pairs, j: int) -> Pairs:
+def _peeled_shifted(pairs: Pairs, j: int, den: int) -> Pairs:
+    """Drop factor ``j`` and shift the rest by its alpha, sorted again."""
     a0 = pairs[j][0]
-    rest = (
-        (frac(a - a0), frac(b - a0)) for k, (a, b) in enumerate(pairs) if k != j
-    )
-    return tuple(sorted(rest))
+    rest = [((a - a0) % den, (b - a0) % den) for a, b in pairs[:j] + pairs[j + 1 :]]
+    rest.sort()
+    return tuple(rest)
+
+
+def _peel(state: _State, j: int, den: int, memo: Memo) -> _State:
+    """The state left by peeling factor ``j`` of ``state``."""
+    sub = state.peels.get(j)
+    if sub is None:
+        pairs = _peeled_shifted(state.pairs, j, den)
+        sub = memo.get(pairs)
+        if sub is None:
+            sub = memo[pairs] = _State(pairs)
+        state.peels[j] = sub
+    return sub
 
 
 def _nearby_class(
-    pairs: Pairs, point: SingularPoint, residue: Fraction, memo: Memo
+    state: _State, den: int, point: SingularPoint, residue: int, memo: Memo
 ) -> tuple[int, int]:
     """The (level, p) of one nearby class at 0 or infinity.
 
     Walks down the peel chain to rank one, whose class (alpha at 0, beta at
-    infinity) is ``(0, 1)``, or to a memo hit.  The peeled sub-module carries
-    the class shifted by the peeled alpha; walking back up, each step applies
-    the one transform row of that sub-class.  Rows at infinity are keyed in
-    the transforms' orientation, so the profile residue is negated.
+    infinity) is ``(0, 1)``, or to a state that knows the class.  The peeled
+    sub-module carries the class shifted by the peeled alpha; walking back
+    up, each step applies the one transform row of that sub-class.  Rows at
+    infinity are keyed in the transforms' orientation, so the profile
+    residue is negated.
     """
     steps = []
-    while len(pairs) > 1 and (point, pairs, residue) not in memo:
-        plan = choose_peel(pairs, (point, residue))
-        sub_residue = frac(residue - pairs[plan.index][0])
-        steps.append(((point, pairs, residue), sub_residue, plan.kernel_rep))
-        pairs, residue = _peeled_shifted(pairs, plan.index), sub_residue
-    level, p = memo.get((point, pairs, residue), (0, 1))
-    for key, sub_residue, kernel_rep in reversed(steps):
-        ctx = ConvolutionContext(kernel_rep)
+    while len(state.pairs) > 1 and (point, residue) not in state.classes:
+        plan = choose_peel(state.pairs, (point, residue), den)
+        sub_residue = (residue - state.pairs[plan.index][0]) % den
+        steps.append((state, residue, sub_residue, plan.kernel_rep))
+        state, residue = _peel(state, plan.index, den, memo), sub_residue
+    level, p = state.classes.get((point, residue), (0, 1))
+    for state, residue, sub_residue, kernel in reversed(steps):
         if point == ZERO:
-            row = zero_row(sub_residue, level, ctx)
+            row = zero_row(sub_residue, level, kernel, den)
         else:
-            row = infinity_row(frac(-sub_residue), level, ctx)
+            row = infinity_row(-sub_residue % den, level, kernel, den)
         if row is None:
             raise InternalEngineError(
-                f"class {sub_residue} at {point} reached a dropped row"
+                f"class {sub_residue}/{den} at {point} reached a dropped row"
             )
-        level, p = memo[key] = row[0], p + row[1]
+        level, p = state.classes[(point, residue)] = row[0], p + row[1]
     return level, p
 
 
-def _nearby_table(
-    pairs: Pairs, point: SingularPoint, memo: Memo
-) -> LocalHodgeTable:
+def _nearby_classes(
+    state: _State, den: int, point: SingularPoint, memo: Memo
+) -> Classes:
     side = 0 if point == ZERO else 1
+    return [
+        (r, *_nearby_class(state, den, point, r, memo))
+        for r in sorted({pair[side] for pair in state.pairs})
+    ]
+
+
+def _nearby_table(
+    point: SingularPoint,
+    classes: Classes,
+    den: int,
+    relabel: Callable[[int], int] = lambda r: r,
+) -> LocalHodgeTable:
+    """The nearby table of ``classes``, each residue ``r`` keyed at
+    ``{relabel(r) / den}``."""
     return LocalHodgeTable(
         point,
         TableKind.NEARBY,
-        {
-            (r, *_nearby_class(pairs, point, r, memo)): 1
-            for r in sorted({pair[side] for pair in pairs})
-        },
+        {(Fraction(relabel(r) % den, den), lv, p): 1 for r, lv, p in classes},
     )
 
 
 @lru_cache(maxsize=1024)
-def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
+def _profile_of_pairs(pairs: tuple[tuple[Fraction, Fraction], ...]) -> HodgeProfile:
     """The profile of a canonically sorted factor list of rank at least two.
+
+    The factors are first written as integer numerators over their common
+    denominator ``den``; every peel, memo key and transform row below works
+    on those integers, and ``Fraction`` keys appear only in the tables built
+    for the degree transport and the profile.
 
     Degrees and the vanishing table ride up the canonical chain (peel factor
     0 down to rank one) from the rank-one profile.  The vanishing table is
@@ -225,36 +296,40 @@ def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
-    memo: Memo = {}
-    chain = [pairs]
-    while len(chain[-1]) > 1:
-        chain.append(_peeled_shifted(chain[-1], 0))
-    base = base_profile(*chain.pop()[0])
+    den = common_denominator(v for pair in pairs for v in pair)
+    top = tuple((numerator_over(a, den), numerator_over(b, den)) for a, b in pairs)
+    memo: Memo = {top: _State(top)}
+    chain = [memo[top]]
+    while len(chain[-1].pairs) > 1:
+        chain.append(_peel(chain[-1], 0, den, memo))
+    ((a1, b1),) = chain.pop().pairs
+    base = base_profile(Fraction(a1, den), Fraction(b1, den))
     degrees = base.degrees
     vanishing = base.vanishing_finite[0]
     nearby_zero = base.nearby_zero
     for link in reversed(chain):
-        a0, b0 = link[0]
-        ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
+        a0, b0 = link.pairs[0]
+        ctx = ConvolutionContext(Fraction((b0 - a0) % den, den))
         degrees = convolve_degrees(
             degrees, nearby_zero, (table_shift(vanishing, 1),), ctx
         )
         vanishing = convolve_vanishing_finite(vanishing, ctx)
-        nearby_zero = _nearby_table(link, ZERO, memo)
-        nearby_infinity = None
+        zero_classes = _nearby_classes(link, den, ZERO, memo)
+        nearby_zero = _nearby_table(ZERO, zero_classes, den)
+        infinity_classes = None
         if a0 != 0:
-            nearby_infinity = _nearby_table(link, INFINITY, memo)
-            nearby_zero_q = shift_residues(nearby_zero, a0)
-            nearby_infinity_q = conjugate_table(shift_residues(nearby_infinity, a0))
+            # Twisting by the conjugate of the peeled alpha relabels every
+            # class by ``{r - a0}``; tables at infinity are read conjugated.
+            infinity_classes = _nearby_classes(link, den, INFINITY, memo)
             degrees = twist_degrees(
                 degrees,
-                hodge_numbers(nearby_zero_q),
-                nearby_zero_q,
-                nearby_infinity_q,
-                ConvolutionContext(frac(-a0)),
+                hodge_numbers(nearby_zero),
+                _nearby_table(ZERO, zero_classes, den, lambda r: r - a0),
+                _nearby_table(INFINITY, infinity_classes, den, lambda r: a0 - r),
+                ConvolutionContext(Fraction(-a0 % den, den)),
             )
-    if nearby_infinity is None:
-        nearby_infinity = _nearby_table(pairs, INFINITY, memo)
+    if infinity_classes is None:
+        infinity_classes = _nearby_classes(chain[0], den, INFINITY, memo)
     regraded = {
         (r, lv, p + 1 if r == 0 else p): m
         for (r, lv, p), m in vanishing.entries.items()
@@ -262,7 +337,7 @@ def _profile_of_pairs(pairs: Pairs) -> HodgeProfile:
     return HodgeProfile(
         rank=len(pairs),
         nearby_zero=nearby_zero,
-        nearby_infinity=nearby_infinity,
+        nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
         vanishing_finite=(LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded),),
         hodge=hodge_numbers(nearby_zero),
         degrees=degrees,

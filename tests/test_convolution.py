@@ -146,17 +146,20 @@ class TestRowReads:
 
     @pytest.mark.parametrize("kernel_rep", residue_grid(6)[1:])
     def test_rows_match_table_transforms(self, kernel_rep):
+        # Rows read numerators over a common denominator of the whole grid.
+        den = 60
         ctx = ConvolutionContext(kernel_rep)
+        kernel = int(kernel_rep * den)
         for r in residue_grid(6):
             for lv in range(3):
-                row = zero_row(r, lv, ctx)
+                row = zero_row(int(r * den), lv, kernel, den)
                 out = convolve_nearby_zero(nearby({(r, lv, 4): 1}), ctx, h1={})
                 assert out.entries == (
                     {} if row is None else {(r, row[0], 4 + row[1]): 1}
                 ), (r, lv)
                 # Profile tables at infinity are keyed in the opposite
                 # orientation; the row is read at the negated residue.
-                row = infinity_row(frac(-r), lv, ctx)
+                row = infinity_row(int(frac(-r) * den), lv, kernel, den)
                 table = nearby({(r, lv, 4): 1}, INFINITY)
                 out = conjugate_table(
                     convolve_nearby_infinity(conjugate_table(table), ctx)
@@ -164,6 +167,14 @@ class TestRowReads:
                 assert out.entries == (
                     {} if row is None else {(r, row[0], 4 + row[1]): 1}
                 ), (r, lv)
+
+
+    def test_rows_reject_numerators_out_of_range(self):
+        for args in ((6, 0, 3, 6), (-1, 0, 3, 6), (1, 0, 0, 6), (1, 0, 6, 6)):
+            with pytest.raises(ValueError):
+                zero_row(*args)
+            with pytest.raises(ValueError):
+                infinity_row(*args)
 
 
 class TestHodgeTransport:
@@ -248,6 +259,35 @@ class TestDegreesTransport:
         table = nearby({}, unknown=[(F(3, 4), 0)])
         with pytest.raises(UnknownData):
             convolve_degrees({}, table, (), HALF)
+
+    def test_twist_unknown_kept_class_at_infinity_raises(self):
+        # At infinity the kept classes are those with residue in [1 - g0, 1).
+        table = nearby({(F(1, 4), 0, 0): 1}, INFINITY, [(F(3, 4), 0)])
+        with pytest.raises(UnknownData):
+            twist_degrees({}, {}, nearby({}), table, HALF)
+
+    @pytest.mark.parametrize("residue", [F(0), F(1, 4)])
+    def test_unknown_kept_vanishing_class_raises(self, residue):
+        # The unipotent class and the classes inside (0, 1 - g0) are read.
+        table = vanishing({(F(3, 4), 0, 0): 1}, unknown=[(residue, 0)])
+        with pytest.raises(UnknownData):
+            convolve_degrees({}, nearby({}), (table,), HALF)
+
+    def test_unknown_outside_kept_range_is_not_read(self):
+        # Only kept classes are summed, so an undetermined class outside the
+        # kept range changes nothing and raises nothing.
+        zero = nearby({(F(3, 4), 0, 1): 1}, unknown=[(F(1, 4), 0)])
+        infinity = nearby({(F(3, 4), 0, 2): 1}, INFINITY, [(F(1, 4), 1)])
+        fibre = vanishing({(F(1, 4), 0, 0): 1}, unknown=[(F(3, 4), 0)])
+        plain_zero = nearby({(F(3, 4), 0, 1): 1})
+        plain_infinity = nearby({(F(3, 4), 0, 2): 1}, INFINITY)
+        plain_fibre = vanishing({(F(1, 4), 0, 0): 1})
+        assert convolve_degrees({0: 1}, zero, (fibre,), HALF) == convolve_degrees(
+            {0: 1}, plain_zero, (plain_fibre,), HALF
+        )
+        assert twist_degrees({0: 1}, {1: 1}, zero, infinity, HALF) == twist_degrees(
+            {0: 1}, {1: 1}, plain_zero, plain_infinity, HALF
+        )
 
 
 class TestConjugation:

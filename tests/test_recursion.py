@@ -78,26 +78,33 @@ class TestBaseProfile:
             base_profile(F(1, 3), F(1, 3))
 
 
+def over(pairs, den):
+    """The factor pairs as numerators over ``den``."""
+    return tuple((int(a * den), int(b * den)) for a, b in pairs)
+
+
 class TestChoosePeel:
+    """The peel rule reads numerators over the common denominator (here 4)."""
+
     def test_same_class_with_multiplicity(self):
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
-        plan = choose_peel(p.pairs(), (INFINITY, F(1, 2)))
+        plan = choose_peel(over(p.pairs(), 4), (INFINITY, 2), 4)
         assert (plan.index, plan.case) == (0, PeelCase.CASE2)
 
     def test_retarget_when_multiplicity_one(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p.pairs(), (ZERO, F(0)))
+        plan = choose_peel(over(p.pairs(), 4), (ZERO, 0), 4)
         assert (plan.index, plan.case) == (1, PeelCase.CASE3)
 
     def test_different_class(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p.pairs(), (ZERO, F(1, 2)))
+        plan = choose_peel(over(p.pairs(), 4), (ZERO, 2), 4)
         assert (plan.index, plan.case) == (0, PeelCase.CASE1)
 
     def test_kernel_rep(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(p.pairs(), (ZERO, F(1, 2)))
-        assert plan.kernel_rep == F(1, 4)
+        plan = choose_peel(over(p.pairs(), 4), (ZERO, 2), 4)
+        assert F(plan.kernel_rep, 4) == F(1, 4)
 
 
 class TestProfileRecursive:
@@ -181,18 +188,13 @@ class TestDegrees:
     def test_peel_choice_does_not_matter(self, rng):
         # Recompute the degrees peeling each factor first; the transport
         # formulas must give the same answer along every route.
-        from hyphodge.recursion import _peeled_shifted
-
         for _ in range(40):
             p = random_irreducible(rng, rng.randint(2, 3), 6)
             prof = profile_recursive(p)
-            pairs = tuple(sorted(p.pairs()))
-            for j in range(len(pairs)):
-                aj, bj = pairs[j]
+            for j in range(p.n):
+                aj, bj = p.alpha[j], p.beta[j]
                 ctx = ConvolutionContext(unit_rep(frac(bj - aj)))
-                sub = profile_recursive(
-                    HypergeometricParams.from_pairs(_peeled_shifted(pairs, j))
-                )
+                sub = profile_recursive(p.peeled(j).shifted(aj))
                 # Fibre-consistent grading: every vanishing entry one step
                 # above the pipeline, where the unipotent one already sits.
                 fiber = LocalHodgeTable(
@@ -238,6 +240,12 @@ class TestCrossEngine:
             p = disjoint_pool_instance(rng, n, 12)
             rep = verify_cross_engine(p)
             assert rep.agree and rep.shift == 0 and rep.identities_ok, p
+
+    def test_rank_120(self, rng):
+        # A rank the recursive engine reaches in about a second on integers.
+        p = disjoint_pool_instance(rng, 120, 64)
+        rep = verify_cross_engine(p)
+        assert rep.agree and rep.shift == 0 and rep.identities_ok, p
 
     def test_transvections(self, rng):
         # Inputs whose drops sum to an integer exercise the unipotent
