@@ -20,6 +20,7 @@ from .combinatorics import (
     ascending_pair_count,
     check_count_identity,
     contribution_pair,
+    count_identities_hold,
     dualize_table,
     interlacing_index,
     nonseparated_count,

@@ -24,10 +24,8 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
-    common_denominator,
     frac,
     hodge_numbers,
-    numerator_over,
 )
 
 
@@ -88,24 +86,26 @@ def nearby_closed(
         nonseparated(g) = #{k : a_k < b_k} + #{k : b_k <= g} - #{k : a_k < g},
 
     so every index is read off the sorted tuples by bisection.  The residues
-    are first put over their common denominator, so the sort and the
-    bisections compare integers.  The cost is O(n log n) per table.
+    are read as numerators over their common denominator
+    (:attr:`HypergeometricParams.numerators`), so the sort and the
+    bisections compare integers; the table keys are the instance's own
+    exponents.  The cost is O(n log n) per table.
     """
     params.require_irreducible()
     if point not in (ZERO, INFINITY):
         raise ValueError("closed nearby tables exist at 0 and infinity only")
-    values = params.alpha if point == ZERO else params.beta
-    den = common_denominator(params.alpha + params.beta)
-    alpha = [numerator_over(r, den) for r in params.alpha]
-    beta = [numerator_over(r, den) for r in params.beta]
+    _den, alpha, beta = params.numerators
+    if point == ZERO:
+        values, residue_of = alpha, dict(zip(alpha, params.alpha))
+    else:
+        values, residue_of = beta, dict(zip(beta, params.beta))
     ascending = sum(a < b for a, b in zip(alpha, beta))
-    alpha.sort()
-    beta.sort()
+    alpha_sorted = sorted(alpha)
+    beta_sorted = sorted(beta)
     entries = {}
-    for r, mult in Counter(values).items():
-        g = numerator_over(r, den)
-        p = ascending + bisect_right(beta, g) - bisect_left(alpha, g)
-        entries[(r, mult - 1, p)] = 1
+    for g, mult in Counter(values).items():
+        p = ascending + bisect_right(beta_sorted, g) - bisect_left(alpha_sorted, g)
+        entries[(residue_of[g], mult - 1, p)] = 1
     return LocalHodgeTable(point, TableKind.NEARBY, entries)
 
 
@@ -116,13 +116,14 @@ def _tail_no_wrap_count(params: HypergeometricParams) -> int:
     counts when the fractional tail ``{d_{i+1} + ... + d_n}`` is non-zero and
     at most ``1 - d_i`` (the accumulation does not wrap past the circle).
     The result does not depend on the order of the factors.  The drops and
-    tails are numerators over the common denominator of the exponents.
+    tails are numerators over the common denominator of the exponents
+    (:attr:`HypergeometricParams.numerators`).
     """
-    den = common_denominator(params.alpha + params.beta)
+    den, alpha, beta = params.numerators
     tail = 0
     count = 0
-    for a, b in zip(reversed(params.alpha), reversed(params.beta)):
-        d = (numerator_over(b, den) - numerator_over(a, den)) % den
+    for a, b in zip(reversed(alpha), reversed(beta)):
+        d = (b - a) % den
         if 0 < tail <= den - d:
             count += 1
         tail = (tail + d) % den

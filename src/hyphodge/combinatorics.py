@@ -18,7 +18,6 @@ from .core import (
     SingularPoint,
     conjugate_table,
     frac,
-    unit_rep,
 )
 
 
@@ -70,9 +69,12 @@ def special_exponent(params: HypergeometricParams) -> Fraction:
     """The ``(0, 1]`` exponent of the reflection eigenvalue at the finite point.
 
     Congruent to the sum of all exponent drops mod 1; the value 1 corresponds
-    to a unipotent reflection (a transvection).
+    to a unipotent reflection (a transvection).  The sum is taken over the
+    integer numerators of :attr:`HypergeometricParams.numerators`.
     """
-    return unit_rep(sum(params.differences(), Fraction(0)))
+    den, alpha, beta = params.numerators
+    drop = (sum(beta) - sum(alpha)) % den
+    return Fraction(drop, den) if drop else Fraction(1)
 
 
 def interlacing_index(
@@ -137,6 +139,36 @@ def check_count_identity(
     g = params.alpha[m] if point == ZERO else params.beta[m]
     lhs = nonseparated_count(params, g) - interlacing_index(params, m, point)
     return lhs == ascending_pair_count(params)
+
+
+def count_identities_hold(params: HypergeometricParams) -> bool:
+    """:func:`check_count_identity` for every index ``m`` at 0 and at infinity.
+
+    The same literal counts, pair by pair: the three separation chains, the
+    strict (at 0) or weak (at infinity) interlacing count, and the ascending
+    count.  The residues are compared as the integer numerators of
+    :attr:`HypergeometricParams.numerators`, and since the identity depends
+    only on the reference value, each distinct value is checked once.  No
+    count is read from a sorted tuple, so the check stays independent of the
+    closed engine's sweep (:func:`hyphodge.closed_form.nearby_closed`).  A
+    rank-``n`` instance costs O(n**2) integer comparisons.
+    """
+    _den, alpha, beta = params.numerators
+    pairs = tuple(zip(alpha, beta))
+    ascending = sum(a < b for a, b in pairs)
+    for point, refs in ((ZERO, alpha), (INFINITY, beta)):
+        for g in set(refs):
+            nonseparated = sum(
+                not (a < g < b or g < b < a or b < a < g) for a, b in pairs
+            )
+            if point == ZERO:
+                below = sum(b < g for b in beta)
+            else:
+                below = sum(b <= g for b in beta)
+            interlacing = below - sum(a < g for a in alpha)
+            if nonseparated - interlacing != ascending:
+                return False
+    return True
 
 
 def dualize_table(table: LocalHodgeTable) -> LocalHodgeTable:

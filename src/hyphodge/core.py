@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -44,9 +45,12 @@ def frac(value: Fraction | int) -> Fraction:
     Fraction(1, 4)
     >>> frac(Fraction(-1, 3))
     Fraction(2, 3)
+
+    A ``Fraction`` already in ``[0, 1)`` is returned as it is.
     """
-    q = Fraction(value)
-    return Fraction(q.numerator % q.denominator, q.denominator)
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    num, den = q.numerator, q.denominator
+    return q if 0 <= num < den else Fraction(num % den, den)
 
 
 def unit_rep(value: Fraction | int) -> Fraction:
@@ -197,7 +201,18 @@ class LocalHodgeTable:
         return sum(m * (lv + 1) for (_r, lv, _p), m in self.entries.items())
 
     def sorted_items(self) -> list[tuple[Entry, int]]:
-        return sorted(self.entries.items())
+        """Entries in key order, the residues compared as integer numerators.
+
+        Over the common denominator of the residues the order is that of the
+        ``(residue, level, p)`` tuples, without comparing ``Fraction``s.
+        """
+        den = common_denominator(r for r, _lv, _p in self.entries)
+
+        def key(item: tuple[Entry, int]) -> tuple[int, int, int]:
+            (r, lv, p), _m = item
+            return numerator_over(r, den), lv, p
+
+        return sorted(self.entries.items(), key=key)
 
 
 def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
@@ -307,15 +322,32 @@ class HypergeometricParams:
         """Per-factor exponent drops ``{beta_k - alpha_k}``."""
         return tuple(frac(b - a) for a, b in zip(self.alpha, self.beta))
 
+    @cached_property
+    def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The exponents over their common denominator, computed once.
+
+        Returns ``(den, alpha_nums, beta_nums)``: ``den`` is the least common
+        multiple of the exponents' denominators and each numerator is an int
+        in ``[0, den)``, in the given order.  Residues compare, add and
+        subtract as these ints.
+        """
+        den = common_denominator(self.alpha + self.beta)
+        return (
+            den,
+            tuple(numerator_over(a, den) for a in self.alpha),
+            tuple(numerator_over(b, den) for b in self.beta),
+        )
+
     @property
     def is_irreducible(self) -> bool:
-        return not (set(self.alpha) & set(self.beta))
+        _den, alpha, beta = self.numerators
+        return set(alpha).isdisjoint(beta)
 
     def require_irreducible(self) -> None:
-        shared = sorted(set(self.alpha) & set(self.beta))
-        if shared:
+        if not self.is_irreducible:
+            shared = min(set(self.alpha) & set(self.beta))
             raise ReducibleInput(
-                f"alpha and beta share the exponent {format_rational(shared[0])}; "
+                f"alpha and beta share the exponent {format_rational(shared)}; "
                 "irreducibility requires alpha_i != beta_j for all i, j"
             )
 
@@ -437,4 +469,4 @@ def equal_up_to_shift(a: HodgeProfile, b: HodgeProfile) -> int | None:
     if a.rank != b.rank:
         return None
     s = profile_min_p(b) - profile_min_p(a)
-    return s if _profiles_match(a.shifted(s), b) else None
+    return s if _profiles_match(a.shifted(s) if s else a, b) else None

@@ -49,7 +49,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .closed_form import profile_closed
-from .combinatorics import check_count_identity
+from .combinatorics import count_identities_hold
 from .convolution import (
     ConvolutionContext,
     convolve_degrees,
@@ -377,10 +377,14 @@ def compare_profiles(
 ) -> EngineReport:
     """Compare the two engines' unshifted profiles of ``params`` exactly.
 
-    Also runs the index identities.  Mismatches are reported as data, not
-    raised.  Both engines take ``hodge`` as :func:`hyphodge.core.hodge_numbers`
-    of their ``nearby_zero``, so the ``"hodge"`` entry is implied by the
-    ``"nearby_zero"`` entry and is not an independent check.
+    Also runs the index identities at every index at 0 and at infinity
+    (:func:`~hyphodge.combinatorics.count_identities_hold`): the literal
+    pair-by-pair counts of :func:`~hyphodge.combinatorics.check_count_identity`,
+    on integer numerators, O(n**2) comparisons per instance.  Mismatches are
+    reported as data, not raised.  Both engines take ``hodge`` as
+    :func:`hyphodge.core.hodge_numbers` of their ``nearby_zero``, so the
+    ``"hodge"`` entry is implied by the ``"nearby_zero"`` entry and is not an
+    independent check.
     """
     table_equal = {
         "nearby_zero": closed.nearby_zero == recursive.nearby_zero,
@@ -388,17 +392,12 @@ def compare_profiles(
         "vanishing_finite": closed.vanishing_finite == recursive.vanishing_finite,
         "hodge": closed.hodge == recursive.hodge,
     }
-    identities_ok = all(
-        check_count_identity(params, m, point)
-        for m in range(params.n)
-        for point in (ZERO, INFINITY)
-    )
     return EngineReport(
         params=params,
         agree=all(table_equal.values()),
         shift=equal_up_to_shift(closed, recursive),
         table_equal=table_equal,
-        identities_ok=identities_ok,
+        identities_ok=count_identities_hold(params),
         mismatches=tuple(name for name, ok in table_equal.items() if not ok),
     )
 

@@ -34,7 +34,22 @@ def test_closed_engine_never_reaches_the_recursive_engine():
 def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     imports = package_imports("recursion")
     assert imports.get("closed_form") == {"profile_closed"}
-    assert imports.get("combinatorics") == {"check_count_identity"}
+    assert imports.get("combinatorics") == {"count_identities_hold"}
+
+
+def test_identity_check_cannot_borrow_the_closed_sweep():
+    # The index identities count pair by pair; reading them by bisection, or
+    # from the closed engine, would check the closed formula against itself.
+    tree = ast.parse((PACKAGE / "combinatorics.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            if node.module is None:
+                modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    assert not modules & {"bisect", "closed_form"}, modules
 
 
 def test_recursive_engine_reads_rows_not_table_transforms():

@@ -1,9 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import residue_grid
 from hyphodge import (
     AT_ONE,
     INFINITY,
@@ -178,6 +182,24 @@ class TestTableValidation:
             nearby({(F(1, 4), 0, 0): 1}, unknown=[(F(1, 4), 0)])
 
 
+class TestSortedItems:
+    def test_empty(self):
+        assert nearby({}).sorted_items() == []
+
+    def test_matches_the_fraction_sort(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            # Few residues of mixed denominators, 0 among them, so most
+            # residues recur at several levels and indices.
+            residues = [F(0), *rng.sample(residue_grid(16), rng.randint(1, 5))]
+            entries = {}
+            for _ in range(rng.randint(1, 12)):
+                key = (rng.choice(residues), rng.randint(0, 3), rng.randint(-3, 3))
+                entries[key] = rng.randint(1, 3)
+            table = nearby(entries)
+            assert table.sorted_items() == sorted(table.entries.items())
+
+
 class TestParams:
     def test_normalizes_mod_one(self):
         p = HypergeometricParams((F(5, 4),), (F(-1, 3),))
@@ -195,6 +217,41 @@ class TestParams:
         assert not bad.is_irreducible
         with pytest.raises(ReducibleInput):
             bad.require_irreducible()
+
+    def test_irreducible_names_the_smallest_shared_exponent(self):
+        bad = HypergeometricParams((F(1, 2), F(1, 3)), (F(1, 3), F(1, 2)))
+        with pytest.raises(ReducibleInput, match="share the exponent 1/3;"):
+            bad.require_irreducible()
+
+    def test_numerators_round_trip(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            grid = residue_grid(rng.randint(1, 12))
+            p = HypergeometricParams(
+                tuple(rng.choice(grid) for _ in range(n)),
+                tuple(rng.choice(grid) for _ in range(n)),
+            )
+            den, alpha, beta = p.numerators
+            assert den == lcm(*(v.denominator for v in p.alpha + p.beta))
+            assert tuple(F(a, den) for a in alpha) == p.alpha
+            assert tuple(F(b, den) for b in beta) == p.beta
+            assert all(type(v) is int and 0 <= v < den for v in alpha + beta)
+
+    def test_is_irreducible_matches_the_fraction_sets(self):
+        grid = residue_grid(4)
+        for n in (1, 2):
+            for a in itertools.product(grid, repeat=n):
+                for b in itertools.product(grid, repeat=n):
+                    p = HypergeometricParams(a, b)
+                    assert p.is_irreducible == (not set(a) & set(b)), (a, b)
+
+    def test_view_leaves_equality_and_hash_alone(self):
+        p = HypergeometricParams((F(1, 4), F(1, 2)), (F(2, 3), F(0)))
+        q = HypergeometricParams((F(1, 4), F(1, 2)), (F(2, 3), F(0)))
+        before = hash(p)
+        assert p.numerators == (12, (3, 6), (8, 0))
+        assert p == q and hash(p) == hash(q) == before
+        assert p != p.permuted([1, 0])
 
     def test_canonical_keeps_pairing(self):
         p = HypergeometricParams((F(1, 2), F(0)), (F(3, 4), F(1, 4)))
