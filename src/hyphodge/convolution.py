@@ -13,25 +13,40 @@ determined by the input table: the level-0 output at the conjugate kernel
 eigenvalue at infinity, and the level-0 unipotent output at 0, which instead
 takes the graded middle cohomology of the input as an extra argument.  These
 are recorded as unknown slots rather than silently set to zero.
+
+Integer forms.  Each transport the recursive engine runs is spelled once, on
+residues written as integer numerators over a common denominator ``den``:
+the rows :func:`zero_row` and :func:`infinity_row`, and the entry-level
+steps :func:`degree_step`, :func:`twist_step` and :func:`vanishing_step`,
+which read ``((r, level, p), multiplicity)`` items with ``r`` in
+``[0, den)`` and the kernel drop as a numerator ``kernel`` in ``(0, den)``.
+On these, ``r >= kernel`` is the class kept at 0, ``0 < r < den - kernel``
+the inside of ``(0, 1 - g0)``, and ``r or den`` the ``(0, 1]``
+representative.  The table-level transforms keep their checks (table kind,
+undetermined slots in a class they read), put their tables on a common
+denominator with the kernel, and call the integer forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     LocalHodgeTable,
     TableKind,
     UnknownData,
-    class_totals,
+    _spread_sum,
     common_denominator,
     frac,
     kept_totals,
     numerator_over,
-    unit_rep,
 )
+
+NumeratorEntry = tuple[int, int, int]
+"""A table key ``(residue, level, p)`` with the residue as a numerator over a
+common denominator."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +90,23 @@ def _pruned(acc: Mapping[int, int]) -> dict[int, int]:
     return {p: v for p, v in sorted(acc.items()) if v}
 
 
+def vanishing_step(
+    items: Iterable[tuple[NumeratorEntry, int]], kernel: int, den: int
+) -> dict[NumeratorEntry, int]:
+    """Vanishing entries at a finite point after one convolution step.
+
+    The integer form of :func:`convolve_vanishing_finite`: residues are
+    numerators over ``den`` and the kernel drop is ``kernel`` in ``(0, den)``.
+    """
+    _check_kernel(kernel, den)
+    entries: dict[NumeratorEntry, int] = {}
+    for (r, lv, p), m in items:
+        out_r = (r + kernel) % den
+        key = (out_r, lv, p if (out_r or den) <= kernel else p + 1)
+        entries[key] = entries.get(key, 0) + m
+    return entries
+
+
 def convolve_vanishing_finite(
     table: LocalHodgeTable, ctx: ConvolutionContext
 ) -> LocalHodgeTable:
@@ -87,15 +119,20 @@ def convolve_vanishing_finite(
     """
     if table.kind is not TableKind.VANISHING:
         raise ValueError("expected a vanishing table")
-    entries: dict[tuple[Fraction, int, int], int] = {}
-    for (r, lv, p), m in table.entries.items():
-        out_r = frac(r + ctx.kernel_rep)
-        rep = unit_rep(out_r)
-        q = p if rep <= ctx.kernel_rep else p + 1
-        key = (out_r, lv, q)
-        entries[key] = entries.get(key, 0) + m
+    den, kernel = _row_numerators(ctx, table)
+    entries = {
+        (Fraction(r, den), lv, p): m
+        for (r, lv, p), m in vanishing_step(
+            _numerator_items(table, den), kernel, den
+        ).items()
+    }
     unknown = frozenset((frac(r + ctx.kernel_rep), lv) for r, lv in table.unknown)
     return LocalHodgeTable(table.point, table.kind, entries, unknown)
+
+
+def _check_kernel(kernel: int, den: int) -> None:
+    if not 0 < kernel < den:
+        raise ValueError(f"kernel needs 0 < kernel < den, got {kernel}, {den}")
 
 
 def _check_row_args(r: int, kernel: int, den: int) -> None:
@@ -122,12 +159,33 @@ def infinity_row(r: int, lv: int, kernel: int, den: int) -> tuple[int, int] | No
 
 
 def _row_numerators(
-    table: LocalHodgeTable, ctx: ConvolutionContext
+    ctx: ConvolutionContext, *tables: LocalHodgeTable
 ) -> tuple[int, int]:
-    """A common denominator of the table's residues and the kernel, and the
+    """A common denominator of the tables' residues and the kernel, and the
     kernel's numerator over it."""
-    den = common_denominator([ctx.kernel_rep, *table.residues()])
+    den = common_denominator(
+        [ctx.kernel_rep, *(r for table in tables for r in table.residues())]
+    )
     return den, numerator_over(ctx.kernel_rep, den)
+
+
+def _numerator_items(
+    table: LocalHodgeTable, den: int
+) -> list[tuple[NumeratorEntry, int]]:
+    """The table's entries with each residue written as its numerator over ``den``."""
+    return [
+        ((numerator_over(r, den), lv, p), m) for (r, lv, p), m in table.entries.items()
+    ]
+
+
+def _require_known(
+    table: LocalHodgeTable, den: int, read: Callable[[int], bool]
+) -> None:
+    """Raise :class:`UnknownData` if a class the transport reads has
+    undetermined slots; ``read`` tests the class's numerator over ``den``."""
+    for r, _lv in table.unknown:
+        if read(numerator_over(r, den)):
+            raise UnknownData(f"class {r} has undetermined slots")
 
 
 def convolve_nearby_infinity(
@@ -149,7 +207,7 @@ def convolve_nearby_infinity(
         raise ValueError("expected a nearby table")
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown = {(frac(ctx.conjugate_rep), 0)}
-    den, kernel = _row_numerators(table, ctx)
+    den, kernel = _row_numerators(ctx, table)
     for (r, lv, p), m in table.entries.items():
         row = infinity_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
@@ -201,7 +259,7 @@ def convolve_nearby_zero(
     zero = Fraction(0)
     entries: dict[tuple[Fraction, int, int], int] = {}
     unknown: set[tuple[Fraction, int]] = set()
-    den, kernel = _row_numerators(table, ctx)
+    den, kernel = _row_numerators(ctx, table)
     for (r, lv, p), m in table.entries.items():
         row = zero_row(numerator_over(r, den), lv, kernel, den)
         if row is not None:
@@ -246,6 +304,36 @@ def convolve_hodge_numbers(
     return _pruned(acc)
 
 
+def degree_step(
+    delta: Mapping[int, int],
+    zero_items: Iterable[tuple[NumeratorEntry, int]],
+    vanishing_items: Iterable[tuple[NumeratorEntry, int]],
+    kernel: int,
+    den: int,
+) -> dict[int, int]:
+    """Graded degrees after one convolution step, on numerators over ``den``.
+
+    The integer form of :func:`convolve_degrees`; ``kernel`` is the kernel
+    drop in ``(0, den)`` and every entry is read, so the caller has checked
+    that the kept classes are determined.
+    """
+    _check_kernel(kernel, den)
+    zero_items = list(zero_items)
+    vanishing_items = list(vanishing_items)
+    acc: dict[int, int] = dict(delta)
+    totals = _spread_sum(e for e in zero_items if e[0][0] >= kernel)
+    _add(acc, totals, +1)
+    _add(acc, totals, -1, shift=1)
+    for (r, _lv, q), m in zero_items:
+        if r == kernel:
+            acc[q + 1] = acc.get(q + 1, 0) + m
+    _add(acc, _spread_sum(e for e in vanishing_items if e[0][0] == 0), -1)
+    conjugate = den - kernel
+    inside = _spread_sum(e for e in vanishing_items if 0 < e[0][0] < conjugate)
+    _add(acc, inside, -1, shift=1)
+    return _pruned(acc)
+
+
 def convolve_degrees(
     delta: Mapping[int, int],
     nearby_zero: LocalHodgeTable,
@@ -261,16 +349,38 @@ def convolve_degrees(
     subtracts its unipotent totals and, one step up, the totals of classes
     with representative strictly inside ``(0, 1 - g0)``.
     """
-    acc: dict[int, int] = dict(delta)
-    totals = kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep)
-    _add(acc, totals, +1)
-    _add(acc, totals, -1, shift=1)
-    _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), +1, shift=1)
-    conjugate = ctx.conjugate_rep
+    den, kernel = _row_numerators(ctx, nearby_zero, *vanishing_finite)
+    _require_known(nearby_zero, den, lambda r: r >= kernel)
     for table in vanishing_finite:
-        _add(acc, class_totals(table, Fraction(0)), -1)
-        inside = kept_totals(table, lambda r: 0 < r < conjugate)
-        _add(acc, inside, -1, shift=1)
+        _require_known(table, den, lambda r: r < den - kernel)
+    return degree_step(
+        delta,
+        _numerator_items(nearby_zero, den),
+        [item for table in vanishing_finite for item in _numerator_items(table, den)],
+        kernel,
+        den,
+    )
+
+
+def twist_step(
+    delta: Mapping[int, int],
+    h: Mapping[int, int],
+    zero_items: Iterable[tuple[NumeratorEntry, int]],
+    infinity_items: Iterable[tuple[NumeratorEntry, int]],
+    kernel: int,
+    den: int,
+) -> dict[int, int]:
+    """Graded degrees after the twist, on numerators over ``den``.
+
+    The integer form of :func:`twist_degrees`, with the same orientation at
+    infinity; ``kernel`` is in ``(0, den)`` and every entry is read.
+    """
+    _check_kernel(kernel, den)
+    acc: dict[int, int] = dict(delta)
+    _add(acc, h, -1)
+    _add(acc, _spread_sum(e for e in zero_items if e[0][0] >= kernel))
+    conjugate = den - kernel
+    _add(acc, _spread_sum(e for e in infinity_items if e[0][0] >= conjugate))
     return _pruned(acc)
 
 
@@ -289,9 +399,14 @@ def twist_degrees(
     the totals of the 0-classes with representative in ``[g0, 1)`` and the
     infinity-classes with representative in ``[1 - g0, 1)``.
     """
-    acc: dict[int, int] = dict(delta)
-    _add(acc, h, -1)
-    _add(acc, kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep))
-    conjugate = ctx.conjugate_rep
-    _add(acc, kept_totals(nearby_infinity, lambda r: r >= conjugate))
-    return _pruned(acc)
+    den, kernel = _row_numerators(ctx, nearby_zero, nearby_infinity)
+    _require_known(nearby_zero, den, lambda r: r >= kernel)
+    _require_known(nearby_infinity, den, lambda r: r >= den - kernel)
+    return twist_step(
+        delta,
+        h,
+        _numerator_items(nearby_zero, den),
+        _numerator_items(nearby_infinity, den),
+        kernel,
+        den,
+    )

@@ -78,7 +78,7 @@ def numerator_over(value: Fraction, den: int) -> int:
     return value.numerator * (den // value.denominator)
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z", re.ASCII)
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -88,11 +88,12 @@ def parse_rational(text: str) -> Fraction:
     (floats, whitespace inside the number, other scripts' digits, empty
     strings, a zero denominator) is rejected with :class:`ValueError`.
     """
-    s = text.strip().replace("−", "-")
-    if not _RATIONAL_RE.fullmatch(s):
+    match = _RATIONAL_RE.fullmatch(text.strip().replace("−", "-"))
+    if match is None:
         raise ValueError(f"not a rational in a/b form: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
@@ -176,9 +177,12 @@ class LocalHodgeTable:
             if not 0 <= residue.numerator < residue.denominator or level < 0:
                 raise ValueError("malformed unknown slot")
             unk.add((residue, int(level)))
-        overlap = {(r, lv) for (r, lv, _p) in ent} & unk
-        if overlap:
-            raise ValueError(f"slots both determined and unknown: {sorted(overlap)}")
+        if unk:
+            overlap = {(r, lv) for (r, lv, _p) in ent} & unk
+            if overlap:
+                raise ValueError(
+                    f"slots both determined and unknown: {sorted(overlap)}"
+                )
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "unknown", frozenset(unk))
 

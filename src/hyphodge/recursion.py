@@ -19,14 +19,16 @@ factor per step), and neither calls itself:
   unipotent slot at 0 or the level-0 conjugate-kernel slot at infinity.
 * Degrees and the vanishing entry.  Both ride up one canonical chain
   (always peel factor 0) from its rank-one end, together with the nearby
-  table at 0 of the link below, which the degree transport consumes.
+  classes at 0 of the link below, which the degree step consumes.
 
 Integer kernel.  An instance is put on the common denominator ``den`` of its
 exponents once, on entry; from there every residue, peeled factor list and
-kernel drop is an integer numerator in ``[0, den)``, and the rows
-:func:`~hyphodge.convolution.zero_row` / ``infinity_row`` read those
-integers.  ``Fraction`` keys appear only in the tables the engine builds:
-the link tables the degree transport reads, and the profile itself.
+kernel drop is an integer numerator in ``[0, den)``.  The rows
+:func:`~hyphodge.convolution.zero_row` / ``infinity_row`` and the degree
+transports :func:`~hyphodge.convolution.degree_step`, ``twist_step`` and
+``vanishing_step`` read those integers, so no link of the chain builds a
+table.  ``Fraction`` keys appear only in the returned profile: its two
+nearby tables and its vanishing table, built once from the integer classes.
 
 The memo keys a class's ``(level, p)`` by ``(point, pairs, residue)``, with
 ``pairs`` the sorted tuple of integer factors; one profile computation
@@ -51,11 +53,10 @@ from typing import Callable
 from .closed_form import profile_closed
 from .combinatorics import count_identities_hold
 from .convolution import (
-    ConvolutionContext,
-    convolve_degrees,
-    convolve_vanishing_finite,
+    degree_step,
     infinity_row,
-    twist_degrees,
+    twist_step,
+    vanishing_step,
     zero_row,
 )
 from .core import (
@@ -70,12 +71,9 @@ from .core import (
     ReducibleInput,
     SingularPoint,
     TableKind,
-    common_denominator,
+    _spread_sum,
     equal_up_to_shift,
     frac,
-    hodge_numbers,
-    numerator_over,
-    table_shift,
 )
 
 Pairs = tuple[tuple[int, int], ...]
@@ -261,85 +259,85 @@ def _nearby_classes(
     ]
 
 
+def _items(
+    classes: Classes, den: int, relabel: Callable[[int], int] = lambda r: r
+) -> list[tuple[tuple[int, int, int], int]]:
+    """The classes as transport items, each residue ``r`` relabelled to
+    ``relabel(r) mod den``."""
+    return [((relabel(r) % den, lv, p), 1) for r, lv, p in classes]
+
+
 def _nearby_table(
-    point: SingularPoint,
-    classes: Classes,
-    den: int,
-    relabel: Callable[[int], int] = lambda r: r,
+    point: SingularPoint, classes: Classes, den: int
 ) -> LocalHodgeTable:
-    """The nearby table of ``classes``, each residue ``r`` keyed at
-    ``{relabel(r) / den}``."""
+    """The nearby table of ``classes``, each residue ``r`` keyed at ``r / den``."""
     return LocalHodgeTable(
         point,
         TableKind.NEARBY,
-        {(Fraction(relabel(r) % den, den), lv, p): 1 for r, lv, p in classes},
+        {(Fraction(r, den), lv, p): 1 for r, lv, p in classes},
     )
 
 
 @lru_cache(maxsize=1024)
-def _profile_of_pairs(pairs: tuple[tuple[Fraction, Fraction], ...]) -> HodgeProfile:
+def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     """The profile of a canonically sorted factor list of rank at least two.
 
-    The factors are first written as integer numerators over their common
-    denominator ``den``; every peel, memo key and transform row below works
-    on those integers, and ``Fraction`` keys appear only in the tables built
-    for the degree transport and the profile.
+    ``pairs`` lists the factors as integer numerators over their common
+    denominator ``den``; every peel, memo key, transform row and degree step
+    below works on those integers, and ``Fraction`` keys appear only in the
+    three tables of the returned profile.
 
-    Degrees and the vanishing table ride up the canonical chain (peel factor
-    0 down to rank one) from the rank-one profile.  The vanishing table is
-    carried in the pipeline grading: the kernel never moves finite-point
-    residues under the twist, and the degree transport reads it one step up
-    (the fibre-consistent grading).  In the profile grading only the
-    unipotent entry moves one step up, as it is graded through the image of
-    the nilpotent operator.
+    Degrees and the vanishing entry ride up the canonical chain (peel factor
+    0 down to rank one) from the rank-one profile of :func:`base_profile`,
+    together with the nearby classes at 0 of the link below, which the
+    degree step reads.  The vanishing entry is carried in the pipeline
+    grading: the kernel never moves finite-point residues under the twist,
+    and the degree step reads it one step up (the fibre-consistent grading).
+    In the profile grading only the unipotent entry moves one step up, as it
+    is graded through the image of the nilpotent operator.
 
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
-    den = common_denominator(v for pair in pairs for v in pair)
-    top = tuple((numerator_over(a, den), numerator_over(b, den)) for a, b in pairs)
-    memo: Memo = {top: _State(top)}
-    chain = [memo[top]]
+    memo: Memo = {pairs: _State(pairs)}
+    chain = [memo[pairs]]
     while len(chain[-1].pairs) > 1:
         chain.append(_peel(chain[-1], 0, den, memo))
     ((a1, b1),) = chain.pop().pairs
-    base = base_profile(Fraction(a1, den), Fraction(b1, den))
-    degrees = base.degrees
-    vanishing = base.vanishing_finite[0]
-    nearby_zero = base.nearby_zero
+    degrees = {1: _rank_one_degree(Fraction(a1, den), Fraction(b1, den))}
+    vanishing = ((b1 - a1) % den, 0, 0)
+    zero_items = [((a1, 0, 1), 1)]
     for link in reversed(chain):
         a0, b0 = link.pairs[0]
-        ctx = ConvolutionContext(Fraction((b0 - a0) % den, den))
-        degrees = convolve_degrees(
-            degrees, nearby_zero, (table_shift(vanishing, 1),), ctx
-        )
-        vanishing = convolve_vanishing_finite(vanishing, ctx)
+        kernel = (b0 - a0) % den
+        r, lv, p = vanishing
+        degrees = degree_step(degrees, zero_items, [((r, lv, p + 1), 1)], kernel, den)
+        (vanishing,) = vanishing_step([(vanishing, 1)], kernel, den)
         zero_classes = _nearby_classes(link, den, ZERO, memo)
-        nearby_zero = _nearby_table(ZERO, zero_classes, den)
+        zero_items = _items(zero_classes, den)
         infinity_classes = None
         if a0 != 0:
             # Twisting by the conjugate of the peeled alpha relabels every
-            # class by ``{r - a0}``; tables at infinity are read conjugated.
+            # class by ``{r - a0}``; classes at infinity are read conjugated.
             infinity_classes = _nearby_classes(link, den, INFINITY, memo)
-            degrees = twist_degrees(
+            degrees = twist_step(
                 degrees,
-                hodge_numbers(nearby_zero),
-                _nearby_table(ZERO, zero_classes, den, lambda r: r - a0),
-                _nearby_table(INFINITY, infinity_classes, den, lambda r: a0 - r),
-                ConvolutionContext(Fraction(-a0 % den, den)),
+                _spread_sum(zero_items),
+                _items(zero_classes, den, lambda r: r - a0),
+                _items(infinity_classes, den, lambda r: a0 - r),
+                -a0 % den,
+                den,
             )
     if infinity_classes is None:
         infinity_classes = _nearby_classes(chain[0], den, INFINITY, memo)
-    regraded = {
-        (r, lv, p + 1 if r == 0 else p): m
-        for (r, lv, p), m in vanishing.entries.items()
-    }
+    r, lv, p = vanishing
+    regraded = {(Fraction(r, den), lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
         rank=len(pairs),
-        nearby_zero=nearby_zero,
+        nearby_zero=_nearby_table(ZERO, zero_classes, den),
         nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
         vanishing_finite=(LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded),),
-        hodge=hodge_numbers(nearby_zero),
+        hodge=_spread_sum(zero_items),
         degrees=degrees,
         note="recursive engine; pairs canonically sorted; degrees experimental",
     )
@@ -356,7 +354,8 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     params.require_irreducible()
     if params.n == 1:
         return base_profile(params.alpha[0], params.beta[0])
-    return _profile_of_pairs(tuple(sorted(params.pairs())))
+    den, alpha, beta = params.numerators
+    return _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
 
 
 @dataclass(frozen=True)
@@ -381,10 +380,9 @@ def compare_profiles(
     (:func:`~hyphodge.combinatorics.count_identities_hold`): the literal
     pair-by-pair counts of :func:`~hyphodge.combinatorics.check_count_identity`,
     on integer numerators, O(n**2) comparisons per instance.  Mismatches are
-    reported as data, not raised.  Both engines take ``hodge`` as
-    :func:`hyphodge.core.hodge_numbers` of their ``nearby_zero``, so the
-    ``"hodge"`` entry is implied by the ``"nearby_zero"`` entry and is not an
-    independent check.
+    reported as data, not raised.  Both engines take ``hodge`` as the
+    spread-sum of their nearby classes at 0, so the ``"hodge"`` entry is
+    implied by the ``"nearby_zero"`` entry and is not an independent check.
     """
     table_equal = {
         "nearby_zero": closed.nearby_zero == recursive.nearby_zero,

@@ -1,9 +1,13 @@
 """The engines share only the data model: package imports read with ``ast``."""
 
 import ast
+import random
 from pathlib import Path
 
 import hyphodge
+from conftest import random_irreducible
+from hyphodge.core import LocalHodgeTable
+from hyphodge.recursion import _profile_of_pairs
 
 PACKAGE = Path(hyphodge.__file__).resolve().parent
 
@@ -53,5 +57,32 @@ def test_identity_check_cannot_borrow_the_closed_sweep():
 
 
 def test_recursive_engine_reads_rows_not_table_transforms():
-    imports = package_imports("recursion").get("convolution", set())
-    assert not imports & {"convolve_nearby_zero", "convolve_nearby_infinity"}
+    imports = package_imports("recursion")
+    assert not imports.get("convolution", set()) & {
+        "convolve_nearby_zero",
+        "convolve_nearby_infinity",
+        "convolve_degrees",
+        "twist_degrees",
+        "convolve_vanishing_finite",
+        "ConvolutionContext",
+    }
+    assert "table_shift" not in imports.get("core", set())
+
+
+def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
+    # Every link of the chain works on integer classes; the only tables are
+    # the returned profile's nearby tables and its vanishing table.
+    builds = []
+    validate = LocalHodgeTable.__post_init__
+
+    def counted(table):
+        builds.append(table.point)
+        validate(table)
+
+    monkeypatch.setattr(LocalHodgeTable, "__post_init__", counted)
+    rng = random.Random(20261018)
+    for n in (2, 3, 5, 9):
+        den, alpha, beta = random_irreducible(rng, n, 8).numerators
+        builds.clear()
+        _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta))))
+        assert len(builds) == 3, (n, builds)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hyphodge import (
     LocalHodgeTable,
     TableKind,
     UnknownData,
+    class_totals,
     conjugate_table,
     convolve_degrees,
     convolve_hodge_numbers,
@@ -23,9 +25,11 @@ from hyphodge import (
     profile_closed,
     shift_residues,
     twist_degrees,
+    unit_rep,
     zero_row,
 )
 from conftest import random_irreducible, residue_grid
+from hyphodge.core import kept_totals
 
 F = Fraction
 HALF = ConvolutionContext(F(1, 2))
@@ -294,3 +298,129 @@ class TestConjugation:
     def test_involution(self):
         t = nearby({(F(1, 3), 0, 1): 1, (F(0), 2, 0): 1}, INFINITY, [(F(2, 5), 1)])
         assert conjugate_table(conjugate_table(t)) == t
+
+
+# Literal transcriptions of the Fraction-keyed transports the integer forms
+# replaced; the table-level functions must agree with them exactly.
+
+
+def _old_primitive_totals(table, residue):
+    if table.has_unknown(residue):
+        raise UnknownData(f"class {residue} has undetermined slots")
+    out = {}
+    for (r, _lv, q), m in table.entries.items():
+        if r == residue:
+            out[q] = out.get(q, 0) + m
+    return out
+
+
+def _old_add(acc, inc, sign=1, shift=0):
+    for p, v in inc.items():
+        acc[p + shift] = acc.get(p + shift, 0) + sign * v
+
+
+def _old_pruned(acc):
+    return {p: v for p, v in sorted(acc.items()) if v}
+
+
+def old_convolve_vanishing_finite(table, ctx):
+    if table.kind is not TableKind.VANISHING:
+        raise ValueError("expected a vanishing table")
+    entries = {}
+    for (r, lv, p), m in table.entries.items():
+        out_r = frac(r + ctx.kernel_rep)
+        rep = unit_rep(out_r)
+        q = p if rep <= ctx.kernel_rep else p + 1
+        key = (out_r, lv, q)
+        entries[key] = entries.get(key, 0) + m
+    unknown = frozenset((frac(r + ctx.kernel_rep), lv) for r, lv in table.unknown)
+    return LocalHodgeTable(table.point, table.kind, entries, unknown)
+
+
+def old_convolve_degrees(delta, nearby_zero, vanishing_finite, ctx):
+    acc = dict(delta)
+    totals = kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep)
+    _old_add(acc, totals, +1)
+    _old_add(acc, totals, -1, shift=1)
+    _old_add(acc, _old_primitive_totals(nearby_zero, ctx.kernel_rep), +1, shift=1)
+    conjugate = ctx.conjugate_rep
+    for table in vanishing_finite:
+        _old_add(acc, class_totals(table, Fraction(0)), -1)
+        inside = kept_totals(table, lambda r: 0 < r < conjugate)
+        _old_add(acc, inside, -1, shift=1)
+    return _old_pruned(acc)
+
+
+def old_twist_degrees(delta, h, nearby_zero, nearby_infinity, ctx):
+    acc = dict(delta)
+    _old_add(acc, h, -1)
+    _old_add(acc, kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep))
+    conjugate = ctx.conjugate_rep
+    _old_add(acc, kept_totals(nearby_infinity, lambda r: r >= conjugate))
+    return _old_pruned(acc)
+
+
+def _random_table(rng, point, kind, kernel_rep, read):
+    """Entries of mixed denominators and multiplicities up to 3, with residue
+    0 and the kernel class always among them, and undetermined slots only on
+    classes ``read`` rejects (at a level no entry uses)."""
+    residues = {F(0), kernel_rep, 1 - kernel_rep}
+    residues.update(rng.sample(residue_grid(12), rng.randint(1, 6)))
+    entries = {}
+    for r in residues:
+        for _ in range(rng.randint(1, 3)):
+            entries[(r, rng.randint(0, 2), rng.randint(-2, 3))] = rng.randint(1, 3)
+    unread = [r for r in residue_grid(12) if not read(r)]
+    unknown = {(r, 3) for r in rng.sample(unread, min(len(unread), rng.randint(0, 2)))}
+    return LocalHodgeTable(point, kind, entries, frozenset(unknown))
+
+
+class TestIntegerTransportsMatchFractionFormulas:
+    def test_random_tables(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            g0 = rng.choice(residue_grid(10)[1:])
+            ctx = ConvolutionContext(g0)
+            zero = _random_table(rng, ZERO, TableKind.NEARBY, g0, lambda r: r >= g0)
+            infinity = _random_table(
+                rng, INFINITY, TableKind.NEARBY, g0, lambda r: r >= 1 - g0
+            )
+            fibres = tuple(
+                _random_table(rng, AT_ONE, TableKind.VANISHING, g0, lambda r: r < 1 - g0)
+                for _ in range(rng.randint(0, 2))
+            )
+            delta = {p: rng.randint(-3, 3) for p in range(-1, 3)}
+            h = hodge_numbers(LocalHodgeTable(ZERO, TableKind.NEARBY, zero.entries))
+            assert convolve_degrees(delta, zero, fibres, ctx) == old_convolve_degrees(
+                delta, zero, fibres, ctx
+            )
+            assert twist_degrees(delta, h, zero, infinity, ctx) == old_twist_degrees(
+                delta, h, zero, infinity, ctx
+            )
+            for table in fibres:
+                assert convolve_vanishing_finite(
+                    table, ctx
+                ) == old_convolve_vanishing_finite(table, ctx)
+
+    def test_unknown_read_classes_raise_in_both(self):
+        rng = random.Random(20261019)
+        for _ in range(100):
+            g0 = rng.choice(residue_grid(10)[1:])
+            ctx = ConvolutionContext(g0)
+            r = rng.choice(residue_grid(12))
+            zero = nearby({(F(1, 7), 0, 0): 2}, unknown=[(r, 1)])
+            fibre = vanishing({(F(2, 7), 1, 0): 1}, unknown=[(r, 0)])
+            infinity = nearby({}, INFINITY, [(r, 0)])
+            for new, old, args in (
+                (convolve_degrees, old_convolve_degrees, ({}, zero, (), ctx)),
+                (convolve_degrees, old_convolve_degrees, ({}, nearby({}), (fibre,), ctx)),
+                (twist_degrees, old_twist_degrees, ({}, {}, zero, nearby({}, INFINITY), ctx)),
+                (twist_degrees, old_twist_degrees, ({}, {}, nearby({}), infinity, ctx)),
+            ):
+                try:
+                    expected = old(*args)
+                except UnknownData:
+                    with pytest.raises(UnknownData):
+                        new(*args)
+                else:
+                    assert new(*args) == expected

@@ -94,6 +94,30 @@ class TestRationalFormat:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("+3/6", F(1, 2)),
+            ("-0", F(0)),
+            ("007/014", F(1, 2)),
+            ("−1/2", F(-1, 2)),
+            (" 1/2 ", F(1, 2)),
+            ("1/0", ValueError),
+            ("1.5", ValueError),
+            ("١/٢", ValueError),
+            ("", ValueError),
+        ],
+    )
+    def test_parse_against_fraction(self, text, expected):
+        # Accepted text has the value Fraction gives it (with the Unicode
+        # minus read as "-"); Fraction also takes floats and other scripts'
+        # digits, which the shared format rejects.
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected == Fraction(text.replace("−", "-"))
+
     @given(rationals)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -137,7 +139,8 @@ class TestProfileRecursive:
         hits = _profile_of_pairs.cache_info().hits
         assert profile_recursive(p.permuted(order)) == first
         assert _profile_of_pairs.cache_info().hits == hits + 1
-        assert _profile_of_pairs.__wrapped__(tuple(sorted(p.pairs()))) == first
+        den, alpha, beta = p.numerators
+        assert _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta)))) == first
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleInput):
@@ -215,6 +218,27 @@ class TestDegrees:
                         delta_q, hodge_numbers(nz), nz, ni, ConvolutionContext(frac(-aj))
                     )
                 assert got == prof.degrees, (p, j)
+
+
+    def test_degrees_and_vanishing_digest(self):
+        # Degrees have no second engine: pin them, with the vanishing tables
+        # they are transported with, byte for byte over a seeded sweep.  The
+        # digest was taken from the engine that built Fraction tables for
+        # every link of the chain.
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            p = random_irreducible(rng, rng.randint(2, 7), 8)
+            prof = profile_recursive(p)
+            vanishing = [
+                (str(r), lv, q, m)
+                for (r, lv, q), m in prof.vanishing_finite[0].sorted_items()
+            ]
+            digest.update(repr((sorted(prof.degrees.items()), vanishing)).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "6d441c7b7dedde59af9232473c29bc0b669ea01b9447f3c5e62404f6023a0472"
+        )
 
 
 class TestCrossEngine:
