@@ -8,9 +8,7 @@ against the combinatorial identities relating the two index conventions.
 """
 
 from .closed_form import (
-    JordanStructure,
     counts_at_one,
-    jordan_structure,
     nearby_closed,
     profile_closed,
     vanishing_at_one_closed,
@@ -60,7 +58,6 @@ from .core import (
     hodge_numbers,
     multiplicity_and_level,
     parse_rational,
-    shift_residues,
     table_shift,
     unit_rep,
 )
@@ -68,7 +65,6 @@ from .recursion import (
     EngineReport,
     PeelCase,
     PeelPlan,
-    base_profile,
     choose_peel,
     compare_profiles,
     profile_recursive,

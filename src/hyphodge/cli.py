@@ -107,6 +107,7 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 
 def _residue_grid(den_max: int) -> list[Fraction]:
+    """All reduced rationals in [0, 1) with denominator at most ``den_max``, sorted."""
     out = {Fraction(0)}
     for d in range(1, den_max + 1):
         for num in range(1, d):

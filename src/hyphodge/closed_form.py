@@ -1,9 +1,9 @@
 """Closed combinatorial formulas for the local Hodge data.
 
 Everything in this module is evaluated directly from the exponent tuples:
-Jordan structures at the three singular points, the graded nearby tables at 0
-and infinity, the one-dimensional vanishing entry at the finite point, and
-the graded fibre dimensions.  Degrees are not determined here; see the
+the graded nearby tables at 0 and infinity, the one-dimensional vanishing
+entry at the finite point, the eigenvalue counts there, and the graded fibre
+dimensions.  Degrees are not determined here; see the
 recursive engine.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinatorics import special_exponent
 from .core import (
@@ -27,45 +25,6 @@ from .core import (
     frac,
     hodge_numbers,
 )
-
-
-@dataclass(frozen=True)
-class JordanStructure:
-    """Eigenvalue residues with Jordan block sizes at one singular point."""
-
-    point: SingularPoint
-    blocks: tuple[tuple[Fraction, int], ...]
-
-    def rank(self) -> int:
-        return sum(size for _r, size in self.blocks)
-
-
-def jordan_structure(
-    params: HypergeometricParams, point: SingularPoint
-) -> JordanStructure:
-    """Jordan type of the local monodromy.
-
-    At 0 and infinity each distinct residue carries a single block whose size
-    is the multiplicity of the residue in its tuple.  At the finite point the
-    monodromy is a reflection: diagonalizable with one special eigenvalue when
-    that eigenvalue is non-trivial, a transvection (one 2-block at eigenvalue
-    1) otherwise.
-    """
-    params.require_irreducible()
-    if point == ZERO or point == INFINITY:
-        values = params.alpha if point == ZERO else params.beta
-        blocks = tuple(
-            (r, values.count(r)) for r in sorted(set(values))
-        )
-        return JordanStructure(point, blocks)
-    n = params.n
-    special = special_exponent(params)
-    one = Fraction(0)
-    if special == 1:
-        blocks = ((one, 2),) + ((one, 1),) * (n - 2)
-    else:
-        blocks = tuple(sorted([(one, 1)] * (n - 1) + [(frac(special), 1)]))
-    return JordanStructure(point, blocks)
 
 
 def nearby_closed(

@@ -37,10 +37,10 @@ from .core import (
     LocalHodgeTable,
     TableKind,
     UnknownData,
+    _prune,
     _spread_sum,
     common_denominator,
     frac,
-    kept_totals,
     numerator_over,
 )
 
@@ -71,23 +71,9 @@ class ConvolutionContext:
         return 1 - self.kernel_rep
 
 
-def _primitive_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
-    if table.has_unknown(residue):
-        raise UnknownData(f"class {residue} has undetermined slots")
-    out: dict[int, int] = {}
-    for (r, _lv, q), m in table.entries.items():
-        if r == residue:
-            out[q] = out.get(q, 0) + m
-    return out
-
-
 def _add(acc: dict[int, int], inc: Mapping[int, int], sign: int = 1, shift: int = 0) -> None:
     for p, v in inc.items():
         acc[p + shift] = acc.get(p + shift, 0) + sign * v
-
-
-def _pruned(acc: Mapping[int, int]) -> dict[int, int]:
-    return {p: v for p, v in sorted(acc.items()) if v}
 
 
 def vanishing_step(
@@ -188,6 +174,36 @@ def _require_known(
             raise UnknownData(f"class {r} has undetermined slots")
 
 
+def _through_rows(
+    table: LocalHodgeTable,
+    ctx: ConvolutionContext,
+    row: Callable[[int, int, int, int], tuple[int, int] | None],
+    entries: dict[tuple[Fraction, int, int], int],
+    unknown: set[tuple[Fraction, int]],
+) -> LocalHodgeTable:
+    """The nearby table ``table`` sent through ``row`` on top of the caller's
+    own extra slot (``entries`` or ``unknown``).
+
+    Each entry and unknown slot moves to its row's level and index step or is
+    dropped.  A row keeps the residue and moves every level of a class by the
+    same step, so no unknown slot comes out determined, and the extra slot
+    sits at level 0 of the one class whose every input rises a level.
+    """
+    if table.kind is not TableKind.NEARBY:
+        raise ValueError("expected a nearby table")
+    den, kernel = _row_numerators(ctx, table)
+    for (r, lv, p), m in table.entries.items():
+        out = row(numerator_over(r, den), lv, kernel, den)
+        if out is not None:
+            key = (r, out[0], p + out[1])
+            entries[key] = entries.get(key, 0) + m
+    for r, lv in table.unknown:
+        out = row(numerator_over(r, den), lv, kernel, den)
+        if out is not None:
+            unknown.add((r, out[0]))
+    return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
+
+
 def convolve_nearby_infinity(
     table: LocalHodgeTable, ctx: ConvolutionContext
 ) -> LocalHodgeTable:
@@ -203,22 +219,7 @@ def convolve_nearby_infinity(
     The level-0 output at the conjugate kernel class is not determined by the
     input and is always recorded as an unknown slot.
     """
-    if table.kind is not TableKind.NEARBY:
-        raise ValueError("expected a nearby table")
-    entries: dict[tuple[Fraction, int, int], int] = {}
-    unknown = {(frac(ctx.conjugate_rep), 0)}
-    den, kernel = _row_numerators(ctx, table)
-    for (r, lv, p), m in table.entries.items():
-        row = infinity_row(numerator_over(r, den), lv, kernel, den)
-        if row is not None:
-            key = (r, row[0], p + row[1])
-            entries[key] = entries.get(key, 0) + m
-    for r, lv in table.unknown:
-        row = infinity_row(numerator_over(r, den), lv, kernel, den)
-        if row is not None:
-            unknown.add((r, row[0]))
-    unknown -= {(r, lv) for (r, lv, _p) in entries}
-    return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
+    return _through_rows(table, ctx, infinity_row, {}, {(frac(ctx.conjugate_rep), 0)})
 
 
 def zero_row(r: int, lv: int, kernel: int, den: int) -> tuple[int, int] | None:
@@ -254,30 +255,11 @@ def convolve_nearby_zero(
     mapping means it is known to vanish); with ``h1=None`` the slot is
     recorded as unknown.
     """
-    if table.kind is not TableKind.NEARBY:
-        raise ValueError("expected a nearby table")
     zero = Fraction(0)
-    entries: dict[tuple[Fraction, int, int], int] = {}
-    unknown: set[tuple[Fraction, int]] = set()
-    den, kernel = _row_numerators(ctx, table)
-    for (r, lv, p), m in table.entries.items():
-        row = zero_row(numerator_over(r, den), lv, kernel, den)
-        if row is not None:
-            key = (r, row[0], p + row[1])
-            entries[key] = entries.get(key, 0) + m
     if h1 is None:
-        unknown.add((zero, 0))
-    else:
-        for p, v in h1.items():
-            if v:
-                key = (zero, 0, int(p))
-                entries[key] = entries.get(key, 0) + int(v)
-    for r, lv in table.unknown:
-        row = zero_row(numerator_over(r, den), lv, kernel, den)
-        if row is not None:
-            unknown.add((r, row[0]))
-    unknown -= {(r, lv) for (r, lv, _p) in entries}
-    return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
+        return _through_rows(table, ctx, zero_row, {}, {(zero, 0)})
+    entries = {(zero, 0, int(p)): int(v) for p, v in h1.items() if v}
+    return _through_rows(table, ctx, zero_row, entries, set())
 
 
 def convolve_hodge_numbers(
@@ -294,14 +276,20 @@ def convolve_hodge_numbers(
     kernel-class primitive part one step up, and shifts the classes with
     representative in ``[g0, 1)`` by one.
     """
+    den, kernel = _row_numerators(ctx, nearby_zero)
+    _require_known(nearby_zero, den, lambda r: r == 0 or r >= kernel)
+    items = _numerator_items(nearby_zero, den)
     acc: dict[int, int] = dict(h)
-    _add(acc, _primitive_totals(nearby_zero, Fraction(0)), +1, shift=1)
-    _add(acc, _primitive_totals(nearby_zero, ctx.kernel_rep), -1, shift=1)
+    for (r, _lv, q), m in items:
+        if r == 0:
+            acc[q + 1] = acc.get(q + 1, 0) + m
+        elif r == kernel:
+            acc[q + 1] = acc.get(q + 1, 0) - m
     _add(acc, {int(p): int(v) for p, v in h1.items()})
-    totals = kept_totals(nearby_zero, lambda r: r >= ctx.kernel_rep)
+    totals = _spread_sum(e for e in items if e[0][0] >= kernel)
     _add(acc, totals, +1, shift=1)
     _add(acc, totals, -1)
-    return _pruned(acc)
+    return _prune(acc)
 
 
 def degree_step(
@@ -331,7 +319,7 @@ def degree_step(
     conjugate = den - kernel
     inside = _spread_sum(e for e in vanishing_items if 0 < e[0][0] < conjugate)
     _add(acc, inside, -1, shift=1)
-    return _pruned(acc)
+    return _prune(acc)
 
 
 def convolve_degrees(
@@ -381,7 +369,7 @@ def twist_step(
     _add(acc, _spread_sum(e for e in zero_items if e[0][0] >= kernel))
     conjugate = den - kernel
     _add(acc, _spread_sum(e for e in infinity_items if e[0][0] >= conjugate))
-    return _pruned(acc)
+    return _prune(acc)
 
 
 def twist_degrees(

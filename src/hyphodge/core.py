@@ -186,15 +186,6 @@ class LocalHodgeTable:
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "unknown", frozenset(unk))
 
-    def has_unknown(self, residue: Fraction) -> bool:
-        return any(r == residue for r, _ in self.unknown)
-
-    def class_entries(self, residue: Fraction) -> dict[tuple[int, int], int]:
-        """All (level, p) -> multiplicity data for one eigenvalue class."""
-        return {
-            (lv, p): m for (r, lv, p), m in self.entries.items() if r == residue
-        }
-
     def residues(self) -> set[Fraction]:
         out = {r for (r, _lv, _p) in self.entries}
         out.update(r for r, _lv in self.unknown)
@@ -236,16 +227,6 @@ def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
         table.kind,
         {(frac(-r), lv, p): m for (r, lv, p), m in table.entries.items()},
         frozenset((frac(-r), lv) for r, lv in table.unknown),
-    )
-
-
-def shift_residues(table: LocalHodgeTable, c: Fraction) -> LocalHodgeTable:
-    """Relabel every eigenvalue residue by ``{r - c}``; grading untouched."""
-    return LocalHodgeTable(
-        table.point,
-        table.kind,
-        {(frac(r - c), lv, p): m for (r, lv, p), m in table.entries.items()},
-        frozenset((frac(r - c), lv) for r, lv in table.unknown),
     )
 
 
@@ -322,10 +303,6 @@ class HypergeometricParams:
     def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.alpha, self.beta))
 
-    def differences(self) -> tuple[Fraction, ...]:
-        """Per-factor exponent drops ``{beta_k - alpha_k}``."""
-        return tuple(frac(b - a) for a, b in zip(self.alpha, self.beta))
-
     @cached_property
     def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """The exponents over their common denominator, computed once.
@@ -376,10 +353,6 @@ class HypergeometricParams:
         return HypergeometricParams.from_pairs(
             p for k, p in enumerate(self.pairs()) if k != j
         )
-
-    def canonical(self) -> "HypergeometricParams":
-        """Same pairing with the pair list sorted."""
-        return HypergeometricParams.from_pairs(sorted(self.pairs()))
 
 
 def _prune(mapping: dict[int, int]) -> dict[int, int]:

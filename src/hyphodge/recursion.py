@@ -2,9 +2,9 @@
 
 The engine rebuilds every local invariant of a hypergeometric module by
 induction on the number of factors, using only the forward convolution
-transforms and the rank-one base case.  It shares only the data model in
-:mod:`hyphodge.core` with the closed engine, which makes exact agreement of
-the two engines' tables a real cross-check.
+transforms and the rank-one data at the end of each peel chain.  It shares
+only the data model in :mod:`hyphodge.core` with the closed engine, which
+makes exact agreement of the two engines' tables a real cross-check.
 
 It runs as two loops (Katz's middle-convolution algorithm, one rank-one
 factor per step), and neither calls itself:
@@ -20,6 +20,9 @@ factor per step), and neither calls itself:
 * Degrees and the vanishing entry.  Both ride up one canonical chain
   (always peel factor 0) from its rank-one end, together with the nearby
   classes at 0 of the link below, which the degree step consumes.
+
+Rank one has no path of its own: a one-factor list is its own chain end, and
+only the profile's note tells it apart.
 
 Integer kernel.  An instance is put on the common denominator ``den`` of its
 exponents once, on entry; from there every residue, peeled factor list and
@@ -73,7 +76,6 @@ from .core import (
     TableKind,
     _spread_sum,
     equal_up_to_shift,
-    frac,
 )
 
 Pairs = tuple[tuple[int, int], ...]
@@ -125,38 +127,18 @@ class PeelPlan:
     kernel_rep: int
 
 
-def base_profile(a: Fraction, b: Fraction) -> HodgeProfile:
-    """The rank-one profile.
+def _rank_one_degree(a: int, b: int, den: int) -> int:
+    """Minus the sum of the three local exponents taken in ``[0, 1)``.
 
-    Nearby entries sit at index 1 on both ends; the vanishing entry at the
-    finite point sits at index 0 with the reflection eigenvalue.  The degree
-    is minus the sum of the three local exponents taken in ``[0, 1)``, an
-    integer, placed at index 1 with the fibre.
+    The exponents of the rank-one factor ``(a, b)`` are numerators over
+    ``den``; their sum is a multiple of ``den``.
     """
-    a, b = frac(a), frac(b)
-    if a == b:
-        raise ReducibleInput(
-            "a rank-one factor needs distinct exponents: alpha_1 != beta_1"
+    total, rest = divmod(a + -b % den + (b - a) % den, den)
+    if rest:
+        raise InternalEngineError(
+            f"rank-one degree -{total * den + rest}/{den} is not an integer"
         )
-    return HodgeProfile(
-        rank=1,
-        nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
-        nearby_infinity=LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1}),
-        vanishing_finite=(
-            LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
-        ),
-        hodge={1: 1},
-        degrees={1: _rank_one_degree(a, b)},
-        note="rank-one base",
-    )
-
-
-def _rank_one_degree(a: Fraction, b: Fraction) -> int:
-    """Minus the sum of the three local exponents taken in ``[0, 1)``."""
-    degree = -(a + frac(-b) + frac(b - a))
-    if degree.denominator != 1:
-        raise InternalEngineError(f"rank-one degree {degree} is not an integer")
-    return int(degree)
+    return -total
 
 
 def choose_peel(
@@ -280,7 +262,7 @@ def _nearby_table(
 
 @lru_cache(maxsize=1024)
 def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
-    """The profile of a canonically sorted factor list of rank at least two.
+    """The profile of a canonically sorted factor list.
 
     ``pairs`` lists the factors as integer numerators over their common
     denominator ``den``; every peel, memo key, transform row and degree step
@@ -288,25 +270,31 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     three tables of the returned profile.
 
     Degrees and the vanishing entry ride up the canonical chain (peel factor
-    0 down to rank one) from the rank-one profile of :func:`base_profile`,
-    together with the nearby classes at 0 of the link below, which the
-    degree step reads.  The vanishing entry is carried in the pipeline
-    grading: the kernel never moves finite-point residues under the twist,
-    and the degree step reads it one step up (the fibre-consistent grading).
-    In the profile grading only the unipotent entry moves one step up, as it
-    is graded through the image of the nilpotent operator.
+    0 down to rank one) from its rank-one end ``(a, b)``: nearby classes
+    ``(a, 0, 1)`` at 0 and ``(b, 0, 1)`` at infinity, vanishing entry
+    ``({b - a}, 0, 0)`` and degree :func:`_rank_one_degree` at index 1.  The
+    nearby classes at 0 of the link below ride along, as the degree step
+    reads them.  The vanishing entry is carried in the pipeline grading: the
+    kernel never moves finite-point residues under the twist, and the degree
+    step reads it one step up (the fibre-consistent grading).  In the
+    profile grading only the unipotent entry moves one step up, as it is
+    graded through the image of the nilpotent operator.  A rank-one list is
+    its own chain end and is returned as it stands.
 
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
-    memo: Memo = {pairs: _State(pairs)}
-    chain = [memo[pairs]]
+    top = _State(pairs)
+    memo: Memo = {pairs: top}
+    chain = [top]
     while len(chain[-1].pairs) > 1:
         chain.append(_peel(chain[-1], 0, den, memo))
     ((a1, b1),) = chain.pop().pairs
-    degrees = {1: _rank_one_degree(Fraction(a1, den), Fraction(b1, den))}
+    degrees = {1: _rank_one_degree(a1, b1, den)}
     vanishing = ((b1 - a1) % den, 0, 0)
-    zero_items = [((a1, 0, 1), 1)]
+    zero_classes = [(a1, 0, 1)]
+    zero_items = _items(zero_classes, den)
+    infinity_classes = None
     for link in reversed(chain):
         a0, b0 = link.pairs[0]
         kernel = (b0 - a0) % den
@@ -329,7 +317,7 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
                 den,
             )
     if infinity_classes is None:
-        infinity_classes = _nearby_classes(chain[0], den, INFINITY, memo)
+        infinity_classes = _nearby_classes(top, den, INFINITY, memo)
     r, lv, p = vanishing
     regraded = {(Fraction(r, den), lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
@@ -339,7 +327,9 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
         vanishing_finite=(LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded),),
         hodge=_spread_sum(zero_items),
         degrees=degrees,
-        note="recursive engine; pairs canonically sorted; degrees experimental",
+        note="rank-one base"
+        if len(pairs) == 1
+        else "recursive engine; pairs canonically sorted; degrees experimental",
     )
 
 
@@ -352,8 +342,6 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     regrading of the vanishing data.
     """
     params.require_irreducible()
-    if params.n == 1:
-        return base_profile(params.alpha[0], params.beta[0])
     den, alpha, beta = params.numerators
     return _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
 

@@ -1,18 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from hyphodge import HypergeometricParams
-
-
-def residue_grid(den_max: int) -> list[Fraction]:
-    """All reduced rationals in [0, 1) with denominator at most den_max."""
-    out = {Fraction(0)}
-    for d in range(1, den_max + 1):
-        for n in range(1, d):
-            out.add(Fraction(n, d))
-    return sorted(out)
+from hyphodge.cli import _residue_grid as residue_grid
 
 
 def random_irreducible(rng: random.Random, n: int, den_max: int) -> HypergeometricParams:

@@ -69,6 +69,12 @@ def test_recursive_engine_reads_rows_not_table_transforms():
     assert "table_shift" not in imports.get("core", set())
 
 
+def test_recursive_engine_stays_on_integers():
+    # Residues are numerators over one common denominator until the three
+    # returned tables are built; no fractional part is ever taken.
+    assert "frac" not in package_imports("recursion")["core"]
+
+
 def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
     # Every link of the chain works on integer classes; the only tables are
     # the returned profile's nearby tables and its vanishing table.

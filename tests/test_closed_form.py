@@ -17,7 +17,6 @@ from hyphodge import (
     counts_at_one,
     equal_up_to_shift,
     hodge_numbers,
-    jordan_structure,
     multiplicity_and_level,
     nearby_closed,
     nonseparated_count,
@@ -35,25 +34,6 @@ RANK_ONE = HypergeometricParams((F(1, 3),), (F(0),))
 
 def entries(point, kind, data):
     return LocalHodgeTable(point, kind, data)
-
-
-class TestJordanStructure:
-    def test_zero_single_block(self):
-        js = jordan_structure(LEGENDRE, ZERO)
-        assert js.blocks == ((F(0), 2),)
-
-    def test_transvection_at_one(self):
-        js = jordan_structure(LEGENDRE, AT_ONE)
-        assert js.blocks == ((F(0), 2),)
-        assert js.rank() == 2
-
-    def test_diagonalizable_at_one(self):
-        js = jordan_structure(INTERLACED, AT_ONE)
-        assert js.blocks == ((F(0), 1), (F(1, 2), 1))
-
-    def test_rejects_reducible(self):
-        with pytest.raises(ReducibleInput):
-            jordan_structure(HypergeometricParams((F(0),), (F(0),)), ZERO)
 
 
 class TestNearbyClosed:
@@ -146,7 +126,8 @@ class TestVanishingAtOne:
                 special = special_exponent(p)
                 running = Fraction(0)
                 count = 0
-                for d in p.differences():
+                for a_k, b_k in p.pairs():
+                    d = frac(b_k - a_k)
                     running = frac(running + d)
                     if running < special:
                         count += 1

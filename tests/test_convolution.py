@@ -8,7 +8,6 @@ from hyphodge import (
     INFINITY,
     ZERO,
     ConvolutionContext,
-    HypergeometricParams,
     LocalHodgeTable,
     TableKind,
     UnknownData,
@@ -23,7 +22,6 @@ from hyphodge import (
     hodge_numbers,
     infinity_row,
     profile_closed,
-    shift_residues,
     twist_degrees,
     unit_rep,
     zero_row,
@@ -52,25 +50,6 @@ class TestContext:
 
     def test_conjugate(self):
         assert ConvolutionContext(F(1, 3)).conjugate_rep == F(2, 3)
-
-
-class TestTwist:
-    """The twist relabels residues at 0 and infinity with ``shift_residues``."""
-
-    def test_by_zero_is_identity_on_tables(self):
-        prof = profile_closed(HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2))))
-        assert shift_residues(prof.nearby_zero, F(0)) == prof.nearby_zero
-        assert shift_residues(prof.nearby_infinity, F(0)) == prof.nearby_infinity
-
-    def test_residue_subtraction(self):
-        prof = profile_closed(HypergeometricParams((F(1, 3),), (F(0),)))
-        twisted = shift_residues(prof.nearby_zero, F(1, 3))
-        assert twisted.entries == {(F(0), 0, 1): 1}
-
-    def test_inverse_twist(self):
-        prof = profile_closed(HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
-        for table in (prof.nearby_zero, prof.nearby_infinity):
-            assert shift_residues(shift_residues(table, F(1, 5)), F(-1, 5)) == table
 
 
 class TestVanishingFinite:
@@ -231,9 +210,12 @@ class TestInfinityDimensionBookkeeping:
                 full = profile_closed(p).nearby_infinity
                 (slot_r, slot_lv), = out.unknown
                 back = frac(-slot_r)
-                assert full.class_entries(frac(back + a0)) != {}
-                ((lv, _pp), m), = full.class_entries(frac(back + a0)).items()
-                assert (lv, m) == (slot_lv, 1)
+                slot_class = [
+                    (lv, m)
+                    for (r, lv, _pp), m in full.entries.items()
+                    if r == frac(back + a0)
+                ]
+                assert slot_class == [(slot_lv, 1)]
 
 
 class TestDegreesTransport:
@@ -305,7 +287,7 @@ class TestConjugation:
 
 
 def _old_primitive_totals(table, residue):
-    if table.has_unknown(residue):
+    if any(r == residue for r, _lv in table.unknown):
         raise UnknownData(f"class {residue} has undetermined slots")
     out = {}
     for (r, _lv, q), m in table.entries.items():

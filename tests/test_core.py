@@ -277,12 +277,6 @@ class TestParams:
         assert p == q and hash(p) == hash(q) == before
         assert p != p.permuted([1, 0])
 
-    def test_canonical_keeps_pairing(self):
-        p = HypergeometricParams((F(1, 2), F(0)), (F(3, 4), F(1, 4)))
-        q = p.canonical()
-        assert sorted(q.pairs()) == sorted(p.pairs())
-        assert q.pairs() == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-
 
 def small_profile():
     return HodgeProfile(

@@ -11,12 +11,12 @@ from hyphodge import (
     INFINITY,
     ZERO,
     ConvolutionContext,
+    HodgeProfile,
     HypergeometricParams,
     LocalHodgeTable,
     PeelCase,
     ReducibleInput,
     TableKind,
-    base_profile,
     choose_peel,
     conjugate_table,
     convolve_degrees,
@@ -25,7 +25,6 @@ from hyphodge import (
     hodge_numbers,
     profile_closed,
     profile_recursive,
-    shift_residues,
     special_exponent,
     twist_degrees,
     unit_rep,
@@ -49,9 +48,31 @@ def rank_one_degree_oracle(a: Fraction, b: Fraction) -> Fraction:
     return -total
 
 
+def rank_one(a: Fraction, b: Fraction) -> HodgeProfile:
+    return profile_recursive(HypergeometricParams((a,), (b,)))
+
+
+def rank_one_base(a: Fraction, b: Fraction) -> HodgeProfile:
+    """The rank-one profile written out: nearby entries at index 1 on both
+    ends, the reflection eigenvalue at index 0, the oracle degree."""
+    return HodgeProfile(
+        rank=1,
+        nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
+        nearby_infinity=LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1}),
+        vanishing_finite=(
+            LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
+        ),
+        hodge={1: 1},
+        degrees={1: rank_one_degree_oracle(a, b)},
+        note="rank-one base",
+    )
+
+
 class TestBaseProfile:
+    """Rank one runs through the same canonical chain as every rank."""
+
     def test_tables(self):
-        prof = base_profile(F(1, 3), F(0))
+        prof = rank_one(F(1, 3), F(0))
         assert prof.nearby_zero.entries == {(F(1, 3), 0, 1): 1}
         assert prof.nearby_infinity.entries == {(F(0), 0, 1): 1}
         assert prof.vanishing_finite[0].entries == {(F(2, 3), 0, 0): 1}
@@ -62,22 +83,21 @@ class TestBaseProfile:
         [(F(0), F(1, 2), -1), (F(1, 2), F(1, 4), -2), (F(1, 3), F(0), -1)],
     )
     def test_degree_against_exponent_sum(self, a, b, expected):
-        prof = base_profile(a, b)
+        prof = rank_one(a, b)
         assert prof.degrees == {1: expected}
         assert rank_one_degree_oracle(a, b) == expected
 
     def test_degree_oracle_exhaustive(self):
+        # The whole rank-one profile, pinned for every pair of the grid.
         for a in residue_grid(8):
             for b in residue_grid(8):
                 if a == b:
                     continue
-                assert base_profile(a, b).degrees == {
-                    1: rank_one_degree_oracle(a, b)
-                }
+                assert rank_one(a, b) == rank_one_base(a, b), (a, b)
 
     def test_rejects_equal_exponents(self):
         with pytest.raises(ReducibleInput):
-            base_profile(F(1, 3), F(1, 3))
+            rank_one(F(1, 3), F(1, 3))
 
 
 def over(pairs, den):
@@ -111,8 +131,14 @@ class TestChoosePeel:
 
 class TestProfileRecursive:
     def test_rank_one_is_base(self):
+        # Rank one takes the path every rank takes: the cached chain.
+        from hyphodge.recursion import _profile_of_pairs
+
         p = HypergeometricParams((F(1, 3),), (F(0),))
-        assert profile_recursive(p) == base_profile(F(1, 3), F(0))
+        den, alpha, beta = p.numerators
+        prof = profile_recursive(p)
+        assert prof is _profile_of_pairs(den, tuple(zip(alpha, beta)))
+        assert prof == rank_one_base(F(1, 3), F(0))
 
     def test_legendre_matches_closed(self):
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
@@ -149,6 +175,15 @@ class TestProfileRecursive:
     def test_reducible_reported_not_raised(self):
         rep = verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))
         assert rep.error is not None and not rep.agree
+
+
+def relabel(table: LocalHodgeTable, c: Fraction) -> LocalHodgeTable:
+    """Every eigenvalue residue ``r`` relabelled to ``{r - c}``."""
+    return LocalHodgeTable(
+        table.point,
+        table.kind,
+        {(frac(r - c), lv, p): m for (r, lv, p), m in table.entries.items()},
+    )
 
 
 class TestDegrees:
@@ -212,8 +247,8 @@ class TestDegrees:
                 if aj == 0:
                     got = delta_q
                 else:
-                    nz = shift_residues(prof.nearby_zero, aj)
-                    ni = conjugate_table(shift_residues(prof.nearby_infinity, aj))
+                    nz = relabel(prof.nearby_zero, aj)
+                    ni = conjugate_table(relabel(prof.nearby_infinity, aj))
                     got = twist_degrees(
                         delta_q, hodge_numbers(nz), nz, ni, ConvolutionContext(frac(-aj))
                     )
@@ -296,7 +331,7 @@ class TestRecursionInternals:
         # the unipotent class.
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
         raw = convolve_vanishing_finite(
-            base_profile(F(0), F(1, 2)).vanishing_finite[0], ConvolutionContext(F(1, 2))
+            rank_one(F(0), F(1, 2)).vanishing_finite[0], ConvolutionContext(F(1, 2))
         )
         final = profile_recursive(p).vanishing_finite[0]
         assert raw.entries == {(F(0), 0, 1): 1}
