@@ -63,8 +63,6 @@ from .core import (
 )
 from .recursion import (
     EngineReport,
-    PeelCase,
-    PeelPlan,
     choose_peel,
     compare_profiles,
     profile_recursive,

@@ -161,16 +161,29 @@ class LocalHodgeTable:
     unknown: frozenset[tuple[Fraction, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        ent: dict[Entry, int] = {}
+        # Check the caller's entries in place.  When every key and count
+        # already has its canonical type, a plain copy keeps the stored
+        # hashes; only other input is rebuilt with coercion.
+        canonical = True
         for (residue, level, p), mult in self.entries.items():
-            residue = _as_fraction(residue)
+            if type(residue) is not Fraction:
+                canonical = False
+                residue = _as_fraction(residue)
             if not 0 <= residue.numerator < residue.denominator:
                 raise ValueError(f"residue {residue} not reduced to [0, 1)")
             if level < 0:
                 raise ValueError("negative nilpotency level")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            ent[(residue, int(level), int(p))] = int(mult)
+            if type(level) is not int or type(p) is not int or type(mult) is not int:
+                canonical = False
+        if canonical:
+            ent: dict[Entry, int] = dict(self.entries)
+        else:
+            ent = {
+                (_as_fraction(r), int(lv), int(p)): int(m)
+                for (r, lv, p), m in self.entries.items()
+            }
         unk = set()
         for residue, level in self.unknown:
             residue = _as_fraction(residue)

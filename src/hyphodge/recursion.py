@@ -14,9 +14,11 @@ factor per step), and neither calls itself:
   peel chain to rank one or a memo hit, then back up, reading one transform
   row per step.  Each step picks its peel so that the row is determined:
   peel a factor from a different class when possible, otherwise a factor
-  inside the target class of multiplicity at least two.  The engine thus
-  reads only determined rows; no class it follows lands in the level-0
-  unipotent slot at 0 or the level-0 conjugate-kernel slot at infinity.
+  inside the target class of multiplicity at least two.  :func:`choose_peel`
+  makes that choice and returns a plain ``(index, kernel)`` tuple.  The
+  engine thus reads only determined rows; no class it follows lands in the
+  level-0 unipotent slot at 0 or the level-0 conjugate-kernel slot at
+  infinity.
 * Degrees and the vanishing entry.  Both ride up one canonical chain
   (always peel factor 0) from its rank-one end, together with the nearby
   classes at 0 of the link below, which the degree step consumes.
@@ -33,11 +35,12 @@ transports :func:`~hyphodge.convolution.degree_step`, ``twist_step`` and
 table.  ``Fraction`` keys appear only in the returned profile: its two
 nearby tables and its vanishing table, built once from the integer classes.
 
-The memo keys a class's ``(level, p)`` by ``(point, pairs, residue)``, with
-``pairs`` the sorted tuple of integer factors; one profile computation
-creates and drops it.  Each factor list is interned once as a state that
-also records where each of its peels leads, so a peel shared by many
-classes is computed once.  A rank-``n`` profile visits about
+The memo interns each factor list ``pairs``, the sorted tuple of integer
+factors, once as a state; one profile computation creates and drops it.  A
+state keeps one class map per side, ``zero`` and ``infinity``, each from a
+residue numerator to the class's ``(level, p)``, so no memo key hashes a
+point.  It also records where each of its peels leads, so a peel shared by
+many classes is computed once.  A rank-``n`` profile visits about
 ``1.8 * n**2`` class states but only about ``0.5 * n**2`` distinct peels,
 and each peel re-sorts a shifted factor list, so a profile costs O(n**3)
 integer operations.  Finished profiles are kept in one bounded
@@ -48,9 +51,9 @@ repeated instances are still answered from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable
 
 from .closed_form import profile_closed
@@ -88,43 +91,26 @@ Classes = list[tuple[int, int, int]]
 class _State:
     """One peel state: a sorted factor list and what is known about it.
 
-    ``peels`` maps a factor index to the state its peel leads to, and
-    ``classes`` maps ``(point, residue)`` to that class's ``(level, p)``.
+    ``peels`` maps a factor index to the state its peel leads to; ``zero`` and
+    ``infinity`` map a residue numerator to that class's ``(level, p)``.
     """
 
     pairs: Pairs
     peels: dict[int, _State] = field(default_factory=dict)
-    classes: dict[tuple[SingularPoint, int], tuple[int, int]] = field(
-        default_factory=dict
-    )
+    zero: dict[int, tuple[int, int]] = field(default_factory=dict)
+    infinity: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 Memo = dict[Pairs, _State]
 """Per-profile memo: every state reached, interned by its factor list.
 
-A class's ``(level, p)`` is thus keyed by ``(point, pairs, residue)``.  Routes
+A class's ``(level, p)`` is thus keyed by ``(side, pairs, residue)``.  Routes
 that reach the same factor list share one state, and each peel of a state is
 computed once, however many of its classes take it.
 """
 
-
-class PeelCase(Enum):
-    CASE1 = "different class"
-    CASE2 = "same class, multiplicity >= 2"
-    CASE3 = "re-targeted to a different class"
-
-
-@dataclass(frozen=True)
-class PeelPlan:
-    """Which factor to peel for one target invariant, and why it is safe.
-
-    ``kernel_rep`` is the peeled factor's exponent drop, as a numerator in
-    ``(0, den)`` over the common denominator ``den`` of the factor list.
-    """
-
-    index: int
-    case: PeelCase
-    kernel_rep: int
+_CLASSES = (attrgetter("zero"), attrgetter("infinity"))
+"""The class map of a state, by side: 0 for classes at 0, 1 at infinity."""
 
 
 def _rank_one_degree(a: int, b: int, den: int) -> int:
@@ -141,68 +127,63 @@ def _rank_one_degree(a: int, b: int, den: int) -> int:
     return -total
 
 
-def choose_peel(
-    pairs: Pairs, target: tuple[SingularPoint, int], den: int
-) -> PeelPlan:
+def choose_peel(pairs: Pairs, side: int, residue: int, den: int) -> tuple[int, int]:
     """Pick the lowest factor index whose peeling keeps the target determined.
 
-    ``pairs`` lists the factors as ``(alpha_k, beta_k)`` and the target is an
-    eigenvalue class at 0 or infinity, all as numerators over ``den``.
+    ``pairs`` lists the factors as ``(alpha_k, beta_k)`` numerators over
+    ``den``.  The target is the eigenvalue class ``residue`` read from alpha
+    (``side`` 0, a class at 0) or from beta (``side`` 1, at infinity).
+    Returns the factor index and its kernel: the exponent drop ``beta - alpha``
+    as a numerator in ``(0, den)``.
+
     Peeling a factor from a different class routes the target through the
     interval rows; peeling inside the target class is safe only when the
     class has multiplicity at least two (the output then comes from one level
     down).  A multiplicity-one target whose class meets factor 0 is
     re-targeted to the first factor of a different class.
     """
-    point, residue = target
     if len(pairs) < 2:
         raise NoValidPeel("peeling needs at least two factors")
-    if point == ZERO:
-        side = 0
-    elif point == INFINITY:
-        side = 1
-    else:
-        raise NoValidPeel("peel targets live at 0 or infinity")
-
-    def plan(j: int, case: PeelCase) -> PeelPlan:
-        a, b = pairs[j]
-        return PeelPlan(j, case, (b - a) % den)
-
-    if pairs[0][side] != residue:
-        return plan(0, PeelCase.CASE1)
-    values = [pair[side] for pair in pairs]
-    if values.count(residue) >= 2:
-        return plan(0, PeelCase.CASE2)
-    for j in range(1, len(pairs)):
-        if values[j] != residue:
-            return plan(j, PeelCase.CASE3)
-    raise NoValidPeel("every factor sits in a multiplicity-one target class")
-
-
-def _peeled_shifted(pairs: Pairs, j: int, den: int) -> Pairs:
-    """Drop factor ``j`` and shift the rest by its alpha, sorted again."""
-    a0 = pairs[j][0]
-    rest = [((a - a0) % den, (b - a0) % den) for a, b in pairs[:j] + pairs[j + 1 :]]
-    rest.sort()
-    return tuple(rest)
+    j = 0
+    if pairs[0][side] == residue:
+        other = None
+        for k in range(1, len(pairs)):
+            if pairs[k][side] == residue:
+                break
+            if other is None:
+                other = k
+        else:
+            if other is None:
+                # A guard only: with two or more factors, a multiplicity-one
+                # target at factor 0 leaves factor 1 in another class.
+                raise NoValidPeel("every factor sits in a multiplicity-one target class")
+            j = other
+    a, b = pairs[j]
+    return j, (b - a) % den
 
 
 def _peel(state: _State, j: int, den: int, memo: Memo) -> _State:
-    """The state left by peeling factor ``j`` of ``state``."""
-    sub = state.peels.get(j)
+    """The state left by peeling factor ``j`` of ``state``, recorded in it.
+
+    Drops the factor and shifts the rest by its alpha, sorted again.  Callers
+    look in ``state.peels`` first.
+    """
+    pairs = state.pairs
+    a0 = pairs[j][0]
+    rest = [((a - a0) % den, (b - a0) % den) for a, b in pairs[:j] + pairs[j + 1 :]]
+    rest.sort()
+    key = tuple(rest)
+    sub = memo.get(key)
     if sub is None:
-        pairs = _peeled_shifted(state.pairs, j, den)
-        sub = memo.get(pairs)
-        if sub is None:
-            sub = memo[pairs] = _State(pairs)
-        state.peels[j] = sub
+        sub = memo[key] = _State(key)
+    state.peels[j] = sub
     return sub
 
 
 def _nearby_class(
-    state: _State, den: int, point: SingularPoint, residue: int, memo: Memo
+    state: _State, den: int, side: int, residue: int, memo: Memo
 ) -> tuple[int, int]:
-    """The (level, p) of one nearby class at 0 or infinity.
+    """The (level, p) of one nearby class, at 0 (``side`` 0) or infinity (1).
 
     Walks down the peel chain to rank one, whose class (alpha at 0, beta at
     infinity) is ``(0, 1)``, or to a state that knows the class.  The peeled
@@ -211,32 +192,38 @@ def _nearby_class(
     infinity are keyed in the transforms' orientation, so the profile
     residue is negated.
     """
+    classes_of = _CLASSES[side]
     steps = []
-    while len(state.pairs) > 1 and (point, residue) not in state.classes:
-        plan = choose_peel(state.pairs, (point, residue), den)
-        sub_residue = (residue - state.pairs[plan.index][0]) % den
-        steps.append((state, residue, sub_residue, plan.kernel_rep))
-        state, residue = _peel(state, plan.index, den, memo), sub_residue
-    level, p = state.classes.get((point, residue), (0, 1))
-    for state, residue, sub_residue, kernel in reversed(steps):
-        if point == ZERO:
-            row = zero_row(sub_residue, level, kernel, den)
-        else:
+    known = None
+    while len(state.pairs) > 1:
+        classes = classes_of(state)
+        known = classes.get(residue)
+        if known is not None:
+            break
+        j, kernel = choose_peel(state.pairs, side, residue, den)
+        sub_residue = (residue - state.pairs[j][0]) % den
+        steps.append((classes, residue, sub_residue, kernel))
+        sub = state.peels.get(j)
+        state = _peel(state, j, den, memo) if sub is None else sub
+        residue = sub_residue
+    level, p = known or (0, 1)
+    for classes, residue, sub_residue, kernel in reversed(steps):
+        if side:
             row = infinity_row(-sub_residue % den, level, kernel, den)
+        else:
+            row = zero_row(sub_residue, level, kernel, den)
         if row is None:
             raise InternalEngineError(
-                f"class {sub_residue}/{den} at {point} reached a dropped row"
+                f"class {sub_residue}/{den} at {(ZERO, INFINITY)[side]}"
+                " reached a dropped row"
             )
-        level, p = state.classes[(point, residue)] = row[0], p + row[1]
+        level, p = classes[residue] = row[0], p + row[1]
     return level, p
 
 
-def _nearby_classes(
-    state: _State, den: int, point: SingularPoint, memo: Memo
-) -> Classes:
-    side = 0 if point == ZERO else 1
+def _nearby_classes(state: _State, den: int, side: int, memo: Memo) -> Classes:
     return [
-        (r, *_nearby_class(state, den, point, r, memo))
+        (r, *_nearby_class(state, den, side, r, memo))
         for r in sorted({pair[side] for pair in state.pairs})
     ]
 
@@ -301,13 +288,13 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
         r, lv, p = vanishing
         degrees = degree_step(degrees, zero_items, [((r, lv, p + 1), 1)], kernel, den)
         (vanishing,) = vanishing_step([(vanishing, 1)], kernel, den)
-        zero_classes = _nearby_classes(link, den, ZERO, memo)
+        zero_classes = _nearby_classes(link, den, 0, memo)
         zero_items = _items(zero_classes, den)
         infinity_classes = None
         if a0 != 0:
             # Twisting by the conjugate of the peeled alpha relabels every
             # class by ``{r - a0}``; classes at infinity are read conjugated.
-            infinity_classes = _nearby_classes(link, den, INFINITY, memo)
+            infinity_classes = _nearby_classes(link, den, 1, memo)
             degrees = twist_step(
                 degrees,
                 _spread_sum(zero_items),
@@ -317,7 +304,7 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
                 den,
             )
     if infinity_classes is None:
-        infinity_classes = _nearby_classes(top, den, INFINITY, memo)
+        infinity_classes = _nearby_classes(top, den, 1, memo)
     r, lv, p = vanishing
     regraded = {(Fraction(r, den), lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
@@ -359,6 +346,10 @@ class EngineReport:
     error: str | None = None
 
 
+_COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
+"""The invariants both engines compute, in report order."""
+
+
 def compare_profiles(
     params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
 ) -> EngineReport:
@@ -372,16 +363,18 @@ def compare_profiles(
     spread-sum of their nearby classes at 0, so the ``"hodge"`` entry is
     implied by the ``"nearby_zero"`` entry and is not an independent check.
     """
-    table_equal = {
-        "nearby_zero": closed.nearby_zero == recursive.nearby_zero,
-        "nearby_infinity": closed.nearby_infinity == recursive.nearby_infinity,
-        "vanishing_finite": closed.vanishing_finite == recursive.vanishing_finite,
-        "hodge": closed.hodge == recursive.hodge,
-    }
+    shift = equal_up_to_shift(closed, recursive)
+    if shift == 0:
+        # A zero shift means every table and ``hodge`` already compared equal.
+        table_equal = dict.fromkeys(_COMPARED, True)
+    else:
+        table_equal = {
+            name: getattr(closed, name) == getattr(recursive, name) for name in _COMPARED
+        }
     return EngineReport(
         params=params,
         agree=all(table_equal.values()),
-        shift=equal_up_to_shift(closed, recursive),
+        shift=shift,
         table_equal=table_equal,
         identities_ok=count_identities_hold(params),
         mismatches=tuple(name for name, ok in table_equal.items() if not ok),

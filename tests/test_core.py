@@ -205,6 +205,39 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             nearby({(F(1, 4), 0, 0): 1}, unknown=[(F(1, 4), 0)])
 
+    @pytest.mark.parametrize(
+        "entries,unknown",
+        [
+            ({(F(-1, 4), 0, 0): 1}, ()),
+            ({(1, 0, 0): 1}, ()),
+            ({(F(1, 4), -1, 0): 1}, ()),
+            ({(F(1, 4), 0, 0): -2}, ()),
+            ({(0, 0, 0): 1}, [(0, 0)]),
+            ({}, [(F(3, 2), 0)]),
+            ({}, [(F(1, 2), -1)]),
+        ],
+    )
+    def test_rejects_every_malformed_table(self, entries, unknown):
+        # The same checks hold for canonical and for coerced input.
+        with pytest.raises(ValueError):
+            nearby(entries, unknown=unknown)
+
+    def test_coerces_keys_and_counts(self):
+        table = nearby({(0, True, 2): True})
+        assert table.entries == {(F(0), 1, 2): 1}
+        (((residue, level, p), mult),) = table.entries.items()
+        assert type(residue) is Fraction
+        assert (type(level), type(p), type(mult)) == (int, int, int)
+
+    @pytest.mark.parametrize("entries", [{(F(1, 4), 0, 0): 1}, {(0, 0, 0): 1}])
+    def test_does_not_alias_the_callers_dict(self, entries):
+        # Canonical input is copied, coerced input rebuilt; neither is shared.
+        before = dict(entries)
+        table = nearby(entries)
+        entries[(F(1, 2), 0, 3)] = 5
+        entries.pop(next(iter(before)))
+        assert table.entries == before
+
 
 class TestSortedItems:
     def test_empty(self):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -14,10 +15,11 @@ from hyphodge import (
     HodgeProfile,
     HypergeometricParams,
     LocalHodgeTable,
-    PeelCase,
+    NoValidPeel,
     ReducibleInput,
     TableKind,
     choose_peel,
+    compare_profiles,
     conjugate_table,
     convolve_degrees,
     convolve_vanishing_finite,
@@ -30,6 +32,7 @@ from hyphodge import (
     unit_rep,
     verify_cross_engine,
 )
+from hyphodge.serialize import profile_to_dict
 from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction
@@ -106,27 +109,33 @@ def over(pairs, den):
 
 
 class TestChoosePeel:
-    """The peel rule reads numerators over the common denominator (here 4)."""
+    """The peel rule reads numerators over the common denominator (here 4).
+
+    Side 0 reads alpha (classes at 0), side 1 reads beta (classes at
+    infinity); the rule returns the factor index and its kernel numerator.
+    """
 
     def test_same_class_with_multiplicity(self):
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
-        plan = choose_peel(over(p.pairs(), 4), (INFINITY, 2), 4)
-        assert (plan.index, plan.case) == (0, PeelCase.CASE2)
+        assert choose_peel(over(p.pairs(), 4), 1, 2, 4)[0] == 0
 
     def test_retarget_when_multiplicity_one(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(over(p.pairs(), 4), (ZERO, 0), 4)
-        assert (plan.index, plan.case) == (1, PeelCase.CASE3)
+        assert choose_peel(over(p.pairs(), 4), 0, 0, 4)[0] == 1
 
     def test_different_class(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(over(p.pairs(), 4), (ZERO, 2), 4)
-        assert (plan.index, plan.case) == (0, PeelCase.CASE1)
+        assert choose_peel(over(p.pairs(), 4), 0, 2, 4)[0] == 0
 
     def test_kernel_rep(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        plan = choose_peel(over(p.pairs(), 4), (ZERO, 2), 4)
-        assert F(plan.kernel_rep, 4) == F(1, 4)
+        _index, kernel = choose_peel(over(p.pairs(), 4), 0, 2, 4)
+        assert F(kernel, 4) == F(1, 4)
+
+    @pytest.mark.parametrize("side,residue", [(0, 1), (0, 2), (1, 3), (1, 0)])
+    def test_single_factor_has_no_peel(self, side, residue):
+        with pytest.raises(NoValidPeel):
+            choose_peel(((1, 3),), side, residue, 4)
 
 
 class TestProfileRecursive:
@@ -171,6 +180,40 @@ class TestProfileRecursive:
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleInput):
             profile_recursive(HypergeometricParams((F(0),), (F(0),)))
+
+    def test_full_profile_digest(self):
+        # The peel walk, pinned byte for byte over a seeded sweep: both
+        # nearby tables, the vanishing entry, hodge, degrees and the note of
+        # every profile, as the schema v1 document serializes them.
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            p = random_irreducible(rng, rng.randint(1, 9), 10)
+            doc = profile_to_dict(profile_recursive(p))
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "a0f86ac6b91cad9bcc9e974cb47169d829836f766ece52e4428061f4a3695e19"
+        )
+
+    def test_walk_calls_the_module_peel_rule(self, rng, monkeypatch):
+        # The walk reaches the peel rule through the module global, so a
+        # wrapper installed there (as the benchmark's step counter is) sees
+        # every peel step.
+        from hyphodge import recursion
+
+        calls = []
+        rule = recursion.choose_peel
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(recursion, "choose_peel", counted)
+        p = disjoint_pool_instance(rng, 5, 12)
+        recursion._profile_of_pairs.cache_clear()
+        profile_recursive(p)
+        assert calls
 
     def test_reducible_reported_not_raised(self):
         rep = verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))
@@ -277,6 +320,25 @@ class TestDegrees:
 
 
 class TestCrossEngine:
+    def test_report_compares_every_table(self):
+        # Equal profiles report shift 0 and every table equal; a shifted one
+        # is compared table by table and every grading-bearing entry differs.
+        p = HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(3, 4)))
+        closed = profile_closed(p)
+        names = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
+        same = compare_profiles(p, closed, profile_recursive(p))
+        assert same.shift == 0 and same.agree and same.mismatches == ()
+        assert same.table_equal == dict.fromkeys(names, True)
+        shifted = compare_profiles(p, closed, closed.shifted(1))
+        assert shifted.shift == 1 and not shifted.agree
+        assert shifted.table_equal == dict.fromkeys(names, False)
+        assert shifted.mismatches == names
+        other = profile_closed(HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(2, 3))))
+        moved = compare_profiles(p, closed, other)
+        assert moved.shift is None
+        assert moved.table_equal["nearby_zero"] and not moved.table_equal["nearby_infinity"]
+        assert moved.mismatches == tuple(n for n, ok in moved.table_equal.items() if not ok)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):
         grid = residue_grid(3)
