@@ -47,11 +47,13 @@ ENGINE_ERRORS = (InternalEngineError, NoValidPeel, UnknownData)
 """Failures of the engines themselves, never of the input: exit code 4."""
 
 
-def _parse_tuple(text: str) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty exponent list")
-    return tuple(parse_rational(p) for p in parts)
+def _parse_tuple(text: str, option: str) -> tuple[Fraction, ...]:
+    """The comma-separated exponents of ``option``; no field may be empty."""
+    fields = text.split(",")
+    for i, part in enumerate(fields, 1):
+        if not part.strip():
+            raise ValueError(f"{option}: exponent {i} of {len(fields)} is empty")
+    return tuple(parse_rational(p) for p in fields)
 
 
 def _compute(
@@ -86,7 +88,9 @@ def _compute_document(
 
 def _run_compute(args: argparse.Namespace) -> int:
     try:
-        params = HypergeometricParams(_parse_tuple(args.alpha), _parse_tuple(args.beta))
+        params = HypergeometricParams(
+            _parse_tuple(args.alpha, "--alpha"), _parse_tuple(args.beta, "--beta")
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

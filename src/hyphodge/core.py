@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -80,14 +80,12 @@ def numerator_over(value: Fraction, den: int) -> int:
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 
+_MEMO_TEXT_MAX = 32
+"""Longest text :func:`parse_rational` memoizes; longer ones are parsed each time."""
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
 
-    Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
-    (floats, whitespace inside the number, other scripts' digits, empty
-    strings, a zero denominator) is rejected with :class:`ValueError`.
-    """
+@lru_cache(maxsize=4096)
+def _parse(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text.strip().replace("−", "-"))
     if match is None:
         raise ValueError(f"not a rational in a/b form: {text!r}")
@@ -96,6 +94,23 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
+
+    Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
+    (floats, whitespace inside the number, other scripts' digits, empty
+    strings, a zero denominator) is rejected with :class:`ValueError`.
+
+    Each distinct ``str`` of at most 32 characters is parsed once per
+    process: a least-recently-used memo of 4096 entries keeps its value,
+    never an error.  The ``Fraction``s it hands out are shared and
+    immutable, so a caller cannot tell a memo hit from a fresh parse.
+    """
+    if type(text) is str and len(text) <= _MEMO_TEXT_MAX:
+        return _parse(text)
+    return _parse.__wrapped__(text)
 
 
 def format_rational(value: Fraction) -> str:
@@ -332,7 +347,7 @@ class HypergeometricParams:
             tuple(numerator_over(b, den) for b in self.beta),
         )
 
-    @property
+    @cached_property
     def is_irreducible(self) -> bool:
         _den, alpha, beta = self.numerators
         return set(alpha).isdisjoint(beta)

@@ -2,7 +2,9 @@
 
 Rationals are serialized as ``a/b`` strings, never as floats; Hodge indices,
 levels and multiplicities are plain integers.  ``parse_document`` inverts
-``emit`` exactly on compute-style documents.
+``emit`` exactly on compute-style documents and accepts only the JSON types
+schema v1 emits: a value of another type raises :class:`ValueError` naming
+its field.
 """
 
 from __future__ import annotations
@@ -50,18 +52,46 @@ def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
     }
 
 
+def _int(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool); else :class:`ValueError`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value: Any, name: str) -> bool:
+    """``value`` if it is a JSON ``true`` or ``false``; else :class:`ValueError`."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _texts(value: Any, name: str) -> tuple[str, ...]:
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _residue(value: Any) -> Fraction:
+    if type(value) is not str:
+        raise ValueError(f"residue must be an 'a/b' string, got {value!r}")
+    return parse_rational(value)
+
+
 def table_from_dict(data: Mapping[str, Any]) -> LocalHodgeTable:
     return LocalHodgeTable(
         point_from_str(data["point"]),
         TableKind(data["kind"]),
         {
-            (parse_rational(e["residue"]), int(e["level"]), int(e["p"])): int(
-                e["mult"]
-            )
+            (
+                _residue(e["residue"]),
+                _int(e["level"], "level"),
+                _int(e["p"], "p"),
+            ): _int(e["mult"], "mult")
             for e in data["entries"]
         },
         frozenset(
-            (parse_rational(u["residue"]), int(u["level"]))
+            (_residue(u["residue"]), _int(u["level"], "level"))
             for u in data.get("unknown", [])
         ),
     )
@@ -71,8 +101,18 @@ def _int_map_to_dict(mapping: Mapping[int, int]) -> dict[str, int]:
     return {str(p): v for p, v in sorted(mapping.items())}
 
 
-def _int_map_from_dict(data: Mapping[str, Any]) -> dict[int, int]:
-    return {int(p): int(v) for p, v in data.items()}
+def _int_map_from_dict(data: Mapping[str, Any], name: str) -> dict[int, int]:
+    """Inverse of :func:`_int_map_to_dict`: keys must be written as it writes them."""
+    out = {}
+    for key, value in data.items():
+        try:
+            p = int(key)
+        except (TypeError, ValueError):
+            p = None
+        if p is None or str(p) != key:
+            raise ValueError(f"{name} key must be a decimal integer, got {key!r}")
+        out[p] = _int(value, f"{name}[{key}]")
+    return out
 
 
 def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
@@ -94,16 +134,16 @@ def profile_from_dict(data: Mapping[str, Any]) -> HodgeProfile:
     if data["nearby_finite"] != []:
         raise ValueError("nearby_finite must be empty in schema v1")
     return HodgeProfile(
-        rank=int(data["rank"]),
+        rank=_int(data["rank"], "rank"),
         nearby_zero=table_from_dict(data["nearby_zero"]),
         nearby_infinity=table_from_dict(data["nearby_infinity"]),
         vanishing_finite=tuple(
             table_from_dict(t) for t in data["vanishing_finite"]
         ),
-        hodge=_int_map_from_dict(data["hodge"]),
+        hodge=_int_map_from_dict(data["hodge"], "hodge"),
         degrees=None
         if data.get("degrees") is None
-        else _int_map_from_dict(data["degrees"]),
+        else _int_map_from_dict(data["degrees"], "degrees"),
         note=data.get("note", ""),
     )
 
@@ -155,14 +195,24 @@ def report_to_dict(report: EngineReport) -> dict[str, Any]:
     }
 
 
+def _document_params(data: Any, name: str) -> HypergeometricParams:
+    """The instance in a document, where every exponent is an ``a/b`` string."""
+    params = params_from_dict(data)
+    for key in ("alpha", "beta"):
+        _texts(data[key], f"{name}.{key}")
+    return params
+
+
 def report_from_dict(data: Mapping[str, Any]) -> EngineReport:
     return EngineReport(
-        params=params_from_dict(data["params"]),
-        agree=bool(data["agree"]),
-        shift=None if data["shift"] is None else int(data["shift"]),
-        table_equal={k: bool(v) for k, v in data["tables"].items()},
-        identities_ok=bool(data["identities_ok"]),
-        mismatches=tuple(data["mismatches"]),
+        params=_document_params(data["params"], "report.params"),
+        agree=_flag(data["agree"], "agree"),
+        shift=None if data["shift"] is None else _int(data["shift"], "shift"),
+        table_equal={
+            k: _flag(v, f"tables[{k}]") for k, v in data["tables"].items()
+        },
+        identities_ok=_flag(data["identities_ok"], "identities_ok"),
+        mismatches=_texts(data["mismatches"], "mismatches"),
         error=data.get("error"),
     )
 
@@ -192,7 +242,7 @@ def parse_document(data: Mapping[str, Any]) -> dict[str, Any]:
     return {
         "schema_version": data["schema_version"],
         "command": data["command"],
-        "params": params_from_dict(data["params"]),
+        "params": _document_params(data["params"], "params"),
         "engine": data["engine"],
         "profiles": {
             name: profile_from_dict(p) for name, p in data["profiles"].items()
@@ -200,7 +250,7 @@ def parse_document(data: Mapping[str, Any]) -> dict[str, Any]:
         "report": None
         if data.get("report") is None
         else report_from_dict(data["report"]),
-        "normalization": int(data["normalization"]),
+        "normalization": _int(data["normalization"], "normalization"),
     }
 
 
@@ -216,9 +266,11 @@ def emit_document(parsed: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def document_to_json(doc: Mapping[str, Any], compact: bool = False) -> str:
+    # Every document is a tree its caller built fresh, so the encoder's
+    # walk for reference cycles would find none.
     if compact:
-        return json.dumps(doc, separators=(",", ":"))
-    return json.dumps(doc, indent=2)
+        return json.dumps(doc, separators=(",", ":"), check_circular=False)
+    return json.dumps(doc, indent=2, check_circular=False)
 
 
 def tsv_lines(

@@ -92,3 +92,46 @@ def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
         builds.clear()
         _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta))))
         assert len(builds) == 3, (n, builds)
+
+
+def bounded_caches() -> set[str]:
+    """``module.function`` of every ``lru_cache`` in the package.
+
+    Fails on ``functools.cache`` and on an ``lru_cache`` whose ``maxsize`` is
+    not a positive integer literal: an unbounded memo would let memory grow
+    across batch lines.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cache" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "functools")
+            elif isinstance(node, ast.Call) and _names_lru_cache(node.func):
+                calls.add(node.func)
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                assert len(sizes) == 1, f"{path.name}:{node.lineno} needs one maxsize"
+                (size,) = sizes
+                assert (
+                    isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+                ), f"{path.name}:{node.lineno} maxsize is not a positive integer"
+        for node in ast.walk(tree):
+            if _names_lru_cache(node):
+                assert node in calls, f"{path.name}:{node.lineno} lru_cache without maxsize"
+            if isinstance(node, ast.FunctionDef):
+                if any(isinstance(d, ast.Call) and d.func in calls for d in node.decorator_list):
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def _names_lru_cache(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def test_every_cache_is_bounded():
+    assert {"core._parse", "recursion._profile_of_pairs"} <= bounded_caches()

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import select
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import hyphodge
 from hyphodge import InternalEngineError, NoValidPeel, UnknownData
 from hyphodge.cli import main
+from conftest import residue_grid
 
 SRC = str(Path(hyphodge.__file__).resolve().parent.parent)
 ENGINE_ERRORS = [InternalEngineError, NoValidPeel, UnknownData]
@@ -77,6 +80,32 @@ class TestCompute:
         code = main(["compute", "--alpha", "1/0", "--beta", "1/2"])
         assert code == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("1/2,,1/3", "--alpha: exponent 2 of 3 is empty"),
+            (",1/2,1/3", "--alpha: exponent 1 of 3 is empty"),
+            ("1/2,1/3,", "--alpha: exponent 3 of 3 is empty"),
+            ("1/2, ,1/3", "--alpha: exponent 2 of 3 is empty"),
+            (" ", "--alpha: exponent 1 of 1 is empty"),
+        ],
+    )
+    def test_empty_field_exits_2(self, capsys, alpha, message):
+        code = main(["compute", "--alpha", alpha, "--beta", "1/4,3/4"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_field_in_beta_is_named(self, capsys):
+        assert main(["compute", "--alpha", "0,1/2", "--beta", "1/4,"]) == 2
+        assert "--beta: exponent 2 of 2 is empty" in capsys.readouterr().err
+
+    def test_spaces_around_fields_are_accepted(self):
+        code, out = run_cli(
+            ["compute", "--alpha", "0, 1/2", "--beta", " 1/4 ,3/4", "--engine", "closed"]
+        )
+        assert code == 0
+        assert json.loads(out)["params"] == {"alpha": ["0", "1/2"], "beta": ["1/4", "3/4"]}
 
     @pytest.mark.parametrize("error", ENGINE_ERRORS)
     def test_engine_error_exits_4(self, monkeypatch, capsys, error):
@@ -331,6 +360,74 @@ class TestBatch:
             proc.wait(timeout=30)
             proc.stdout.close()
         assert proc.returncode == 0
+
+
+
+def spell(rng, r):
+    """One of the texts the batch format accepts for the residue ``r``."""
+    form = rng.randrange(6)
+    if form == 1:
+        return f" {r} "
+    if form == 2:
+        return f"{2 * r.numerator}/{2 * r.denominator}"
+    if form == 3:
+        return str(r + 1)
+    if form == 4:
+        return str(r - 1).replace("-", "\u2212")
+    if form == 5 and r.denominator == 1:
+        return r.numerator
+    return str(r)
+
+
+def digest_corpus(count=300, seed=20261018):
+    """Seeded batch lines: valid ones of rank 1-12 (closed-only up to 32),
+    repeats, and reducible, malformed and zero-denominator lines."""
+    rng = random.Random(seed)
+    grid = residue_grid(12)
+    lines = []
+    for _ in range(count):
+        kind = rng.random()
+        if lines and kind < 0.15:
+            lines.append(rng.choice(lines))
+            continue
+        data = {}
+        n = rng.randint(1, 12)
+        if kind > 0.85:
+            n = rng.randint(13, 32)
+            data["engine"] = "closed"
+        rng.shuffle(grid)
+        cut = rng.randint(1, len(grid) - 1)
+        alpha = [rng.choice(grid[:cut]) for _ in range(n)]
+        beta = [rng.choice(grid[cut:]) for _ in range(n)]
+        if 0.15 <= kind < 0.2:
+            beta[rng.randrange(n)] = alpha[0]
+        alpha = [spell(rng, r) for r in alpha]
+        beta = [spell(rng, r) for r in beta]
+        if 0.2 <= kind < 0.25:
+            alpha[rng.randrange(n)] = rng.choice(["0.5", "1/", "", "1 / 2", 0.5, None])
+        elif 0.25 <= kind < 0.28:
+            beta[rng.randrange(n)] = rng.choice(["1/0", "-3/0", "0/00"])
+        elif 0.28 <= kind < 0.3:
+            lines.append(rng.choice(['{"alpha": ["0"]}', "not json", "[1, 2]"]))
+            continue
+        lines.append(json.dumps({"alpha": alpha, "beta": beta, **data}))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestBatchDigest:
+    # sha256 of the batch output over ``digest_corpus``, taken before the
+    # exponent texts were memoized; any change to the bytes shows here.
+    DIGESTS = {
+        "closed": "e66630950d54e36152a3a6cf054cbea0fb619a252786308c490d738dc8144b30",
+        "recursive": "3d6e2f7d851e627b79de1a2cef48c07eba090b7f8e4e9be3f8ac2c9965128914",
+        "both": "bdc2df8c1eea42df7d55f7615c0d0b235301b7d84f908312e65e0a25ec9864f2",
+    }
+
+    @pytest.mark.parametrize("engine", DIGESTS)
+    def test_output_bytes_are_pinned(self, monkeypatch, engine):
+        code, out = run_cli(["batch", "--engine", engine], digest_corpus(), monkeypatch)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[engine]
 
 
 json_values = st.recursive(

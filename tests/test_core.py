@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import residue_grid
+from hyphodge.core import _parse
 from hyphodge import (
     AT_ONE,
     INFINITY,
@@ -73,41 +74,46 @@ class TestUnitRep:
         assert unit_rep(frac(g)) == g
 
 
+PARSED = [
+    ("1/2", F(1, 2)),
+    ("-1/3", F(-1, 3)),
+    ("−1/3", F(-1, 3)),
+    ("7", F(7)),
+    (" 3/4 ", F(3, 4)),
+]
+REJECTED = ["0.5", "1e3", "a/b", "1/", "", "1 / 2", "1/0", "٣/4", "３"]
+AGAINST_FRACTION = [
+    ("+3/6", F(1, 2)),
+    ("-0", F(0)),
+    ("007/014", F(1, 2)),
+    ("−1/2", F(-1, 2)),
+    (" 1/2 ", F(1, 2)),
+    ("1/0", ValueError),
+    ("1.5", ValueError),
+    ("١/٢", ValueError),
+    ("", ValueError),
+]
+
+
+def parse_outcome(parse, text):
+    """The value ``parse`` gives ``text``, or the message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
 class TestRationalFormat:
-    @pytest.mark.parametrize(
-        "text,value",
-        [
-            ("1/2", F(1, 2)),
-            ("-1/3", F(-1, 3)),
-            ("−1/3", F(-1, 3)),
-            ("7", F(7)),
-            (" 3/4 ", F(3, 4)),
-        ],
-    )
+    @pytest.mark.parametrize("text,value", PARSED)
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize(
-        "text", ["0.5", "1e3", "a/b", "1/", "", "1 / 2", "1/0", "٣/4", "３"]
-    )
+    @pytest.mark.parametrize("text", REJECTED)
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
 
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("+3/6", F(1, 2)),
-            ("-0", F(0)),
-            ("007/014", F(1, 2)),
-            ("−1/2", F(-1, 2)),
-            (" 1/2 ", F(1, 2)),
-            ("1/0", ValueError),
-            ("1.5", ValueError),
-            ("١/٢", ValueError),
-            ("", ValueError),
-        ],
-    )
+    @pytest.mark.parametrize("text,expected", AGAINST_FRACTION)
     def test_parse_against_fraction(self, text, expected):
         # Accepted text has the value Fraction gives it (with the Unicode
         # minus read as "-"); Fraction also takes floats and other scripts'
@@ -117,6 +123,53 @@ class TestRationalFormat:
                 parse_rational(text)
         else:
             assert parse_rational(text) == expected == Fraction(text.replace("−", "-"))
+
+    @pytest.mark.parametrize(
+        "text",
+        dict.fromkeys([t for t, _ in PARSED] + REJECTED + [t for t, _ in AGAINST_FRACTION]),
+    )
+    def test_memo_is_transparent(self, text):
+        # A cold memo, then two hits: each call gives what the unmemoized
+        # parser gives, and an error is never kept.
+        _parse.cache_clear()
+        fresh = parse_outcome(_parse.__wrapped__, text)
+        assert [parse_outcome(parse_rational, text) for _ in range(3)] == [fresh] * 3
+        assert _parse.cache_info().currsize == (0 if isinstance(fresh, tuple) else 1)
+
+    def test_memo_hands_out_one_shared_value(self):
+        assert parse_rational("5/7") is parse_rational("5/7")
+
+    @pytest.mark.parametrize(
+        "value,error",
+        [
+            (5, AttributeError),
+            (None, AttributeError),
+            (["1/2"], AttributeError),
+            (b"1/2", TypeError),
+        ],
+    )
+    def test_non_text_raises_as_unmemoized(self, value, error):
+        with pytest.raises(error):
+            parse_rational(value)
+
+    def test_memo_keys_are_at_most_32_characters(self):
+        _parse.cache_clear()
+        assert parse_rational("1/2".rjust(32)) == F(1, 2)
+        assert _parse.cache_info().currsize == 1
+        assert parse_rational("1/2".rjust(33)) == F(1, 2)
+        assert _parse.cache_info().currsize == 1
+
+    def test_long_text_leaves_the_memo_alone(self):
+        size = _parse.cache_info().currsize
+        assert parse_rational(" " * 10_000 + "1/2") == F(1, 2)
+        assert _parse.cache_info().currsize == size
+
+    def test_memo_is_bounded(self):
+        for i in range(10_000):
+            parse_rational(f"{i}/{i + 1}")
+        info = _parse.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= 4096
 
     @given(rationals)
     def test_round_trip(self, x):

@@ -82,6 +82,56 @@ class TestRoundTrips:
             profile_from_dict(data)
 
 
+def closed_entry(doc):
+    return doc["profiles"]["closed"]["nearby_zero"]["entries"][0]
+
+
+def recursive_profile(doc):
+    return doc["profiles"]["recursive"]
+
+
+# Each mutation writes a value schema v1 never emits for the named field;
+# all of these used to be coerced without a word.
+NEVER_EMITTED = [
+    (lambda d: closed_entry(d).update(level=0.9), "level"),
+    (lambda d: closed_entry(d).update(level=True), "level"),
+    (lambda d: closed_entry(d).update(p="2"), "p"),
+    (lambda d: closed_entry(d).update(mult=1.0), "mult"),
+    (lambda d: closed_entry(d).update(residue=0), "residue"),
+    (lambda d: recursive_profile(d).update(rank="2"), "rank"),
+    (lambda d: d.update(normalization=True), "normalization"),
+    (lambda d: d["report"].update(agree="false"), "agree"),
+    (lambda d: d["report"].update(identities_ok=1), "identities_ok"),
+    (lambda d: d["report"]["tables"].update(hodge="true"), "tables[hodge]"),
+    (lambda d: d["report"].update(shift=0.0), "shift"),
+    (lambda d: d["report"].update(mismatches="hodge"), "mismatches"),
+    (lambda d: recursive_profile(d).update(hodge={"2": 2.0}), "hodge[2]"),
+    (lambda d: recursive_profile(d).update(hodge={" 2": 2}), "hodge key"),
+    (lambda d: recursive_profile(d).update(hodge={"+2": 2}), "hodge key"),
+    (lambda d: recursive_profile(d).update(degrees={"1_0": -2}), "degrees key"),
+    (lambda d: recursive_profile(d).update(degrees={"-0": -2}), "degrees key"),
+    (lambda d: recursive_profile(d).update(degrees={"2": False}), "degrees[2]"),
+    (lambda d: d["params"].update(alpha=[0, "1/2"]), "params.alpha"),
+    (lambda d: d["report"]["params"].update(beta=["1/4", 1]), "report.params.beta"),
+]
+
+
+class TestStrictParsing:
+    @pytest.mark.parametrize(
+        "mutate, field", NEVER_EMITTED, ids=[field for _, field in NEVER_EMITTED]
+    )
+    def test_rejects_what_schema_v1_never_emits(self, mutate, field):
+        doc = make_document(PARAMS)
+        mutate(doc)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            parse_document(doc)
+
+    def test_accepts_a_null_shift(self):
+        doc = make_document(PARAMS)
+        doc["report"]["shift"] = None
+        assert parse_document(doc)["report"].shift is None
+
+
 class TestJsonHygiene:
     def test_no_floating_point_tokens(self, rng):
         float_token = re.compile(r"\d+\.\d+|[eE][+-]\d")
