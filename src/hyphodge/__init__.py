@@ -11,10 +11,10 @@ from .closed_form import (
     counts_at_one,
     nearby_closed,
     profile_closed,
+    special_exponent,
     vanishing_at_one_closed,
 )
 from .combinatorics import (
-    SeparationCase,
     ascending_pair_count,
     check_count_identity,
     contribution_pair,
@@ -23,8 +23,6 @@ from .combinatorics import (
     interlacing_index,
     nonseparated_count,
     separated,
-    separation_case,
-    special_exponent,
 )
 from .convolution import (
     ConvolutionContext,
@@ -56,10 +54,8 @@ from .core import (
     format_rational,
     frac,
     hodge_numbers,
-    multiplicity_and_level,
     parse_rational,
     table_shift,
-    unit_rep,
 )
 from .recursion import (
     EngineReport,

@@ -1,7 +1,8 @@
 """Command-line front end: compute profiles, verify identities, batch mode.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 reducible input,
-4 internal engine inconsistency.
+4 internal engine inconsistency, 141 output pipe closed by the reader (128 +
+SIGPIPE, what a shell reports for other tools there).
 """
 
 from __future__ import annotations
@@ -9,13 +10,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .closed_form import counts_at_one, profile_closed
-from .combinatorics import special_exponent
+from .closed_form import counts_at_one, profile_closed, special_exponent
 from .core import (
     HodgeProfile,
     HypergeometricParams,
@@ -42,6 +43,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_REDUCIBLE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 ENGINE_ERRORS = (InternalEngineError, NoValidPeel, UnknownData)
 """Failures of the engines themselves, never of the input: exit code 4."""
@@ -283,7 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to devnull: the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -3,16 +3,17 @@
 Everything in this module is evaluated directly from the exponent tuples:
 the graded nearby tables at 0 and infinity, the one-dimensional vanishing
 entry at the finite point, the eigenvalue counts there, and the graded fibre
-dimensions.  Degrees are not determined here; see the
-recursive engine.
+dimensions.  Degrees are not determined here; see the recursive engine.
+Only the data model in :mod:`hyphodge.core` is imported; the literal counts
+these formulas are held to live in :mod:`hyphodge.combinatorics`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from fractions import Fraction
 
-from .combinatorics import special_exponent
 from .core import (
     AT_ONE,
     INFINITY,
@@ -66,6 +67,18 @@ def nearby_closed(
         p = ascending + bisect_right(beta_sorted, g) - bisect_left(alpha_sorted, g)
         entries[(residue_of[g], mult - 1, p)] = 1
     return LocalHodgeTable(point, TableKind.NEARBY, entries)
+
+
+def special_exponent(params: HypergeometricParams) -> Fraction:
+    """The ``(0, 1]`` exponent of the reflection eigenvalue at the finite point.
+
+    Congruent to the sum of all exponent drops mod 1; the value 1 corresponds
+    to a unipotent reflection (a transvection).  The sum is taken over the
+    integer numerators of :attr:`HypergeometricParams.numerators`.
+    """
+    den, alpha, beta = params.numerators
+    drop = (sum(beta) - sum(alpha)) % den
+    return Fraction(drop, den) if drop else Fraction(1)
 
 
 def _tail_no_wrap_count(params: HypergeometricParams) -> int:

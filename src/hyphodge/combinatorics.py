@@ -1,13 +1,16 @@
-"""Circle-order combinatorics of exponent pairs.
+"""The literal pair-by-pair counts behind the Hodge indices.
 
 These counts locate the graded pieces of the Hodge filtration.  Everything
 works with exact residues in ``[0, 1)`` read as points on the oriented unit
 circle; comparisons are literal inequalities between those representatives.
+
+They are reference definitions: neither engine reads an index from here.  The
+product calls only :func:`count_identities_hold`, the integer spelling of
+:func:`check_count_identity`, as the cross-check in ``compare_profiles``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .core import (
@@ -21,32 +24,9 @@ from .core import (
 )
 
 
-class SeparationCase(Enum):
-    """Which strict chain, if any, witnesses separation of a pair."""
-
-    ALPHA_GAMMA_BETA = "a<g<b"
-    GAMMA_BETA_ALPHA = "g<b<a"
-    BETA_ALPHA_GAMMA = "b<a<g"
-    NOT_SEPARATED = "none"
-
-
-def separation_case(a: Fraction, g: Fraction, b: Fraction) -> SeparationCase:
-    """Detect the chain placing ``g`` strictly inside the arc from ``a`` to ``b``.
-
-    The three chains are ``a < g < b``, ``g < b < a`` and ``b < a < g`` on
-    ``[0, 1)``.  Coinciding values never separate.
-    """
-    if a < g < b:
-        return SeparationCase.ALPHA_GAMMA_BETA
-    if g < b < a:
-        return SeparationCase.GAMMA_BETA_ALPHA
-    if b < a < g:
-        return SeparationCase.BETA_ALPHA_GAMMA
-    return SeparationCase.NOT_SEPARATED
-
-
 def separated(a: Fraction, g: Fraction, b: Fraction) -> bool:
-    return separation_case(a, g, b) is not SeparationCase.NOT_SEPARATED
+    """Whether one of three strict chains puts ``g`` inside the arc ``a``..``b``."""
+    return a < g < b or g < b < a or b < a < g
 
 
 def nonseparated_count(params: HypergeometricParams, g: Fraction) -> int:
@@ -63,18 +43,6 @@ def nonseparated_count(params: HypergeometricParams, g: Fraction) -> int:
     return sum(
         1 for a, b in params.pairs() if not separated(a, g, b)
     )
-
-
-def special_exponent(params: HypergeometricParams) -> Fraction:
-    """The ``(0, 1]`` exponent of the reflection eigenvalue at the finite point.
-
-    Congruent to the sum of all exponent drops mod 1; the value 1 corresponds
-    to a unipotent reflection (a transvection).  The sum is taken over the
-    integer numerators of :attr:`HypergeometricParams.numerators`.
-    """
-    den, alpha, beta = params.numerators
-    drop = (sum(beta) - sum(alpha)) % den
-    return Fraction(drop, den) if drop else Fraction(1)
 
 
 def interlacing_index(

@@ -3,9 +3,9 @@
 Eigenvalues of local monodromies are recorded through rational residues in
 ``[0, 1)``.  Which complex eigenvalue a residue ``r`` stands for depends on the
 singular point: ``exp(-2*pi*i*r)`` at 0 and at 1, ``exp(+2*pi*i*r)`` at
-infinity.  Interval conditions used by the convolution transforms are
-evaluated on the half-open representative in ``(0, 1]`` (see :func:`unit_rep`),
-where the class of 0 is represented by 1.
+infinity.  The convolution transforms evaluate their interval conditions on
+the half-open representative in ``(0, 1]``, where the class of 0 is
+represented by 1 (see :mod:`hyphodge.convolution`).
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -51,17 +51,6 @@ def frac(value: Fraction | int) -> Fraction:
     q = value if isinstance(value, Fraction) else Fraction(value)
     num, den = q.numerator, q.denominator
     return q if 0 <= num < den else Fraction(num % den, den)
-
-
-def unit_rep(value: Fraction | int) -> Fraction:
-    """Representative of a residue class in ``(0, 1]``, sending 0 to 1.
-
-    The value 1 corresponds to the eigenvalue 1; every other class keeps its
-    fractional part.  ``frac`` and ``unit_rep`` are mutually inverse between
-    ``[0, 1)`` and ``(0, 1]``.
-    """
-    r = frac(value)
-    return r if r else Fraction(1)
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -116,18 +105,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render an exact rational in the shared ``a/b`` (or integer) format."""
     return str(value)
-
-
-def multiplicity_and_level(values: Sequence[Fraction], m: int) -> tuple[int, int]:
-    """Multiplicity of ``values[m]`` in the tuple, and its nilpotency level.
-
-    The level is multiplicity minus one: a residue repeated ``k`` times
-    carries a single Jordan block of size ``k``.
-    """
-    if not 0 <= m < len(values):
-        raise IndexError(f"index {m} out of range for tuple of length {len(values)}")
-    mult = sum(1 for v in values if v == values[m])
-    return mult, mult - 1
 
 
 class TableKind(Enum):
@@ -319,11 +296,6 @@ class HypergeometricParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "HypergeometricParams":
-        pairs = tuple(pairs)
-        return cls(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-
     @property
     def n(self) -> int:
         return len(self.alpha)
@@ -365,21 +337,6 @@ class HypergeometricParams:
             raise ValueError("not a permutation of the pair indices")
         return HypergeometricParams(
             tuple(self.alpha[i] for i in order), tuple(self.beta[i] for i in order)
-        )
-
-    def shifted(self, c: Fraction) -> "HypergeometricParams":
-        """Subtract ``c`` from every exponent (mod 1)."""
-        return HypergeometricParams(
-            tuple(frac(a - c) for a in self.alpha),
-            tuple(frac(b - c) for b in self.beta),
-        )
-
-    def peeled(self, j: int) -> "HypergeometricParams":
-        """Drop the pair at index ``j``."""
-        if self.n < 2:
-            raise ValueError("cannot peel a rank-one tuple")
-        return HypergeometricParams.from_pairs(
-            p for k, p in enumerate(self.pairs()) if k != j
         )
 
 

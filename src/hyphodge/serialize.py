@@ -27,11 +27,6 @@ from .recursion import EngineReport
 SCHEMA_VERSION = "1"
 
 
-def point_from_str(text: str) -> SingularPoint:
-    """The point serialized as ``text``; :class:`ValueError` for any other name."""
-    return SingularPoint(text)
-
-
 def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
     return {
         "point": table.point.value,
@@ -80,7 +75,7 @@ def _residue(value: Any) -> Fraction:
 
 def table_from_dict(data: Mapping[str, Any]) -> LocalHodgeTable:
     return LocalHodgeTable(
-        point_from_str(data["point"]),
+        SingularPoint(data["point"]),
         TableKind(data["kind"]),
         {
             (

@@ -186,16 +186,16 @@ def _fiber_consistent(profile, n):
 
 
 def _spread_counts(params, point):
-    from hyphodge import multiplicity_and_level, nonseparated_count
+    from hyphodge import nonseparated_count
 
     values = params.alpha if point == ZERO else params.beta
     out = {}
     seen = set()
-    for m, r in enumerate(values):
+    for r in values:
         if r in seen:
             continue
         seen.add(r)
-        _mult, level = multiplicity_and_level(values, m)
+        level = values.count(r) - 1
         p = nonseparated_count(params, r)
         for k in range(level + 1):
             out[p - k] = out.get(p - k, 0) + 1

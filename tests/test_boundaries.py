@@ -1,7 +1,9 @@
 """The engines share only the data model: package imports read with ``ast``."""
 
 import ast
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import hyphodge
@@ -10,6 +12,7 @@ from hyphodge.core import LocalHodgeTable
 from hyphodge.recursion import _profile_of_pairs
 
 PACKAGE = Path(hyphodge.__file__).resolve().parent
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
 def package_imports(module: str) -> dict[str, set[str]]:
@@ -33,6 +36,10 @@ def test_convolution_uses_only_the_data_model():
 def test_closed_engine_never_reaches_the_recursive_engine():
     for module in ("closed_form", "combinatorics"):
         assert not set(package_imports(module)) & {"convolution", "recursion"}, module
+
+
+def test_closed_engine_reads_only_the_data_model():
+    assert set(package_imports("closed_form")) == {"core"}
 
 
 def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
@@ -135,3 +142,55 @@ def _names_lru_cache(node: ast.AST) -> bool:
 
 def test_every_cache_is_bounded():
     assert {"core._parse", "recursion._profile_of_pairs"} <= bounded_caches()
+
+
+def test_no_check_vanishes_under_optimize():
+    # ``python -O`` strips ``assert`` statements; every check in the package
+    # raises explicitly instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def package_bindings() -> dict[tuple[str, str], object]:
+    """Every module attribute of the loaded package, and the three hooks
+    ``install_tracing`` patches on classes."""
+    out = {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "hyphodge" or name.startswith("hyphodge.")
+        for attr, value in vars(module).items()
+    }
+    for cls in (hyphodge.LocalHodgeTable, hyphodge.HypergeometricParams, hyphodge.HodgeProfile):
+        out[(cls.__name__, "__post_init__")] = vars(cls)["__post_init__"]
+    return out
+
+
+def test_benchmark_trace_resolves_its_names_and_uninstalls():
+    # ``bench/run.py --trace 1`` looks the spanned functions up by fixed name
+    # in their modules; a deleted or moved name fails here first.
+    saved_path = sys.path[:]
+    spec = importlib.util.spec_from_file_location("hyphodge_bench_run", BENCH_RUN)
+    run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path[:] = saved_path
+    tracer = run.Tracer()
+    before = package_bindings()
+    run.install_tracing(tracer)
+    try:
+        during = package_bindings()
+        wrapped = {key for key, value in before.items() if during[key] is not value}
+        assert ("hyphodge.combinatorics", "nonseparated_count") in wrapped
+        assert ("hyphodge.convolution", "convolve_nearby_zero") in wrapped
+        assert ("HodgeProfile", "__post_init__") in wrapped
+    finally:
+        tracer.uninstall()
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -130,6 +130,22 @@ class TestCompute:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[1])["report"]["agree"] is True
 
+    def test_output_pipe_closed_before_writing_exits_141(self):
+        argv = ["-m", "hyphodge.cli", "compute", "--alpha", "0", "--beta", "1/2"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *argv],
+                env=cli_env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_both_engines_report_agreement(self):
         code, out = run_cli(
             ["compute", "--alpha", "0,1/2", "--beta", "1/4,3/4", "--engine", "both"]
@@ -360,6 +376,30 @@ class TestBatch:
             proc.wait(timeout=30)
             proc.stdout.close()
         assert proc.returncode == 0
+
+    def test_closed_output_pipe_exits_141_quietly(self, tmp_path):
+        # The reader takes one document and goes away: the writer stops with
+        # 128 + SIGPIPE, not with a traceback and the verification code 1.
+        lines = tmp_path / "lines.jsonl"
+        lines.write_text('{"alpha": ["0", "1/2"], "beta": ["1/4", "3/4"]}\n' * 3000)
+        with lines.open() as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hyphodge.cli", "batch", "--engine", "closed"],
+                env=cli_env(),
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        try:
+            assert json.loads(proc.stdout.readline())["command"] == "compute"
+            proc.stdout.close()
+            proc.wait(timeout=60)
+            stderr = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert (proc.returncode, stderr) == (141, b"")
 
 
 

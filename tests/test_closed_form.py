@@ -17,7 +17,6 @@ from hyphodge import (
     counts_at_one,
     equal_up_to_shift,
     hodge_numbers,
-    multiplicity_and_level,
     nearby_closed,
     nonseparated_count,
     profile_closed,
@@ -62,8 +61,8 @@ class TestNearbyClosed:
         """Each class entry against the pair-by-pair definition."""
         for point, values in ((ZERO, p.alpha), (INFINITY, p.beta)):
             expected = {}
-            for m, r in enumerate(values):
-                level = multiplicity_and_level(values, m)[1]
+            for r in values:
+                level = values.count(r) - 1
                 expected[(r, level, nonseparated_count(p, r))] = 1
             assert nearby_closed(p, point).entries == expected, (p, point)
 

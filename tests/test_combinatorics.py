@@ -10,7 +10,6 @@ from hyphodge import (
     ZERO,
     HypergeometricParams,
     LocalHodgeTable,
-    SeparationCase,
     TableKind,
     ascending_pair_count,
     check_count_identity,
@@ -21,7 +20,6 @@ from hyphodge import (
     interlacing_index,
     nonseparated_count,
     separated,
-    separation_case,
     special_exponent,
 )
 from conftest import residue_grid
@@ -45,7 +43,6 @@ class TestSeparated:
 
     def test_wrapped_chain(self):
         assert separated(F(3, 4), F(1, 4), F(1, 2))
-        assert separation_case(F(3, 4), F(1, 4), F(1, 2)) is SeparationCase.GAMMA_BETA_ALPHA
 
     def test_outside(self):
         assert not separated(F(1, 2), F(1, 4), F(3, 4))

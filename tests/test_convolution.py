@@ -8,6 +8,7 @@ from hyphodge import (
     INFINITY,
     ZERO,
     ConvolutionContext,
+    HypergeometricParams,
     LocalHodgeTable,
     TableKind,
     UnknownData,
@@ -23,7 +24,6 @@ from hyphodge import (
     infinity_row,
     profile_closed,
     twist_degrees,
-    unit_rep,
     zero_row,
 )
 from conftest import random_irreducible, residue_grid
@@ -191,17 +191,17 @@ class TestInfinityDimensionBookkeeping:
         # present in the input, and otherwise the missing dimension sits
         # exactly in the undetermined level-0 slot, which the closed form
         # fills with a single unit entry.
-        from hyphodge import frac, unit_rep
-
         for _ in range(60):
             p = random_irreducible(rng, rng.randint(2, 4), 8)
             a0, b0 = p.alpha[0], p.beta[0]
-            sub = p.peeled(0).shifted(a0)
-            ctx = ConvolutionContext(unit_rep(frac(b0 - a0)))
+            sub = HypergeometricParams(
+                tuple(a - a0 for a in p.alpha[1:]), tuple(b - a0 for b in p.beta[1:])
+            )
+            ctx = ConvolutionContext(frac(b0 - a0) or F(1))
             table = conjugate_table(profile_closed(sub).nearby_infinity)
             out = convolve_nearby_infinity(table, ctx)
             has_kernel_class = any(
-                unit_rep(r) == ctx.conjugate_rep for (r, _lv, _p) in table.entries
+                (r or F(1)) == ctx.conjugate_rep for (r, _lv, _p) in table.entries
             )
             expected = p.n if has_kernel_class else p.n - 1
             assert out.total_dimension() == expected, p
@@ -311,7 +311,7 @@ def old_convolve_vanishing_finite(table, ctx):
     entries = {}
     for (r, lv, p), m in table.entries.items():
         out_r = frac(r + ctx.kernel_rep)
-        rep = unit_rep(out_r)
+        rep = out_r or F(1)
         q = p if rep <= ctx.kernel_rep else p + 1
         key = (out_r, lv, q)
         entries[key] = entries.get(key, 0) + m

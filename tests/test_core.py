@@ -24,10 +24,8 @@ from hyphodge import (
     equal_up_to_shift,
     format_rational,
     frac,
-    multiplicity_and_level,
     parse_rational,
     table_shift,
-    unit_rep,
 )
 
 F = Fraction
@@ -56,22 +54,6 @@ class TestFrac:
     @given(rationals)
     def test_range(self, x):
         assert 0 <= frac(x) < 1
-
-
-class TestUnitRep:
-    def test_zero_maps_to_one(self):
-        assert unit_rep(F(0)) == 1
-
-    def test_identity_inside(self):
-        assert unit_rep(F(1, 2)) == F(1, 2)
-        assert unit_rep(F(3, 4)) == F(3, 4)
-
-    @given(rationals)
-    def test_round_trip(self, x):
-        r = frac(x)
-        assert frac(unit_rep(r)) == r
-        g = unit_rep(x)
-        assert unit_rep(frac(g)) == g
 
 
 PARSED = [
@@ -174,23 +156,6 @@ class TestRationalFormat:
     @given(rationals)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
-
-
-class TestMultiplicityAndLevel:
-    def test_repeated(self):
-        values = (F(0), F(0), F(1, 2))
-        assert multiplicity_and_level(values, 0) == (2, 1)
-
-    def test_single(self):
-        values = (F(0), F(0), F(1, 2))
-        assert multiplicity_and_level(values, 2) == (1, 0)
-
-    def test_singleton(self):
-        assert multiplicity_and_level((F(1, 3),), 0) == (1, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            multiplicity_and_level((F(0),), 1)
 
 
 class TestTotals:

@@ -29,7 +29,6 @@ from hyphodge import (
     profile_recursive,
     special_exponent,
     twist_degrees,
-    unit_rep,
     verify_cross_engine,
 )
 from hyphodge.serialize import profile_to_dict
@@ -274,8 +273,14 @@ class TestDegrees:
             prof = profile_recursive(p)
             for j in range(p.n):
                 aj, bj = p.alpha[j], p.beta[j]
-                ctx = ConvolutionContext(unit_rep(frac(bj - aj)))
-                sub = profile_recursive(p.peeled(j).shifted(aj))
+                ctx = ConvolutionContext(frac(bj - aj) or F(1))
+                rest = [k for k in range(p.n) if k != j]
+                sub = profile_recursive(
+                    HypergeometricParams(
+                        tuple(p.alpha[k] - aj for k in rest),
+                        tuple(p.beta[k] - aj for k in rest),
+                    )
+                )
                 # Fibre-consistent grading: every vanishing entry one step
                 # above the pipeline, where the unipotent one already sits.
                 fiber = LocalHodgeTable(

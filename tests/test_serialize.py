@@ -4,14 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from hyphodge import HypergeometricParams, profile_closed, profile_recursive, verify_cross_engine
+from hyphodge import (
+    HypergeometricParams,
+    SingularPoint,
+    profile_closed,
+    profile_recursive,
+    verify_cross_engine,
+)
 from hyphodge.serialize import (
     build_compute_document,
     document_to_json,
     emit_document,
     parse_document,
     params_from_dict,
-    point_from_str,
     profile_from_dict,
     profile_to_dict,
     table_from_dict,
@@ -73,7 +78,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("text", ["finite:3", "finite:0", "pole", "x2", ""])
     def test_point_rejects_unknown_names(self, text):
         with pytest.raises(ValueError):
-            point_from_str(text)
+            SingularPoint(text)
 
     def test_profile_rejects_nearby_finite_tables(self):
         data = profile_to_dict(profile_closed(PARAMS))
