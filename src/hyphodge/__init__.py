@@ -39,6 +39,7 @@ from .core import (
     AT_ONE,
     INFINITY,
     ZERO,
+    EngineReport,
     HodgeProfile,
     HypergeometricParams,
     InternalEngineError,
@@ -58,7 +59,6 @@ from .core import (
     table_shift,
 )
 from .recursion import (
-    EngineReport,
     choose_peel,
     compare_profiles,
     profile_recursive,

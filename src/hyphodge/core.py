@@ -392,6 +392,19 @@ class HodgeProfile:
         )
 
 
+@dataclass(frozen=True)
+class EngineReport:
+    """Outcome of running both engines on one input and comparing."""
+
+    params: HypergeometricParams
+    agree: bool
+    shift: int | None
+    table_equal: dict[str, bool]
+    identities_ok: bool
+    mismatches: tuple[str, ...]
+    error: str | None = None
+
+
 def profile_min_p(profile: HodgeProfile) -> int:
     """The lowest Hodge index anywhere in the profile, degrees included."""
     ps = [min(profile.hodge)]

@@ -37,15 +37,18 @@ nearby tables and its vanishing table, built once from the integer classes.
 
 The memo interns each factor list ``pairs``, the sorted tuple of integer
 factors, once as a state; one profile computation creates and drops it.  A
-state keeps one class map per side, ``zero`` and ``infinity``, each from a
-residue numerator to the class's ``(level, p)``, so no memo key hashes a
-point.  It also records where each of its peels leads, so a peel shared by
-many classes is computed once.  A rank-``n`` profile visits about
-``1.8 * n**2`` class states but only about ``0.5 * n**2`` distinct peels,
-and each peel re-sorts a shifted factor list, so a profile costs O(n**3)
-integer operations.  Finished profiles are kept in one bounded
+state keeps one class map per side, ``classes[0]`` at 0 and ``classes[1]``
+at infinity, each from a residue numerator to the class's ``(level, p)``, so
+no memo key hashes a point.  It also records where each of its peels leads,
+so a peel shared by many classes is computed once.  A rank-``n`` profile
+visits about ``1.8 * n**2`` class states but only about ``0.5 * n**2``
+distinct peels, and each peel re-sorts a shifted factor list, so a profile
+costs O(n**3) integer operations.  Finished profiles are kept in one bounded
 least-recently-used cache, so memory stays flat across batch lines while
 repeated instances are still answered from it.
+
+The module also holds the cross-engine comparison, which returns a plain
+:class:`~hyphodge.core.EngineReport` of the data model.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable
 
 from .closed_form import profile_closed
@@ -69,6 +71,7 @@ from .core import (
     AT_ONE,
     INFINITY,
     ZERO,
+    EngineReport,
     HodgeProfile,
     HypergeometricParams,
     InternalEngineError,
@@ -91,14 +94,16 @@ Classes = list[tuple[int, int, int]]
 class _State:
     """One peel state: a sorted factor list and what is known about it.
 
-    ``peels`` maps a factor index to the state its peel leads to; ``zero`` and
-    ``infinity`` map a residue numerator to that class's ``(level, p)``.
+    ``peels`` maps a factor index to the state its peel leads to;
+    ``classes[side]`` maps a residue numerator to that class's ``(level, p)``,
+    side 0 for classes at 0 and side 1 at infinity.
     """
 
     pairs: Pairs
     peels: dict[int, _State] = field(default_factory=dict)
-    zero: dict[int, tuple[int, int]] = field(default_factory=dict)
-    infinity: dict[int, tuple[int, int]] = field(default_factory=dict)
+    classes: tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]] = field(
+        default_factory=lambda: ({}, {})
+    )
 
 
 Memo = dict[Pairs, _State]
@@ -108,9 +113,6 @@ A class's ``(level, p)`` is thus keyed by ``(side, pairs, residue)``.  Routes
 that reach the same factor list share one state, and each peel of a state is
 computed once, however many of its classes take it.
 """
-
-_CLASSES = (attrgetter("zero"), attrgetter("infinity"))
-"""The class map of a state, by side: 0 for classes at 0, 1 at infinity."""
 
 
 def _rank_one_degree(a: int, b: int, den: int) -> int:
@@ -192,11 +194,10 @@ def _nearby_class(
     infinity are keyed in the transforms' orientation, so the profile
     residue is negated.
     """
-    classes_of = _CLASSES[side]
     steps = []
     known = None
     while len(state.pairs) > 1:
-        classes = classes_of(state)
+        classes = state.classes[side]
         known = classes.get(residue)
         if known is not None:
             break
@@ -331,19 +332,6 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     params.require_irreducible()
     den, alpha, beta = params.numerators
     return _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
-
-
-@dataclass(frozen=True)
-class EngineReport:
-    """Outcome of running both engines on one input and comparing."""
-
-    params: HypergeometricParams
-    agree: bool
-    shift: int | None
-    table_equal: dict[str, bool]
-    identities_ok: bool
-    mismatches: tuple[str, ...]
-    error: str | None = None
 
 
 _COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .core import (
+    EngineReport,
     HodgeProfile,
     HypergeometricParams,
     LocalHodgeTable,
@@ -22,9 +23,9 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .recursion import EngineReport
 
 SCHEMA_VERSION = "1"
+ENGINES = ("closed", "recursive", "both")
 
 
 def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
@@ -61,6 +62,27 @@ def _flag(value: Any, name: str) -> bool:
     return value
 
 
+def _text(value: Any, name: str) -> str:
+    """``value`` if it is a JSON string; else :class:`ValueError`."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _choice(value: Any, name: str, allowed: tuple[str, ...]) -> str:
+    """``value`` if it is one of the strings ``allowed``; else :class:`ValueError`."""
+    if type(value) is not str or value not in allowed:
+        raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def _list(value: Any, name: str) -> list[Any]:
+    """``value`` if it is a JSON array; else :class:`ValueError`."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _texts(value: Any, name: str) -> tuple[str, ...]:
     if type(value) is not list or any(type(v) is not str for v in value):
         raise ValueError(f"{name} must be a list of strings, got {value!r}")
@@ -68,9 +90,7 @@ def _texts(value: Any, name: str) -> tuple[str, ...]:
 
 
 def _residue(value: Any) -> Fraction:
-    if type(value) is not str:
-        raise ValueError(f"residue must be an 'a/b' string, got {value!r}")
-    return parse_rational(value)
+    return parse_rational(_text(value, "residue"))
 
 
 def table_from_dict(data: Mapping[str, Any]) -> LocalHodgeTable:
@@ -87,7 +107,7 @@ def table_from_dict(data: Mapping[str, Any]) -> LocalHodgeTable:
         },
         frozenset(
             (_residue(u["residue"]), _int(u["level"], "level"))
-            for u in data.get("unknown", [])
+            for u in _list(data.get("unknown"), "unknown")
         ),
     )
 
@@ -96,8 +116,10 @@ def _int_map_to_dict(mapping: Mapping[int, int]) -> dict[str, int]:
     return {str(p): v for p, v in sorted(mapping.items())}
 
 
-def _int_map_from_dict(data: Mapping[str, Any], name: str) -> dict[int, int]:
+def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
     """Inverse of :func:`_int_map_to_dict`: keys must be written as it writes them."""
+    if type(data) is not dict:
+        raise ValueError(f"{name} must be an object, got {data!r}")
     out = {}
     for key, value in data.items():
         try:
@@ -139,7 +161,7 @@ def profile_from_dict(data: Mapping[str, Any]) -> HodgeProfile:
         degrees=None
         if data.get("degrees") is None
         else _int_map_from_dict(data["degrees"], "degrees"),
-        note=data.get("note", ""),
+        note=_text(data.get("note", ""), "note"),
     )
 
 
@@ -199,16 +221,24 @@ def _document_params(data: Any, name: str) -> HypergeometricParams:
 
 
 def report_from_dict(data: Mapping[str, Any]) -> EngineReport:
+    """The report in ``data``; ``agree`` and ``mismatches`` must be what
+    ``tables`` and ``error`` imply, as the cross-engine comparison writes them."""
+    table_equal = {k: _flag(v, f"tables[{k}]") for k, v in data["tables"].items()}
+    error = None if data.get("error") is None else _text(data["error"], "error")
+    agree = _flag(data["agree"], "agree")
+    if agree != (error is None and all(table_equal.values())):
+        raise ValueError(f"agree contradicts tables and error, got {agree!r}")
+    mismatches = _texts(data["mismatches"], "mismatches")
+    if mismatches != tuple(k for k, ok in table_equal.items() if not ok):
+        raise ValueError(f"mismatches contradict tables, got {list(mismatches)!r}")
     return EngineReport(
         params=_document_params(data["params"], "report.params"),
-        agree=_flag(data["agree"], "agree"),
+        agree=agree,
         shift=None if data["shift"] is None else _int(data["shift"], "shift"),
-        table_equal={
-            k: _flag(v, f"tables[{k}]") for k, v in data["tables"].items()
-        },
+        table_equal=table_equal,
         identities_ok=_flag(data["identities_ok"], "identities_ok"),
-        mismatches=_texts(data["mismatches"], "mismatches"),
-        error=data.get("error"),
+        mismatches=mismatches,
+        error=error,
     )
 
 
@@ -236,9 +266,9 @@ def parse_document(data: Mapping[str, Any]) -> dict[str, Any]:
         raise ValueError("unsupported schema version")
     return {
         "schema_version": data["schema_version"],
-        "command": data["command"],
+        "command": _choice(data["command"], "command", ("compute",)),
         "params": _document_params(data["params"], "params"),
-        "engine": data["engine"],
+        "engine": _choice(data["engine"], "engine", ENGINES),
         "profiles": {
             name: profile_from_dict(p) for name, p in data["profiles"].items()
         },

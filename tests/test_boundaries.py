@@ -42,6 +42,12 @@ def test_closed_engine_reads_only_the_data_model():
     assert set(package_imports("closed_form")) == {"core"}
 
 
+def test_serialize_reads_only_the_data_model():
+    # The report record is plain data: serializing it needs no engine.
+    assert set(package_imports("serialize")) == {"core"}
+    assert hyphodge.core.EngineReport is hyphodge.recursion.EngineReport is hyphodge.EngineReport
+
+
 def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     imports = package_imports("recursion")
     assert imports.get("closed_form") == {"profile_closed"}

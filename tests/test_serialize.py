@@ -87,8 +87,12 @@ class TestRoundTrips:
             profile_from_dict(data)
 
 
+def closed_table(doc):
+    return doc["profiles"]["closed"]["nearby_zero"]
+
+
 def closed_entry(doc):
-    return doc["profiles"]["closed"]["nearby_zero"]["entries"][0]
+    return closed_table(doc)["entries"][0]
 
 
 def recursive_profile(doc):
@@ -118,6 +122,16 @@ NEVER_EMITTED = [
     (lambda d: recursive_profile(d).update(degrees={"2": False}), "degrees[2]"),
     (lambda d: d["params"].update(alpha=[0, "1/2"]), "params.alpha"),
     (lambda d: d["report"]["params"].update(beta=["1/4", 1]), "report.params.beta"),
+    (lambda d: d.update(command=7), "command"),
+    (lambda d: d.update(engine=5), "engine"),
+    (lambda d: d.update(engine="bogus"), "engine"),
+    (lambda d: recursive_profile(d).update(note=5), "note"),
+    (lambda d: d["report"].update(error=5), "error"),
+    (lambda d: closed_table(d).pop("unknown"), "unknown"),
+    (lambda d: recursive_profile(d).update(hodge=[2]), "hodge"),
+    (lambda d: recursive_profile(d).update(degrees="1"), "degrees"),
+    (lambda d: d["report"].update(agree=False), "agree contradicts"),
+    (lambda d: d["report"].update(mismatches=["hodge"]), "mismatches contradict"),
 ]
 
 
