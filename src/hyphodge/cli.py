@@ -31,6 +31,7 @@ from .core import (
 )
 from .recursion import compare_profiles, profile_recursive
 from .serialize import (
+    ENGINE_PROFILES,
     ENGINES,
     SCHEMA_VERSION,
     build_compute_document,
@@ -69,9 +70,9 @@ def _compute(
     profiles and normalization shifts them only afterwards.
     """
     profiles: dict[str, HodgeProfile] = {}
-    if engine in ("closed", "both"):
+    if "closed" in ENGINE_PROFILES[engine]:
         profiles["closed"] = profile_closed(params)
-    if engine in ("recursive", "both"):
+    if "recursive" in ENGINE_PROFILES[engine]:
         profiles["recursive"] = profile_recursive(params)
     report = None
     if engine == "both":

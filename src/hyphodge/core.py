@@ -397,12 +397,18 @@ class EngineReport:
     """Outcome of running both engines on one input and comparing."""
 
     params: HypergeometricParams
-    agree: bool
     shift: int | None
     table_equal: dict[str, bool]
     identities_ok: bool
-    mismatches: tuple[str, ...]
     error: str | None = None
+
+    @property
+    def agree(self) -> bool:
+        return self.error is None and all(self.table_equal.values())
+
+    @property
+    def mismatches(self) -> tuple[str, ...]:
+        return tuple(name for name, ok in self.table_equal.items() if not ok)
 
 
 def profile_min_p(profile: HodgeProfile) -> int:

@@ -361,11 +361,9 @@ def compare_profiles(
         }
     return EngineReport(
         params=params,
-        agree=all(table_equal.values()),
         shift=shift,
         table_equal=table_equal,
         identities_ok=count_identities_hold(params),
-        mismatches=tuple(name for name, ok in table_equal.items() if not ok),
     )
 
 
@@ -380,11 +378,9 @@ def verify_cross_engine(params: HypergeometricParams) -> EngineReport:
     except ReducibleInput as exc:
         return EngineReport(
             params=params,
-            agree=False,
             shift=None,
             table_equal={},
             identities_ok=False,
-            mismatches=(),
             error=str(exc),
         )
     return compare_profiles(params, profile_closed(params), profile_recursive(params))

@@ -1,19 +1,23 @@
 """Lossless JSON documents and the flat TSV projection.
 
 Rationals are serialized as ``a/b`` strings, never as floats; Hodge indices,
-levels and multiplicities are plain integers.  ``parse_document`` inverts
-``emit`` exactly on compute-style documents and accepts only the JSON types
-schema v1 emits: a value of another type raises :class:`ValueError` naming
-its field.
+levels and multiplicities are plain integers.  ``parse_document`` accepts a
+document only if every object has exactly the keys schema v1 writes, every
+leaf has exactly its JSON type, and ``emit_document`` of the parsed view
+gives back the input; else :class:`ValueError` names the first field that
+differs, such as ``document.profiles.closed.nearby_zero.entries[0].residue``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from .core import (
+    AT_ONE,
+    INFINITY,
+    ZERO,
     EngineReport,
     HodgeProfile,
     HypergeometricParams,
@@ -25,7 +29,13 @@ from .core import (
 )
 
 SCHEMA_VERSION = "1"
-ENGINES = ("closed", "recursive", "both")
+ENGINE_PROFILES = {
+    "closed": ("closed",),
+    "recursive": ("recursive",),
+    "both": ("closed", "recursive"),
+}
+"""The profiles a document of each engine holds; only ``both`` has a report."""
+ENGINES = tuple(ENGINE_PROFILES)
 
 
 def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
@@ -48,68 +58,53 @@ def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
     }
 
 
-def _int(value: Any, name: str) -> int:
-    """``value`` if it is a JSON integer (not a bool); else :class:`ValueError`."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _leaf(value: Any, kind: type, name: str, convert: Any = None) -> Any:
+    """``value``, through ``convert`` if given, if its JSON type is exactly
+    ``kind`` (a bool is never an int); else :class:`ValueError` naming ``name``."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must have type {kind.__name__}, got {value!r}")
+    return value if convert is None else _built(name, convert, value)
+
+
+def _fields(value: Any, name: str, keys: Collection[str]) -> Any:
+    """``value`` if it is an object with exactly ``keys``; else :class:`ValueError`."""
+    for key in _leaf(value, dict, name):
+        if key not in keys:
+            raise ValueError(f"{name} key {key!r} is unexpected")
+    if len(value) != len(keys):
+        missing = next(key for key in keys if key not in value)
+        raise ValueError(f"{name}.{missing} is missing")
     return value
 
 
-def _flag(value: Any, name: str) -> bool:
-    """``value`` if it is a JSON ``true`` or ``false``; else :class:`ValueError`."""
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
+def _built(name: str, make: Any, *args: Any) -> Any:
+    """``make(*args)``, with a :class:`ValueError` it raises prefixed by ``name``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def _text(value: Any, name: str) -> str:
-    """``value`` if it is a JSON string; else :class:`ValueError`."""
-    if type(value) is not str:
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    return value
+def _rows(table: Any, name: str, field: str, keys: list[str]) -> list[tuple[Any, ...]]:
+    """The rows in ``table[field]``: each its ``a/b`` residue, then its ``keys``."""
+    rows = []
+    for i, row in enumerate(_leaf(table[field], list, f"{name}.{field}")):
+        at = f"{name}.{field}[{i}]"
+        _fields(row, at, ["residue", *keys])
+        residue = _leaf(row["residue"], str, f"{at}.residue", parse_rational)
+        rows.append((residue, *(_leaf(row[k], int, f"{at}.{k}") for k in keys)))
+    return rows
 
 
-def _choice(value: Any, name: str, allowed: tuple[str, ...]) -> str:
-    """``value`` if it is one of the strings ``allowed``; else :class:`ValueError`."""
-    if type(value) is not str or value not in allowed:
-        raise ValueError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-    return value
-
-
-def _list(value: Any, name: str) -> list[Any]:
-    """``value`` if it is a JSON array; else :class:`ValueError`."""
-    if type(value) is not list:
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _texts(value: Any, name: str) -> tuple[str, ...]:
-    if type(value) is not list or any(type(v) is not str for v in value):
-        raise ValueError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _residue(value: Any) -> Fraction:
-    return parse_rational(_text(value, "residue"))
-
-
-def table_from_dict(data: Mapping[str, Any]) -> LocalHodgeTable:
-    return LocalHodgeTable(
-        SingularPoint(data["point"]),
-        TableKind(data["kind"]),
-        {
-            (
-                _residue(e["residue"]),
-                _int(e["level"], "level"),
-                _int(e["p"], "p"),
-            ): _int(e["mult"], "mult")
-            for e in data["entries"]
-        },
-        frozenset(
-            (_residue(u["residue"]), _int(u["level"], "level"))
-            for u in _list(data.get("unknown"), "unknown")
-        ),
-    )
+def table_from_dict(data: Any, name: str = "table") -> LocalHodgeTable:
+    """The table in ``data``, at whatever point it names."""
+    _fields(data, name, ["point", "kind", "entries", "unknown"])
+    point = _leaf(data["point"], str, f"{name}.point", SingularPoint)
+    kind = _leaf(data["kind"], str, f"{name}.kind", TableKind)
+    rows = _rows(data, name, "entries", ["level", "p", "mult"])
+    entries = {(r, lv, p): m for r, lv, p, m in rows}
+    unknown = frozenset(_rows(data, name, "unknown", ["level"]))
+    return _built(name, LocalHodgeTable, point, kind, entries, unknown)
 
 
 def _int_map_to_dict(mapping: Mapping[int, int]) -> dict[str, int]:
@@ -117,19 +112,11 @@ def _int_map_to_dict(mapping: Mapping[int, int]) -> dict[str, int]:
 
 
 def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
-    """Inverse of :func:`_int_map_to_dict`: keys must be written as it writes them."""
-    if type(data) is not dict:
-        raise ValueError(f"{name} must be an object, got {data!r}")
-    out = {}
-    for key, value in data.items():
-        try:
-            p = int(key)
-        except (TypeError, ValueError):
-            p = None
-        if p is None or str(p) != key:
-            raise ValueError(f"{name} key must be a decimal integer, got {key!r}")
-        out[p] = _int(value, f"{name}[{key}]")
-    return out
+    """Inverse of :func:`_int_map_to_dict`, up to the spelling of the keys."""
+    return {
+        _leaf(key, str, f"{name} key", int): _leaf(value, int, f"{name}[{key}]")
+        for key, value in _leaf(data, dict, name).items()
+    }
 
 
 def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
@@ -147,21 +134,36 @@ def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
     }
 
 
-def profile_from_dict(data: Mapping[str, Any]) -> HodgeProfile:
-    if data["nearby_finite"] != []:
-        raise ValueError("nearby_finite must be empty in schema v1")
-    return HodgeProfile(
-        rank=_int(data["rank"], "rank"),
-        nearby_zero=table_from_dict(data["nearby_zero"]),
-        nearby_infinity=table_from_dict(data["nearby_infinity"]),
-        vanishing_finite=tuple(
-            table_from_dict(t) for t in data["vanishing_finite"]
-        ),
-        hodge=_int_map_from_dict(data["hodge"], "hodge"),
-        degrees=None
-        if data.get("degrees") is None
-        else _int_map_from_dict(data["degrees"], "degrees"),
-        note=_text(data.get("note", ""), "note"),
+def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
+    """The profile in ``data``, each of its three tables in its own slot."""
+    slots = "nearby_zero nearby_infinity nearby_finite vanishing_finite"
+    _fields(data, name, ["rank", *slots.split(), "hodge", "degrees", "note"])
+    if _leaf(data["nearby_finite"], list, f"{name}.nearby_finite"):
+        raise ValueError(f"{name}.nearby_finite must be empty in schema v1")
+    vanishing = _leaf(data["vanishing_finite"], list, f"{name}.vanishing_finite")
+    if len(vanishing) != 1:
+        raise ValueError(f"{name}.vanishing_finite must hold one table")
+    tables = []
+    for field, value, point, kind in (
+        ("nearby_zero", data["nearby_zero"], ZERO, TableKind.NEARBY),
+        ("nearby_infinity", data["nearby_infinity"], INFINITY, TableKind.NEARBY),
+        ("vanishing_finite[0]", vanishing[0], AT_ONE, TableKind.VANISHING),
+    ):
+        tables.append(table_from_dict(value, f"{name}.{field}"))
+        if (tables[-1].point, tables[-1].kind) != (point, kind):
+            raise ValueError(
+                f"{name}.{field} must be the {kind.value} table at {point.value}"
+            )
+    degrees = data["degrees"]
+    return _built(
+        name,
+        HodgeProfile,
+        _leaf(data["rank"], int, f"{name}.rank"),
+        *tables[:2],
+        tables[2:],
+        _int_map_from_dict(data["hodge"], f"{name}.hodge"),
+        None if degrees is None else _int_map_from_dict(degrees, f"{name}.degrees"),
+        _leaf(data["note"], str, f"{name}.note"),
     )
 
 
@@ -212,34 +214,28 @@ def report_to_dict(report: EngineReport) -> dict[str, Any]:
     }
 
 
-def _document_params(data: Any, name: str) -> HypergeometricParams:
-    """The instance in a document, where every exponent is an ``a/b`` string."""
-    params = params_from_dict(data)
-    for key in ("alpha", "beta"):
-        _texts(data[key], f"{name}.{key}")
-    return params
-
-
-def report_from_dict(data: Mapping[str, Any]) -> EngineReport:
-    """The report in ``data``; ``agree`` and ``mismatches`` must be what
-    ``tables`` and ``error`` imply, as the cross-engine comparison writes them."""
-    table_equal = {k: _flag(v, f"tables[{k}]") for k, v in data["tables"].items()}
-    error = None if data.get("error") is None else _text(data["error"], "error")
-    agree = _flag(data["agree"], "agree")
-    if agree != (error is None and all(table_equal.values())):
-        raise ValueError(f"agree contradicts tables and error, got {agree!r}")
-    mismatches = _texts(data["mismatches"], "mismatches")
-    if mismatches != tuple(k for k, ok in table_equal.items() if not ok):
-        raise ValueError(f"mismatches contradict tables, got {list(mismatches)!r}")
-    return EngineReport(
-        params=_document_params(data["params"], "report.params"),
-        agree=agree,
-        shift=None if data["shift"] is None else _int(data["shift"], "shift"),
-        table_equal=table_equal,
-        identities_ok=_flag(data["identities_ok"], "identities_ok"),
-        mismatches=mismatches,
-        error=error,
+def report_from_dict(
+    data: Any, params: HypergeometricParams, name: str = "report"
+) -> EngineReport:
+    """The report in ``data`` on ``params``, its document's instance; its
+    ``agree`` and ``mismatches`` must be what :class:`EngineReport` derives."""
+    keys = "params agree shift tables identities_ok mismatches error"
+    _fields(data, name, keys.split())
+    shift, error = data["shift"], data["error"]
+    tables = _leaf(data["tables"], dict, f"{name}.tables")
+    report = EngineReport(
+        params,
+        None if shift is None else _leaf(shift, int, f"{name}.shift"),
+        {k: _leaf(v, bool, f"{name}.tables[{k}]") for k, v in tables.items()},
+        _leaf(data["identities_ok"], bool, f"{name}.identities_ok"),
+        None if error is None else _leaf(error, str, f"{name}.error"),
     )
+    agree, mismatches = data["agree"], data["mismatches"]
+    if agree is not report.agree:
+        raise ValueError(f"{name}.agree contradicts tables and error, got {agree!r}")
+    if mismatches != list(report.mismatches):
+        raise ValueError(f"{name}.mismatches contradict tables, got {mismatches!r}")
+    return report
 
 
 def build_compute_document(
@@ -260,23 +256,48 @@ def build_compute_document(
     }
 
 
-def parse_document(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Typed view of a compute document; inverse of the emitters above."""
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema version")
-    return {
-        "schema_version": data["schema_version"],
-        "command": _choice(data["command"], "command", ("compute",)),
-        "params": _document_params(data["params"], "params"),
-        "engine": _choice(data["engine"], "engine", ENGINES),
+def parse_document(data: Any) -> dict[str, Any]:
+    """Typed view of a compute document; inverse of :func:`emit_document`."""
+    keys = "schema_version command params engine profiles report normalization"
+    _fields(data, "document", keys.split())
+    engine = _leaf(data["engine"], str, "document.engine")
+    if engine not in ENGINE_PROFILES:
+        raise ValueError(f"document.engine must be one of {ENGINES}, got {engine!r}")
+    names = ENGINE_PROFILES[engine]
+    profiles = _fields(data["profiles"], "document.profiles", names)
+    params = _leaf(data["params"], dict, "document.params", params_from_dict)
+    parsed = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "compute",
+        "params": params,
+        "engine": engine,
         "profiles": {
-            name: profile_from_dict(p) for name, p in data["profiles"].items()
+            n: profile_from_dict(profiles[n], f"document.profiles.{n}") for n in names
         },
-        "report": None
-        if data.get("report") is None
-        else report_from_dict(data["report"]),
-        "normalization": _int(data["normalization"], "normalization"),
+        "report": report_from_dict(data["report"], params, "document.report")
+        if engine == "both"
+        else None,
+        "normalization": _leaf(data["normalization"], int, "document.normalization"),
     }
+    _same(emit_document(parsed), data, "document")
+    return parsed
+
+
+def _same(emitted: Any, given: Any, name: str) -> None:
+    """Raise :class:`ValueError` at the first place ``given`` is not ``emitted``."""
+    if type(given) is not type(emitted):
+        raise ValueError(f"{name} must be {emitted!r}, got {given!r}")
+    if type(given) is dict:
+        _fields(given, name, emitted)
+        for key, value in emitted.items():
+            _same(value, given[key], f"{name}.{key}")
+    elif type(given) is list:
+        if len(given) != len(emitted):
+            raise ValueError(f"{name} must hold {len(emitted)} items, got {len(given)}")
+        for i, (e, g) in enumerate(zip(emitted, given)):
+            _same(e, g, f"{name}[{i}]")
+    elif given != emitted:
+        raise ValueError(f"{name} must be {emitted!r}, got {given!r}")
 
 
 def emit_document(parsed: Mapping[str, Any]) -> dict[str, Any]:

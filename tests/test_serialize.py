@@ -132,7 +132,79 @@ NEVER_EMITTED = [
     (lambda d: recursive_profile(d).update(degrees="1"), "degrees"),
     (lambda d: d["report"].update(agree=False), "agree contradicts"),
     (lambda d: d["report"].update(mismatches=["hodge"]), "mismatches contradict"),
+    (lambda d: d.update(profiles=5), "document.profiles must have type dict"),
+    (lambda d: d["report"].update(tables=5), "report.tables must have type dict"),
+    (lambda d: closed_table(d).update(entries=5), "entries must have type list"),
+    (
+        lambda d: recursive_profile(d).update(vanishing_finite=5),
+        "vanishing_finite must have type list",
+    ),
+    (lambda d: d.pop("command"), "document.command is missing"),
+    (lambda d: d["profiles"].pop("recursive"), "document.profiles.recursive"),
+    (lambda d: d.update(engine="closed"), "document.profiles key 'recursive'"),
+    (
+        lambda d: (d.update(engine="closed"), d["profiles"].pop("recursive")),
+        "document.report must be None",
+    ),
+    (
+        lambda d: closed_table(d)["entries"][1].update(residue="2/4"),
+        "entries[1].residue",
+    ),
+    (lambda d: closed_entry(d).update(extra=1), "key 'extra' is unexpected"),
+    (
+        lambda d: closed_table(d).update(point="one"),
+        "nearby_zero must be the nearby table at zero",
+    ),
+    (
+        lambda d: recursive_profile(d)["nearby_infinity"].update(kind="vanishing"),
+        "nearby_infinity must be the nearby table at infinity",
+    ),
+    (
+        lambda d: recursive_profile(d).update(vanishing_finite=[]),
+        "vanishing_finite must hold one table",
+    ),
 ]
+
+
+SWEEP_VALUES = [5, "x", True, None, 1.0, [], {}, "2/4", -1, "1/3"]
+
+
+def strict(doc):
+    """JSON text of ``doc``, where a bool never equals an int, nor a float an int."""
+    return json.dumps(doc, sort_keys=True)
+
+
+def one_field_changes(doc):
+    """Copies of ``doc`` that each differ from it at one place: a value
+    replaced by one of ``SWEEP_VALUES``, a key deleted, an extra key added
+    to an object, or a list of two or more items reversed."""
+
+    def walk(node, path):
+        yield path, node
+        if type(node) is dict:
+            for key, value in node.items():
+                yield from walk(value, (*path, key))
+        elif type(node) is list:
+            for i, value in enumerate(node):
+                yield from walk(value, (*path, i))
+
+    def edited(path, edit):
+        root = {"doc": json.loads(json.dumps(doc))}
+        holder, key = root, "doc"
+        for step in path:
+            holder, key = holder[key], step
+        edit(holder, key)
+        return root["doc"]
+
+    for path, node in walk(doc, ()):
+        for value in SWEEP_VALUES:
+            yield edited(path, lambda holder, key: holder.__setitem__(key, value))
+        if path and type(path[-1]) is str:
+            yield edited(path, lambda holder, key: holder.pop(key))
+        if type(node) is dict:
+            yield edited(path, lambda holder, key: holder[key].update(extra=1))
+        if type(node) is list and len(node) > 1:
+            yield edited(path, lambda holder, key: holder[key].reverse())
 
 
 class TestStrictParsing:
@@ -144,6 +216,24 @@ class TestStrictParsing:
         mutate(doc)
         with pytest.raises(ValueError, match=re.escape(field)):
             parse_document(doc)
+
+    def test_every_one_field_change_is_rejected_or_round_trips(self):
+        built = accepted = 0
+        for alpha, beta in (("0,1/3", "1/2,2/3"), ("0,0,1/4", "1/2,1/2,3/4")):
+            exponents = {"alpha": alpha.split(","), "beta": beta.split(",")}
+            params = params_from_dict(exponents)
+            for engine in ("closed", "recursive", "both"):
+                for doc in one_field_changes(make_document(params, engine)):
+                    built += 1
+                    try:
+                        parsed = parse_document(doc)
+                    except ValueError:
+                        continue
+                    accepted += 1
+                    assert strict(emit_document(parsed)) == strict(doc), doc
+        # A few changes still make a valid document (a note of "x", a table
+        # flag deleted while agree stays true); nearly all must be refused.
+        assert built > 5000 and 0 < accepted < built // 10
 
     def test_accepts_a_null_shift(self):
         doc = make_document(PARAMS)
