@@ -6,6 +6,11 @@ entry at the finite point, the eigenvalue counts there, and the graded fibre
 dimensions.  Degrees are not determined here; see the recursive engine.
 Only the data model in :mod:`hyphodge.core` is imported; the literal counts
 these formulas are held to live in :mod:`hyphodge.combinatorics`.
+
+Every formula reads the exponents as integer numerators over the instance's
+common denominator (:attr:`HypergeometricParams.numerators`) and hands its
+tables integer classes over that denominator; the only ``Fraction`` built
+here is the value :func:`special_exponent` returns to library callers.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from operator import lt
 
 from .core import (
     AT_ONE,
@@ -23,7 +29,6 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
-    frac,
     hodge_numbers,
 )
 
@@ -48,25 +53,34 @@ def nearby_closed(
     so every index is read off the sorted tuples by bisection.  The residues
     are read as numerators over their common denominator
     (:attr:`HypergeometricParams.numerators`), so the sort and the
-    bisections compare integers; the table keys are the instance's own
-    exponents.  The cost is O(n log n) per table.
+    bisections compare integers, and the table is built from those integer
+    classes.  The cost is O(n log n) per table.
     """
     params.require_irreducible()
     if point not in (ZERO, INFINITY):
         raise ValueError("closed nearby tables exist at 0 and infinity only")
+    return _nearby_table(params, point, _sweep(params))
+
+
+Sweep = tuple[int, list[int], list[int]]
+"""The ascending-pair count and the sorted alpha and beta numerators."""
+
+
+def _sweep(params: HypergeometricParams) -> Sweep:
     _den, alpha, beta = params.numerators
-    if point == ZERO:
-        values, residue_of = alpha, dict(zip(alpha, params.alpha))
-    else:
-        values, residue_of = beta, dict(zip(beta, params.beta))
-    ascending = sum(a < b for a, b in zip(alpha, beta))
-    alpha_sorted = sorted(alpha)
-    beta_sorted = sorted(beta)
+    return sum(map(lt, alpha, beta)), sorted(alpha), sorted(beta)
+
+
+def _nearby_table(
+    params: HypergeometricParams, point: SingularPoint, sweep: Sweep
+) -> LocalHodgeTable:
+    ascending, alpha_sorted, beta_sorted = sweep
+    # Counted in sorted order, the classes come out in table order.
     entries = {}
-    for g, mult in Counter(values).items():
+    for g, mult in Counter(alpha_sorted if point == ZERO else beta_sorted).items():
         p = ascending + bisect_right(beta_sorted, g) - bisect_left(alpha_sorted, g)
-        entries[(residue_of[g], mult - 1, p)] = 1
-    return LocalHodgeTable(point, TableKind.NEARBY, entries)
+        entries[(g, mult - 1, p)] = 1
+    return LocalHodgeTable(point, TableKind.NEARBY, entries, den=params.den)
 
 
 def special_exponent(params: HypergeometricParams) -> Fraction:
@@ -76,9 +90,15 @@ def special_exponent(params: HypergeometricParams) -> Fraction:
     to a unipotent reflection (a transvection).  The sum is taken over the
     integer numerators of :attr:`HypergeometricParams.numerators`.
     """
+    drop = _special_drop(params)
+    return Fraction(drop, params.den) if drop else Fraction(1)
+
+
+def _special_drop(params: HypergeometricParams) -> int:
+    """The special exponent mod 1, as a numerator over ``params.den``; 0 is
+    the transvection case."""
     den, alpha, beta = params.numerators
-    drop = (sum(beta) - sum(alpha)) % den
-    return Fraction(drop, den) if drop else Fraction(1)
+    return (sum(beta) - sum(alpha)) % den
 
 
 def _tail_no_wrap_count(params: HypergeometricParams) -> int:
@@ -112,11 +132,9 @@ def vanishing_at_one_closed(params: HypergeometricParams) -> LocalHodgeTable:
     that stay below the special exponent.
     """
     params.require_irreducible()
-    special = special_exponent(params)
-    p = _tail_no_wrap_count(params) + (1 if special == 1 else 0)
-    return LocalHodgeTable(
-        AT_ONE, TableKind.VANISHING, {(frac(special), 0, p): 1}
-    )
+    drop = _special_drop(params)
+    p = _tail_no_wrap_count(params) + (0 if drop else 1)
+    return LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(drop, 0, p): 1}, den=params.den)
 
 
 def counts_at_one(params: HypergeometricParams) -> tuple[int, int]:
@@ -127,7 +145,7 @@ def counts_at_one(params: HypergeometricParams) -> tuple[int, int]:
     transvection case, where the special eigenvalue merges into 1.
     """
     params.require_irreducible()
-    if special_exponent(params) == 1:
+    if not _special_drop(params):
         return params.n, 0
     return params.n - 1, 1
 
@@ -141,11 +159,12 @@ def profile_closed(params: HypergeometricParams) -> HodgeProfile:
     inherited from the rank-one normalization.
     """
     params.require_irreducible()
-    nearby_zero = nearby_closed(params, ZERO)
+    sweep = _sweep(params)
+    nearby_zero = _nearby_table(params, ZERO, sweep)
     return HodgeProfile(
         rank=params.n,
         nearby_zero=nearby_zero,
-        nearby_infinity=nearby_closed(params, INFINITY),
+        nearby_infinity=_nearby_table(params, INFINITY, sweep),
         vanishing_finite=(vanishing_at_one_closed(params),),
         hodge=hodge_numbers(nearby_zero),
         degrees=None,

@@ -150,6 +150,7 @@ def dualize_table(table: LocalHodgeTable) -> LocalHodgeTable:
     return LocalHodgeTable(
         conjugate.point,
         conjugate.kind,
-        {(r, lv, lv - p): m for (r, lv, p), m in conjugate.entries.items()},
-        conjugate.unknown,
+        {(r, lv, lv - p): m for (r, lv, p), m in conjugate.int_entries.items()},
+        conjugate.int_unknown,
+        den=conjugate.den,
     )

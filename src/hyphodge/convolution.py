@@ -23,14 +23,16 @@ which read ``((r, level, p), multiplicity)`` items with ``r`` in
 On these, ``r >= kernel`` is the class kept at 0, ``0 < r < den - kernel``
 the inside of ``(0, 1 - g0)``, and ``r or den`` the ``(0, 1]``
 representative.  The table-level transforms keep their checks (table kind,
-undetermined slots in a class they read), put their tables on a common
-denominator with the kernel, and call the integer forms.
+undetermined slots in a class they read), put their tables' integer
+residues on a common denominator with the kernel, call the integer forms,
+and build their output tables from integers over that denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -39,9 +41,6 @@ from .core import (
     UnknownData,
     _prune,
     _spread_sum,
-    common_denominator,
-    frac,
-    numerator_over,
 )
 
 NumeratorEntry = tuple[int, int, int]
@@ -106,14 +105,10 @@ def convolve_vanishing_finite(
     if table.kind is not TableKind.VANISHING:
         raise ValueError("expected a vanishing table")
     den, kernel = _row_numerators(ctx, table)
-    entries = {
-        (Fraction(r, den), lv, p): m
-        for (r, lv, p), m in vanishing_step(
-            _numerator_items(table, den), kernel, den
-        ).items()
-    }
-    unknown = frozenset((frac(r + ctx.kernel_rep), lv) for r, lv in table.unknown)
-    return LocalHodgeTable(table.point, table.kind, entries, unknown)
+    entries = vanishing_step(_numerator_items(table, den), kernel, den)
+    scale = den // table.den
+    unknown = frozenset(((r * scale + kernel) % den, lv) for r, lv in table.int_unknown)
+    return LocalHodgeTable(table.point, table.kind, entries, unknown, den=den)
 
 
 def _check_kernel(kernel: int, den: int) -> None:
@@ -149,19 +144,18 @@ def _row_numerators(
 ) -> tuple[int, int]:
     """A common denominator of the tables' residues and the kernel, and the
     kernel's numerator over it."""
-    den = common_denominator(
-        [ctx.kernel_rep, *(r for table in tables for r in table.residues())]
-    )
-    return den, numerator_over(ctx.kernel_rep, den)
+    rep = ctx.kernel_rep
+    den = lcm(rep.denominator, *(table.den for table in tables))
+    return den, rep.numerator * (den // rep.denominator)
 
 
 def _numerator_items(
     table: LocalHodgeTable, den: int
 ) -> list[tuple[NumeratorEntry, int]]:
-    """The table's entries with each residue written as its numerator over ``den``."""
-    return [
-        ((numerator_over(r, den), lv, p), m) for (r, lv, p), m in table.entries.items()
-    ]
+    """The table's entries with each residue written as its numerator over
+    ``den``, a multiple of the table's own."""
+    scale = den // table.den
+    return [((r * scale, lv, p), m) for (r, lv, p), m in table.int_entries.items()]
 
 
 def _require_known(
@@ -169,20 +163,22 @@ def _require_known(
 ) -> None:
     """Raise :class:`UnknownData` if a class the transport reads has
     undetermined slots; ``read`` tests the class's numerator over ``den``."""
-    for r, _lv in table.unknown:
-        if read(numerator_over(r, den)):
-            raise UnknownData(f"class {r} has undetermined slots")
+    scale = den // table.den
+    for r, _lv in table.int_unknown:
+        if read(r * scale):
+            raise UnknownData(f"class {Fraction(r, table.den)} has undetermined slots")
 
 
 def _through_rows(
     table: LocalHodgeTable,
-    ctx: ConvolutionContext,
+    den: int,
+    kernel: int,
     row: Callable[[int, int, int, int], tuple[int, int] | None],
-    entries: dict[tuple[Fraction, int, int], int],
-    unknown: set[tuple[Fraction, int]],
+    entries: dict[NumeratorEntry, int],
+    unknown: set[tuple[int, int]],
 ) -> LocalHodgeTable:
     """The nearby table ``table`` sent through ``row`` on top of the caller's
-    own extra slot (``entries`` or ``unknown``).
+    own extra slot (``entries`` or ``unknown``), all over ``den``.
 
     Each entry and unknown slot moves to its row's level and index step or is
     dropped.  A row keeps the residue and moves every level of a class by the
@@ -191,17 +187,17 @@ def _through_rows(
     """
     if table.kind is not TableKind.NEARBY:
         raise ValueError("expected a nearby table")
-    den, kernel = _row_numerators(ctx, table)
-    for (r, lv, p), m in table.entries.items():
-        out = row(numerator_over(r, den), lv, kernel, den)
+    scale = den // table.den
+    for (r, lv, p), m in table.int_entries.items():
+        out = row(r * scale, lv, kernel, den)
         if out is not None:
-            key = (r, out[0], p + out[1])
+            key = (r * scale, out[0], p + out[1])
             entries[key] = entries.get(key, 0) + m
-    for r, lv in table.unknown:
-        out = row(numerator_over(r, den), lv, kernel, den)
+    for r, lv in table.int_unknown:
+        out = row(r * scale, lv, kernel, den)
         if out is not None:
-            unknown.add((r, out[0]))
-    return LocalHodgeTable(table.point, table.kind, entries, frozenset(unknown))
+            unknown.add((r * scale, out[0]))
+    return LocalHodgeTable(table.point, table.kind, entries, unknown, den=den)
 
 
 def convolve_nearby_infinity(
@@ -219,7 +215,8 @@ def convolve_nearby_infinity(
     The level-0 output at the conjugate kernel class is not determined by the
     input and is always recorded as an unknown slot.
     """
-    return _through_rows(table, ctx, infinity_row, {}, {(frac(ctx.conjugate_rep), 0)})
+    den, kernel = _row_numerators(ctx, table)
+    return _through_rows(table, den, kernel, infinity_row, {}, {(den - kernel, 0)})
 
 
 def zero_row(r: int, lv: int, kernel: int, den: int) -> tuple[int, int] | None:
@@ -255,11 +252,11 @@ def convolve_nearby_zero(
     mapping means it is known to vanish); with ``h1=None`` the slot is
     recorded as unknown.
     """
-    zero = Fraction(0)
+    den, kernel = _row_numerators(ctx, table)
     if h1 is None:
-        return _through_rows(table, ctx, zero_row, {}, {(zero, 0)})
-    entries = {(zero, 0, int(p)): int(v) for p, v in h1.items() if v}
-    return _through_rows(table, ctx, zero_row, entries, set())
+        return _through_rows(table, den, kernel, zero_row, {}, {(0, 0)})
+    entries = {(0, 0, int(p)): int(v) for p, v in h1.items() if v}
+    return _through_rows(table, den, kernel, zero_row, entries, set())
 
 
 def convolve_hodge_numbers(

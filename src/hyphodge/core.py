@@ -7,6 +7,13 @@ infinity.  The convolution transforms evaluate their interval conditions on
 the half-open representative in ``(0, 1]``, where the class of 0 is
 represented by 1 (see :mod:`hyphodge.convolution`).
 
+Residues are stored as integers: an instance holds its exponents as
+numerators over their least common denominator, and a table its residues as
+numerators over the least denominator of its own.  ``Fraction`` is the
+library's boundary only: constructors take ``Fraction`` input and put it on
+a denominator, and ``alpha``, ``beta``, ``entries`` and ``unknown`` are
+``Fraction`` views built on first read.  Nothing on the batch path reads them.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
 """
@@ -18,8 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 class UnknownData(Exception):
@@ -53,20 +60,6 @@ def frac(value: Fraction | int) -> Fraction:
     return q if 0 <= num < den else Fraction(num % den, den)
 
 
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """The least common multiple of the denominators of ``values``."""
-    return lcm(*(v.denominator for v in values))
-
-
-def numerator_over(value: Fraction, den: int) -> int:
-    """The numerator of ``value`` written over ``den``, a multiple of its denominator.
-
-    Residues in ``[0, 1)`` map to integers in ``[0, den)``, and the map keeps
-    order, sums and differences.
-    """
-    return value.numerator * (den // value.denominator)
-
-
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 _MEMO_TEXT_MAX = 32
@@ -95,7 +88,8 @@ def parse_rational(text: str) -> Fraction:
     Each distinct ``str`` of at most 32 characters is parsed once per
     process: a least-recently-used memo of 4096 entries keeps its value,
     never an error.  The ``Fraction``s it hands out are shared and
-    immutable, so a caller cannot tell a memo hit from a fresh parse.
+    immutable, so a caller cannot tell a memo hit from a fresh parse, and
+    reading one's ``as_integer_ratio()`` builds and hashes no ``Fraction``.
     """
     if type(text) is str and len(text) <= _MEMO_TEXT_MAX:
         return _parse(text)
@@ -105,6 +99,19 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render an exact rational in the shared ``a/b`` (or integer) format."""
     return str(value)
+
+
+def format_residue(r: int, den: int) -> str:
+    """The residue ``r / den`` in the format of :func:`format_rational`.
+
+    ``r`` is an integer numerator in ``[0, den)``; the text is ``"0"`` or the
+    reduced ``a/b``, as ``str(Fraction(r, den))`` gives it, without building
+    the ``Fraction``.
+    """
+    if not r:
+        return "0"
+    g = gcd(r, den)
+    return f"{r // g}/{den // g}"
 
 
 class TableKind(Enum):
@@ -131,65 +138,116 @@ AT_ONE = SingularPoint.ONE
 
 Entry = tuple[Fraction, int, int]
 """Table key: (eigenvalue residue, nilpotency level, Hodge index)."""
+IntEntry = tuple[int, int, int]
+"""Table key with the residue as its integer numerator over the table's ``den``."""
 
 
-def _as_fraction(value: Fraction | int) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _common_numerators(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """Rationals as integer numerators over the least common denominator.
+
+    The library boundary: each value gives its ``as_integer_ratio()``, and
+    the order, sums and differences of the values are those of the ints.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(d for _n, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalHodgeTable:
     """Multiset of graded primitive dimensions at one singular point.
 
-    ``entries`` maps ``(residue, level, p)`` to a positive multiplicity; an
-    absent key means zero.  ``unknown`` lists ``(residue, level)`` slots whose
-    content is not determined by the data that produced the table; reading
-    through such a slot raises :class:`UnknownData`.
+    Stored on integers over the table's own denominator ``den``:
+    ``int_entries`` maps ``(r, level, p)`` to a positive multiplicity, the
+    residue being ``r / den`` with ``0 <= r < den``; an absent key means
+    zero.  ``int_unknown`` lists ``(r, level)`` slots whose content is not
+    determined by the data that produced the table; reading through such a
+    slot raises :class:`UnknownData`.  ``den`` is reduced on construction to
+    the least denominator of the residues, so two tables are equal exactly
+    when their contents are, whatever denominator each was built over.
+
+    ``LocalHodgeTable(point, kind, entries, unknown)`` takes rational
+    residues (``Fraction`` or int) and puts them on their common
+    denominator; with ``den=`` the residues are numerators over ``den``, as
+    the engines hand them over.  Either way ``__post_init__`` runs once and
+    checks the integers.  ``entries`` and ``unknown`` are the same contents
+    keyed by ``Fraction`` residues, built on first read.
     """
 
     point: SingularPoint
     kind: TableKind
-    entries: dict[Entry, int] = field(default_factory=dict)
-    unknown: frozenset[tuple[Fraction, int]] = frozenset()
+    den: int
+    int_entries: dict[IntEntry, int]
+    int_unknown: frozenset[tuple[int, int]]
+
+    def __init__(
+        self,
+        point: SingularPoint,
+        kind: TableKind,
+        entries: Mapping[tuple[Any, Any, Any], Any] | None = None,
+        unknown: Iterable[tuple[Any, Any]] = frozenset(),
+        *,
+        den: int | None = None,
+    ) -> None:
+        if den is None:
+            items = list((entries or {}).items())
+            slots = list(unknown)
+            keys = [key[0] for key, _m in items] + [r for r, _lv in slots]
+            den, nums = _common_numerators(keys)
+            entries = {
+                (r, int(lv), int(p)): int(m)
+                for r, ((_r, lv, p), m) in zip(nums, items)
+            }
+            unknown = [(r, int(lv)) for r, (_r, lv) in zip(nums[len(items) :], slots)]
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_entries", entries or {})
+        object.__setattr__(self, "int_unknown", unknown)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        # Check the caller's entries in place.  When every key and count
-        # already has its canonical type, a plain copy keeps the stored
-        # hashes; only other input is rebuilt with coercion.
-        canonical = True
-        for (residue, level, p), mult in self.entries.items():
-            if type(residue) is not Fraction:
-                canonical = False
-                residue = _as_fraction(residue)
-            if not 0 <= residue.numerator < residue.denominator:
-                raise ValueError(f"residue {residue} not reduced to [0, 1)")
-            if level < 0:
-                raise ValueError("negative nilpotency level")
-            if mult < 1:
+        den, entries = self.den, self.int_entries
+        if den < 1:
+            raise ValueError(f"den must be positive, got {den}")
+        for (r, level, _p), mult in entries.items():
+            if not (0 <= r < den and level >= 0 and mult >= 1):
+                if not 0 <= r < den:
+                    raise ValueError(f"residue {Fraction(r, den)} not reduced to [0, 1)")
+                if level < 0:
+                    raise ValueError("negative nilpotency level")
                 raise ValueError("multiplicities must be positive")
-            if type(level) is not int or type(p) is not int or type(mult) is not int:
-                canonical = False
-        if canonical:
-            ent: dict[Entry, int] = dict(self.entries)
-        else:
-            ent = {
-                (_as_fraction(r), int(lv), int(p)): int(m)
-                for (r, lv, p), m in self.entries.items()
-            }
-        unk = set()
-        for residue, level in self.unknown:
-            residue = _as_fraction(residue)
-            if not 0 <= residue.numerator < residue.denominator or level < 0:
+        unknown = frozenset(self.int_unknown)
+        for r, level in unknown:
+            if not 0 <= r < den or level < 0:
                 raise ValueError("malformed unknown slot")
-            unk.add((residue, int(level)))
-        if unk:
-            overlap = {(r, lv) for (r, lv, _p) in ent} & unk
+        if unknown:
+            overlap = {(r, lv) for (r, lv, _p) in entries} & unknown
             if overlap:
-                raise ValueError(
-                    f"slots both determined and unknown: {sorted(overlap)}"
-                )
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "unknown", frozenset(unk))
+                slots = sorted((Fraction(r, den), lv) for r, lv in overlap)
+                raise ValueError(f"slots both determined and unknown: {slots}")
+        # Copy the caller's dict; divide out what the residues share with den.
+        g = gcd(den, *[r for r, _lv, _p in entries], *[r for r, _lv in unknown])
+        if g > 1:
+            den //= g
+            entries = {(r // g, lv, p): m for (r, lv, p), m in entries.items()}
+            unknown = frozenset((r // g, lv) for r, lv in unknown)
+        else:
+            entries = dict(entries)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_entries", entries)
+        object.__setattr__(self, "int_unknown", unknown)
+
+    @cached_property
+    def entries(self) -> dict[Entry, int]:
+        """``int_entries`` keyed by ``Fraction`` residues."""
+        den = self.den
+        return {(Fraction(r, den), lv, p): m for (r, lv, p), m in self.int_entries.items()}
+
+    @cached_property
+    def unknown(self) -> frozenset[tuple[Fraction, int]]:
+        """``int_unknown`` with ``Fraction`` residues."""
+        return frozenset((Fraction(r, self.den), lv) for r, lv in self.int_unknown)
 
     def residues(self) -> set[Fraction]:
         out = {r for (r, _lv, _p) in self.entries}
@@ -198,21 +256,15 @@ class LocalHodgeTable:
 
     def total_dimension(self) -> int:
         """Sum of multiplicity times Jordan size over all entries."""
-        return sum(m * (lv + 1) for (_r, lv, _p), m in self.entries.items())
+        return sum(m * (lv + 1) for (_r, lv, _p), m in self.int_entries.items())
 
     def sorted_items(self) -> list[tuple[Entry, int]]:
-        """Entries in key order, the residues compared as integer numerators.
-
-        Over the common denominator of the residues the order is that of the
-        ``(residue, level, p)`` tuples, without comparing ``Fraction``s.
-        """
-        den = common_denominator(r for r, _lv, _p in self.entries)
-
-        def key(item: tuple[Entry, int]) -> tuple[int, int, int]:
-            (r, lv, p), _m = item
-            return numerator_over(r, den), lv, p
-
-        return sorted(self.entries.items(), key=key)
+        """The ``Fraction``-keyed entries in key order, sorted on the integers."""
+        den = self.den
+        return [
+            ((Fraction(r, den), lv, p), m)
+            for (r, lv, p), m in sorted(self.int_entries.items())
+        ]
 
 
 def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
@@ -220,18 +272,21 @@ def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
     return LocalHodgeTable(
         table.point,
         table.kind,
-        {(r, lv, p + s): m for (r, lv, p), m in table.entries.items()},
-        table.unknown,
+        {(r, lv, p + s): m for (r, lv, p), m in table.int_entries.items()},
+        table.int_unknown,
+        den=table.den,
     )
 
 
 def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
     """Flip the orientation of the eigenvalue keys (``r`` to ``{-r}``)."""
+    den = table.den
     return LocalHodgeTable(
         table.point,
         table.kind,
-        {(frac(-r), lv, p): m for (r, lv, p), m in table.entries.items()},
-        frozenset((frac(-r), lv) for r, lv in table.unknown),
+        {(-r % den, lv, p): m for (r, lv, p), m in table.int_entries.items()},
+        frozenset((-r % den, lv) for r, lv in table.int_unknown),
+        den=den,
     )
 
 
@@ -253,9 +308,9 @@ def hodge_numbers(table: LocalHodgeTable) -> dict[int, int]:
 
     Summed over the nearby table at 0 these are the graded fibre dimensions.
     """
-    if table.unknown:
+    if table.int_unknown:
         raise UnknownData("cannot sum a table with undetermined slots")
-    return dict(sorted(_spread_sum(table.entries.items()).items()))
+    return dict(sorted(_spread_sum(table.int_entries.items()).items()))
 
 
 def kept_totals(
@@ -277,58 +332,83 @@ def class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
     return kept_totals(table, lambda r: r == residue)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypergeometricParams:
     """The pair of exponent tuples defining a hypergeometric module.
 
     The order of the list is meaningful: it records the chosen decomposition
     into rank-one convolution factors, pairing ``alpha[k]`` with ``beta[k]``.
+
+    Stored as integer numerators in ``[0, den)`` over ``den``, the least
+    common denominator of the exponents taken mod 1; residues compare, add
+    and subtract as these ints.  ``HypergeometricParams(alpha, beta)`` takes
+    rationals and reduces them mod 1; with ``den=`` the exponents are already
+    numerators over ``den``, as the batch parser hands them over.  Either way
+    ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
+    the exponents as ``Fraction``s, built on first read.
     """
 
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+    den: int
+    alpha_numerators: tuple[int, ...]
+    beta_numerators: tuple[int, ...]
+
+    def __init__(
+        self,
+        alpha: Sequence[Fraction | int],
+        beta: Sequence[Fraction | int],
+        *,
+        den: int | None = None,
+    ) -> None:
+        alpha, beta = tuple(alpha), tuple(beta)
+        if den is None:
+            den, nums = _common_numerators([frac(v) for v in alpha + beta])
+            alpha, beta = tuple(nums[: len(alpha)]), tuple(nums[len(alpha) :])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "alpha_numerators", alpha)
+        object.__setattr__(self, "beta_numerators", beta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        alpha = tuple(frac(a) for a in self.alpha)
-        beta = tuple(frac(b) for b in self.beta)
+        den, alpha, beta = self.numerators
         if len(alpha) != len(beta) or not alpha:
             raise ValueError("alpha and beta must be non-empty tuples of equal length")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        if min(min(alpha), min(beta)) < 0 or max(max(alpha), max(beta)) >= den:
+            raise ValueError(f"exponent numerators must lie in [0, {den})")
+        g = gcd(den, *alpha, *beta)
+        if g > 1:
+            object.__setattr__(self, "den", den // g)
+            object.__setattr__(self, "alpha_numerators", tuple(a // g for a in alpha))
+            object.__setattr__(self, "beta_numerators", tuple(b // g for b in beta))
+
+    @property
+    def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(den, alpha numerators, beta numerators)``, in the given order."""
+        return self.den, self.alpha_numerators, self.beta_numerators
+
+    @cached_property
+    def alpha(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.alpha_numerators)
+
+    @cached_property
+    def beta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(b, self.den) for b in self.beta_numerators)
 
     @property
     def n(self) -> int:
-        return len(self.alpha)
+        return len(self.alpha_numerators)
 
     def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.alpha, self.beta))
 
     @cached_property
-    def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The exponents over their common denominator, computed once.
-
-        Returns ``(den, alpha_nums, beta_nums)``: ``den`` is the least common
-        multiple of the exponents' denominators and each numerator is an int
-        in ``[0, den)``, in the given order.  Residues compare, add and
-        subtract as these ints.
-        """
-        den = common_denominator(self.alpha + self.beta)
-        return (
-            den,
-            tuple(numerator_over(a, den) for a in self.alpha),
-            tuple(numerator_over(b, den) for b in self.beta),
-        )
-
-    @cached_property
     def is_irreducible(self) -> bool:
-        _den, alpha, beta = self.numerators
-        return set(alpha).isdisjoint(beta)
+        return set(self.alpha_numerators).isdisjoint(self.beta_numerators)
 
     def require_irreducible(self) -> None:
         if not self.is_irreducible:
-            shared = min(set(self.alpha) & set(self.beta))
+            shared = min(set(self.alpha_numerators) & set(self.beta_numerators))
             raise ReducibleInput(
-                f"alpha and beta share the exponent {format_rational(shared)}; "
+                f"alpha and beta share the exponent {format_residue(shared, self.den)}; "
                 "irreducibility requires alpha_i != beta_j for all i, j"
             )
 
@@ -336,7 +416,9 @@ class HypergeometricParams:
         if sorted(order) != list(range(self.n)):
             raise ValueError("not a permutation of the pair indices")
         return HypergeometricParams(
-            tuple(self.alpha[i] for i in order), tuple(self.beta[i] for i in order)
+            tuple(self.alpha_numerators[i] for i in order),
+            tuple(self.beta_numerators[i] for i in order),
+            den=self.den,
         )
 
 
@@ -371,7 +453,7 @@ class HodgeProfile:
         if sum(self.hodge.values()) != self.rank:
             raise ValueError("graded fibre dimensions do not sum to the rank")
         for table in (self.nearby_zero, self.nearby_infinity):
-            if not table.unknown and table.total_dimension() != self.rank:
+            if not table.int_unknown and table.total_dimension() != self.rank:
                 raise ValueError(
                     f"table at {table.point} has dimension "
                     f"{table.total_dimension()}, expected {self.rank}"
@@ -390,6 +472,11 @@ class HodgeProfile:
             else {p + s: v for p, v in self.degrees.items()},
             note=self.note,
         )
+
+
+COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
+"""The invariants both engines compute, in report order: the keys of
+``EngineReport.table_equal`` whenever ``error`` is ``None``."""
 
 
 @dataclass(frozen=True)
@@ -419,7 +506,7 @@ def profile_min_p(profile: HodgeProfile) -> int:
         profile.nearby_infinity,
         *profile.vanishing_finite,
     ):
-        ps.extend(p for (_r, _lv, p) in table.entries)
+        ps.extend(p for (_r, _lv, p) in table.int_entries)
     if profile.degrees:
         ps.extend(profile.degrees)
     return min(ps)

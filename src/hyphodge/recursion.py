@@ -32,8 +32,9 @@ kernel drop is an integer numerator in ``[0, den)``.  The rows
 :func:`~hyphodge.convolution.zero_row` / ``infinity_row`` and the degree
 transports :func:`~hyphodge.convolution.degree_step`, ``twist_step`` and
 ``vanishing_step`` read those integers, so no link of the chain builds a
-table.  ``Fraction`` keys appear only in the returned profile: its two
-nearby tables and its vanishing table, built once from the integer classes.
+table.  The returned profile's two nearby tables and its vanishing table are
+built once, from the integer classes over the same ``den``; no ``Fraction``
+is built anywhere in the engine.
 
 The memo interns each factor list ``pairs``, the sorted tuple of integer
 factors, once as a state; one profile computation creates and drops it.  A
@@ -54,7 +55,6 @@ The module also holds the cross-engine comparison, which returns a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -69,6 +69,7 @@ from .convolution import (
 )
 from .core import (
     AT_ONE,
+    COMPARED,
     INFINITY,
     ZERO,
     EngineReport,
@@ -240,11 +241,9 @@ def _items(
 def _nearby_table(
     point: SingularPoint, classes: Classes, den: int
 ) -> LocalHodgeTable:
-    """The nearby table of ``classes``, each residue ``r`` keyed at ``r / den``."""
+    """The nearby table of ``classes``, each residue a numerator over ``den``."""
     return LocalHodgeTable(
-        point,
-        TableKind.NEARBY,
-        {(Fraction(r, den), lv, p): 1 for r, lv, p in classes},
+        point, TableKind.NEARBY, {(r, lv, p): 1 for r, lv, p in classes}, den=den
     )
 
 
@@ -254,8 +253,8 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
 
     ``pairs`` lists the factors as integer numerators over their common
     denominator ``den``; every peel, memo key, transform row and degree step
-    below works on those integers, and ``Fraction`` keys appear only in the
-    three tables of the returned profile.
+    below works on those integers, and so do the three tables of the
+    returned profile.
 
     Degrees and the vanishing entry ride up the canonical chain (peel factor
     0 down to rank one) from its rank-one end ``(a, b)``: nearby classes
@@ -307,12 +306,14 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     if infinity_classes is None:
         infinity_classes = _nearby_classes(top, den, 1, memo)
     r, lv, p = vanishing
-    regraded = {(Fraction(r, den), lv, p + 1 if r == 0 else p): 1}
+    regraded = {(r, lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
         rank=len(pairs),
         nearby_zero=_nearby_table(ZERO, zero_classes, den),
         nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
-        vanishing_finite=(LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded),),
+        vanishing_finite=(
+            LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded, den=den),
+        ),
         hodge=_spread_sum(zero_items),
         degrees=degrees,
         note="rank-one base"
@@ -334,10 +335,6 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     return _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
 
 
-_COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
-"""The invariants both engines compute, in report order."""
-
-
 def compare_profiles(
     params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
 ) -> EngineReport:
@@ -354,10 +351,10 @@ def compare_profiles(
     shift = equal_up_to_shift(closed, recursive)
     if shift == 0:
         # A zero shift means every table and ``hodge`` already compared equal.
-        table_equal = dict.fromkeys(_COMPARED, True)
+        table_equal = dict.fromkeys(COMPARED, True)
     else:
         table_equal = {
-            name: getattr(closed, name) == getattr(recursive, name) for name in _COMPARED
+            name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
         }
     return EngineReport(
         params=params,

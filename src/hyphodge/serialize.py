@@ -6,16 +6,23 @@ document only if every object has exactly the keys schema v1 writes, every
 leaf has exactly its JSON type, and ``emit_document`` of the parsed view
 gives back the input; else :class:`ValueError` names the first field that
 differs, such as ``document.profiles.closed.nearby_zero.entries[0].residue``.
+
+Residues go out as they are stored, integer numerators over a denominator,
+each formatted by :func:`~hyphodge.core.format_residue`; exponent texts come
+in through the memo of :func:`~hyphodge.core.parse_rational` and go straight
+onto the instance's common denominator.  So past a memo hit, a batch line
+builds and hashes no ``Fraction`` between ``json.loads`` and ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import lcm
 from typing import Any, Collection, Mapping
 
 from .core import (
     AT_ONE,
+    COMPARED,
     INFINITY,
     ZERO,
     EngineReport,
@@ -24,7 +31,7 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
-    format_rational,
+    format_residue,
     parse_rational,
 )
 
@@ -38,22 +45,49 @@ ENGINE_PROFILES = {
 ENGINES = tuple(ENGINE_PROFILES)
 
 
-def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
+class _Texts(dict):
+    """Residue texts keyed by numerator over ``den``, each formatted on first use.
+
+    A document shares one map over its instance's denominator, so a class
+    that is both an exponent and a table residue is formatted once.
+    """
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, r: int) -> str:
+        text = self[r] = format_residue(r, self.den)
+        return text
+
+
+def _texts_over(texts: _Texts | None, den: int) -> tuple[_Texts, int]:
+    """``texts``, or a new map if it is ``None`` or not over a multiple of
+    ``den``, and the factor taking a numerator over ``den`` to its key."""
+    if texts is not None:
+        scale, rest = divmod(texts.den, den)
+        if not rest:
+            return texts, scale
+    return _Texts(den), 1
+
+
+def table_to_dict(table: LocalHodgeTable, texts: _Texts | None = None) -> dict[str, Any]:
+    texts, scale = _texts_over(texts, table.den)
     return {
         "point": table.point.value,
         "kind": table.kind.value,
         "entries": [
             {
-                "residue": format_rational(r),
+                "residue": texts[r * scale],
                 "level": lv,
                 "p": p,
                 "mult": m,
             }
-            for (r, lv, p), m in table.sorted_items()
+            for (r, lv, p), m in sorted(table.int_entries.items())
         ],
         "unknown": [
-            {"residue": format_rational(r), "level": lv}
-            for r, lv in sorted(table.unknown)
+            {"residue": texts[r * scale], "level": lv}
+            for r, lv in sorted(table.int_unknown)
         ],
     }
 
@@ -119,13 +153,13 @@ def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
     }
 
 
-def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
+def profile_to_dict(profile: HodgeProfile, texts: _Texts | None = None) -> dict[str, Any]:
     return {
         "rank": profile.rank,
-        "nearby_zero": table_to_dict(profile.nearby_zero),
-        "nearby_infinity": table_to_dict(profile.nearby_infinity),
+        "nearby_zero": table_to_dict(profile.nearby_zero, texts),
+        "nearby_infinity": table_to_dict(profile.nearby_infinity, texts),
         "nearby_finite": [],
-        "vanishing_finite": [table_to_dict(t) for t in profile.vanishing_finite],
+        "vanishing_finite": [table_to_dict(t, texts) for t in profile.vanishing_finite],
         "hodge": _int_map_to_dict(profile.hodge),
         "degrees": None
         if profile.degrees is None
@@ -167,10 +201,14 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     )
 
 
-def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
+def params_to_dict(
+    params: HypergeometricParams, texts: _Texts | None = None
+) -> dict[str, Any]:
+    den, alpha, beta = params.numerators
+    texts, scale = _texts_over(texts, den)
     return {
-        "alpha": [format_rational(a) for a in params.alpha],
-        "beta": [format_rational(b) for b in params.beta],
+        "alpha": [texts[a * scale] for a in alpha],
+        "beta": [texts[b * scale] for b in beta],
     }
 
 
@@ -184,27 +222,36 @@ def params_from_dict(data: Any) -> HypergeometricParams:
     if not isinstance(data, Mapping):
         raise ValueError("line must be a JSON object")
 
-    def one(value: Any) -> Fraction:
-        if isinstance(value, str):
-            return parse_rational(value)
+    def integer(value: Any) -> tuple[int, int]:
         if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
+            return value, 1
         raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
 
-    def many(key: str) -> tuple[Fraction, ...]:
+    def many(key: str) -> list[tuple[int, int]]:
+        """The exponents under ``key``, each a reduced ``(num, den)`` ratio."""
         if key not in data:
             raise ValueError(f"missing key {key!r}")
         values = data[key]
         if not isinstance(values, list):
             raise ValueError(f"{key} must be a list of exponents, got {values!r}")
-        return tuple(one(v) for v in values)
+        return [
+            parse_rational(v).as_integer_ratio() if isinstance(v, str) else integer(v)
+            for v in values
+        ]
 
-    return HypergeometricParams(many("alpha"), many("beta"))
+    alpha, beta = many("alpha"), many("beta")
+    # A reduced ratio n/d has the residue (n mod d)/d, reduced too, so the
+    # lcm of the denominators is the instance's least common denominator.
+    den = lcm(*[d for _n, d in alpha], *[d for _n, d in beta])
+    return HypergeometricParams(
+        *([n % d * (den // d) for n, d in ratios] for ratios in (alpha, beta)),
+        den=den,
+    )
 
 
-def report_to_dict(report: EngineReport) -> dict[str, Any]:
+def report_to_dict(report: EngineReport, texts: _Texts | None = None) -> dict[str, Any]:
     return {
-        "params": params_to_dict(report.params),
+        "params": params_to_dict(report.params, texts),
         "agree": report.agree,
         "shift": report.shift,
         "tables": dict(report.table_equal),
@@ -218,11 +265,15 @@ def report_from_dict(
     data: Any, params: HypergeometricParams, name: str = "report"
 ) -> EngineReport:
     """The report in ``data`` on ``params``, its document's instance; its
-    ``agree`` and ``mismatches`` must be what :class:`EngineReport` derives."""
+    ``agree`` and ``mismatches`` must be what :class:`EngineReport` derives,
+    and without an ``error`` its ``tables`` flag exactly the compared
+    invariants (:data:`~hyphodge.core.COMPARED`)."""
     keys = "params agree shift tables identities_ok mismatches error"
     _fields(data, name, keys.split())
     shift, error = data["shift"], data["error"]
     tables = _leaf(data["tables"], dict, f"{name}.tables")
+    if error is None:
+        _fields(tables, f"{name}.tables", COMPARED)
     report = EngineReport(
         params,
         None if shift is None else _leaf(shift, int, f"{name}.shift"),
@@ -245,13 +296,14 @@ def build_compute_document(
     report: EngineReport | None,
     normalization: int,
 ) -> dict[str, Any]:
+    texts = _Texts(params.den)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compute",
-        "params": params_to_dict(params),
+        "params": params_to_dict(params, texts),
         "engine": engine,
-        "profiles": {name: profile_to_dict(p) for name, p in profiles.items()},
-        "report": None if report is None else report_to_dict(report),
+        "profiles": {name: profile_to_dict(p, texts) for name, p in profiles.items()},
+        "report": None if report is None else report_to_dict(report, texts),
         "normalization": normalization,
     }
 
@@ -325,9 +377,11 @@ def tsv_lines(
     normalization: int,
 ) -> list[str]:
     """Flat projection: one row per table entry, spreadsheet-friendly."""
+    texts = _Texts(params.den)
+    exponents = params_to_dict(params, texts)
     lines = [
-        "# alpha " + ",".join(format_rational(a) for a in params.alpha),
-        "# beta " + ",".join(format_rational(b) for b in params.beta),
+        "# alpha " + ",".join(exponents["alpha"]),
+        "# beta " + ",".join(exponents["beta"]),
         f"# normalization {normalization}",
     ]
     for name, profile in profiles.items():
@@ -347,6 +401,7 @@ def tsv_lines(
             *profile.vanishing_finite,
         ):
             label = table.point.value
-            for (r, lv, p), m in table.sorted_items():
-                lines.append(f"{label}\t{format_rational(r)}\t{lv}\t{p}\t{m}")
+            table_texts, scale = _texts_over(texts, table.den)
+            for (r, lv, p), m in sorted(table.int_entries.items()):
+                lines.append(f"{label}\t{table_texts[r * scale]}\t{lv}\t{p}\t{m}")
     return lines

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -105,6 +106,51 @@ def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
         builds.clear()
         _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta))))
         assert len(builds) == 3, (n, builds)
+
+
+BATCH_LINES = [
+    # A closed line of rank 12 with repeated classes, a both line of rank 5.
+    ('{"alpha":["1/7","1/7","3/8","5/6","0","0","2/9","11/12","1/7","3/8","7/10","4/5"],'
+     '"beta":["1/2","2/3","2/3","5/12","1/4","1/4","3/5","1/11","9/11","1/2","6/7","1/3"]}',
+     "closed"),
+    ('{"alpha":["0","1/3","1/3","-1/8","5/2"],"beta":["1/4","2/5","2/5","5/6","1/6"]}', "both"),
+]
+
+
+def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
+    # Past the parse memo, every residue on a batch line is an int numerator:
+    # nothing between ``json.loads`` and ``json.dumps`` builds or hashes a
+    # Fraction.  The warm-up fills the memo, the only place one is built.
+    from fractions import Fraction
+
+    from hyphodge.cli import _compute_document
+    from hyphodge.serialize import document_to_json, params_from_dict
+
+    def answer(line: str, engine: str, normalize: bool) -> str:
+        params = params_from_dict(json.loads(line))
+        params.require_irreducible()
+        return document_to_json(_compute_document(params, engine, normalize), compact=True)
+
+    cases = [(line, engine, normalize) for line, engine in BATCH_LINES for normalize in (False, True)]
+    warm = [answer(*case) for case in cases]
+    counts = {"__new__": 0, "__hash__": 0}
+    new, hash_ = Fraction.__new__, Fraction.__hash__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["__new__"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_hash(self):
+        counts["__hash__"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    Fraction(1, 2), hash(Fraction(1, 3))  # the counters themselves work
+    assert counts == {"__new__": 2, "__hash__": 1}
+    counts.update({"__new__": 0, "__hash__": 0})
+    assert [answer(*case) for case in cases] == warm
+    assert counts == {"__new__": 0, "__hash__": 0}
 
 
 def bounded_caches() -> set[str]:

@@ -469,6 +469,51 @@ class TestBatchDigest:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[engine]
 
+    # The same corpus with ``--normalize``, which runs ``profile_min_p`` and
+    # ``table_shift``; taken at the commit before tables held integer
+    # residues.
+    NORMALIZED = {
+        "closed": "b9db022d1e44cec8e133a7ff43423f9e7b63d6c33260f3dfc42e0388540dc3ec",
+        "recursive": "2a0917228346f4d87cc33871505f805679b45da87212ccce2cdce86176fab0d7",
+        "both": "09c863aeb1f1cab7f1c12875a0f4e121d3f11cd06e9114e459edf250de7b7dce",
+    }
+
+    @pytest.mark.parametrize("engine", NORMALIZED)
+    def test_normalized_output_bytes_are_pinned(self, monkeypatch, engine):
+        argv = ["batch", "--engine", engine, "--normalize"]
+        code, out = run_cli(argv, digest_corpus(), monkeypatch)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.NORMALIZED[engine]
+
+
+def tsv_corpus(count=60, seed=20261019):
+    """Seeded ``compute --format tsv`` argument lists: ranks 1-10, every
+    engine, half of them normalized, exponents spelled in every accepted form."""
+    rng = random.Random(seed)
+    grid = residue_grid(12)
+    runs = []
+    for i in range(count):
+        n = rng.randint(1, 10)
+        rng.shuffle(grid)
+        cut = rng.randint(1, len(grid) - 1)
+        alpha = [str(spell(rng, rng.choice(grid[:cut]))) for _ in range(n)]
+        beta = [str(spell(rng, rng.choice(grid[cut:]))) for _ in range(n)]
+        argv = ["compute", "--alpha", ",".join(alpha), "--beta", ",".join(beta)]
+        argv += ["--engine", ("closed", "recursive", "both")[i % 3], "--format", "tsv"]
+        runs.append(argv + ["--normalize"] * (i % 2))
+    return runs
+
+
+def test_tsv_output_bytes_are_pinned():
+    # sha256 of the TSV projection over ``tsv_corpus``, taken at the commit
+    # before tables held integer residues.
+    digest = hashlib.sha256()
+    for argv in tsv_corpus():
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == "367490d4e4830b612baac289be1c1eb411221440773fb82b1904ace186d059cf"
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

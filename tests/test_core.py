@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import residue_grid
+from conftest import random_irreducible, residue_grid
 from hyphodge.core import _parse
 from hyphodge import (
     AT_ONE,
@@ -255,6 +255,74 @@ class TestTableValidation:
         entries[(F(1, 2), 0, 3)] = 5
         entries.pop(next(iter(before)))
         assert table.entries == before
+
+
+class TestIntegerTables:
+    def test_integers_over_a_multiple_equal_fractions_over_the_least(self):
+        # den is reduced on construction, so equality stays structural.
+        ints = LocalHodgeTable(
+            ZERO,
+            TableKind.NEARBY,
+            {(3, 0, 1): 1, (9, 1, 0): 2, (0, 0, 2): 1},
+            [(6, 0)],
+            den=12,
+        )
+        fractions = nearby(
+            {(F(1, 4), 0, 1): 1, (F(3, 4), 1, 0): 2, (F(0), 0, 2): 1},
+            unknown=[(F(1, 2), 0)],
+        )
+        assert ints == fractions
+        assert ints.den == fractions.den == 4
+        assert ints.int_entries == {(1, 0, 1): 1, (3, 1, 0): 2, (0, 0, 2): 1}
+        assert ints.int_unknown == frozenset({(2, 0)})
+        assert ints.entries == fractions.entries
+        assert ints.unknown == frozenset({(F(1, 2), 0)})
+
+    def test_an_empty_or_unipotent_table_is_over_one(self):
+        assert nearby({}).den == 1
+        assert LocalHodgeTable(ZERO, TableKind.NEARBY, {(0, 0, 0): 1}, den=8).den == 1
+        with pytest.raises(ValueError):
+            LocalHodgeTable(ZERO, TableKind.NEARBY, {}, den=0)
+
+    def test_integer_input_is_checked_like_fractions(self):
+        for entries, unknown in [
+            ({(12, 0, 0): 1}, ()),
+            ({(-1, 0, 0): 1}, ()),
+            ({(1, -1, 0): 1}, ()),
+            ({(1, 0, 0): 0}, ()),
+            ({(1, 0, 0): 1}, [(1, 0)]),
+            ({}, [(12, 0)]),
+        ]:
+            with pytest.raises(ValueError):
+                LocalHodgeTable(ZERO, TableKind.NEARBY, entries, unknown, den=12)
+
+    def test_engine_tables_view_the_fractions_they_held(self, rng):
+        from collections import Counter
+
+        from hyphodge import (
+            nonseparated_count,
+            profile_closed,
+            profile_recursive,
+            special_exponent,
+        )
+
+        for _ in range(40):
+            params = random_irreducible(rng, rng.randint(1, 7), 12)
+            closed = profile_closed(params)
+            for table, exponents in (
+                (closed.nearby_zero, params.alpha),
+                (closed.nearby_infinity, params.beta),
+            ):
+                assert table.entries == {
+                    (g, mult - 1, nonseparated_count(params, g)): 1
+                    for g, mult in Counter(exponents).items()
+                }
+                assert all(type(r) is Fraction for r, _lv, _p in table.entries)
+            ((residue, level, _p),) = closed.vanishing_finite[0].entries
+            assert (residue, level) == (frac(special_exponent(params)), 0)
+            recursive = profile_recursive(params)
+            assert recursive.nearby_zero.entries == closed.nearby_zero.entries
+            assert recursive.nearby_infinity.entries == closed.nearby_infinity.entries
 
 
 class TestSortedItems:
