@@ -241,7 +241,10 @@ def _run_batch(args: argparse.Namespace) -> int:
             doc = _error_document(i + 1, EXIT_INTERNAL, exc)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             doc = _error_document(i + 1, EXIT_PARSE, exc)
-        print(document_to_json(doc, compact=True), flush=True)
+        # One write per answer: under ``python -u`` print would send the
+        # newline as a second write, so a reader could get half an answer.
+        sys.stdout.write(document_to_json(doc, compact=True) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
 
 

@@ -114,6 +114,27 @@ def format_residue(r: int, den: int) -> str:
     return f"{r // g}/{den // g}"
 
 
+@lru_cache(maxsize=4096)
+def _residue(text: str) -> tuple[int, int, str]:
+    num, den = parse_rational(text).as_integer_ratio()
+    num %= den
+    return num, den, format_residue(num, den)
+
+
+def parse_residue(text: str) -> tuple[int, int, str]:
+    """The residue mod 1 of an exponent text, as ``(m, d, text)``.
+
+    ``m/d`` is the residue in ``[0, 1)`` as a reduced ratio of ints and
+    ``text`` is what :func:`format_residue` writes for it over any
+    denominator.  The text is read by :func:`parse_rational`, and the result
+    is memoized under the same bounds: each distinct ``str`` of at most 32
+    characters once per process, in at most 4096 entries, never an error.
+    """
+    if type(text) is str and len(text) <= _MEMO_TEXT_MAX:
+        return _residue(text)
+    return _residue.__wrapped__(text)
+
+
 class TableKind(Enum):
     NEARBY = "nearby"
     VANISHING = "vanishing"
@@ -346,6 +367,12 @@ class HypergeometricParams:
     numerators over ``den``, as the batch parser hands them over.  Either way
     ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
     the exponents as ``Fraction``s, built on first read.
+
+    ``texts`` maps each exponent numerator to its residue text, as
+    :func:`format_residue` writes it.  A caller that has the texts in hand
+    passes that map with ``texts=``, keyed by numerator over ``den=``, as
+    the batch parser does; it is kept as given unless ``__post_init__``
+    reduces ``den``.  Otherwise the map is formatted on first read.
     """
 
     den: int
@@ -358,6 +385,7 @@ class HypergeometricParams:
         beta: Sequence[Fraction | int],
         *,
         den: int | None = None,
+        texts: dict[int, str] | None = None,
     ) -> None:
         alpha, beta = tuple(alpha), tuple(beta)
         if den is None:
@@ -367,6 +395,8 @@ class HypergeometricParams:
         object.__setattr__(self, "alpha_numerators", alpha)
         object.__setattr__(self, "beta_numerators", beta)
         self.__post_init__()
+        if texts is not None and self.den == den:
+            self.__dict__["texts"] = texts
 
     def __post_init__(self) -> None:
         den, alpha, beta = self.numerators
@@ -392,6 +422,12 @@ class HypergeometricParams:
     @cached_property
     def beta(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(b, self.den) for b in self.beta_numerators)
+
+    @cached_property
+    def texts(self) -> dict[int, str]:
+        """Each exponent numerator over ``den`` mapped to its residue text."""
+        den = self.den
+        return {r: format_residue(r, den) for r in self.alpha_numerators + self.beta_numerators}
 
     @property
     def n(self) -> int:

@@ -7,11 +7,15 @@ leaf has exactly its JSON type, and ``emit_document`` of the parsed view
 gives back the input; else :class:`ValueError` names the first field that
 differs, such as ``document.profiles.closed.nearby_zero.entries[0].residue``.
 
-Residues go out as they are stored, integer numerators over a denominator,
-each formatted by :func:`~hyphodge.core.format_residue`; exponent texts come
-in through the memo of :func:`~hyphodge.core.parse_rational` and go straight
-onto the instance's common denominator.  So past a memo hit, a batch line
-builds and hashes no ``Fraction`` between ``json.loads`` and ``json.dumps``.
+Residues go out as they are stored, integer numerators over a denominator.
+Exponent texts come in through the memo of
+:func:`~hyphodge.core.parse_residue`, each as its reduced residue and the
+text it is written as; the residues go onto the instance's common
+denominator and the texts into :attr:`~hyphodge.core.HypergeometricParams.texts`,
+where the document finds them.  Only a table residue that is no exponent
+is formatted, by :func:`~hyphodge.core.format_residue`.  So past a memo
+hit, a batch line builds and hashes no ``Fraction`` between ``json.loads``
+and ``json.dumps``, and formats no exponent over its denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .core import (
     TableKind,
     format_residue,
     parse_rational,
+    parse_residue,
 )
 
 SCHEMA_VERSION = "1"
@@ -48,12 +53,14 @@ ENGINES = tuple(ENGINE_PROFILES)
 class _Texts(dict):
     """Residue texts keyed by numerator over ``den``, each formatted on first use.
 
-    A document shares one map over its instance's denominator, so a class
-    that is both an exponent and a table residue is formatted once.
+    A document shares one map over its instance's denominator, seeded with
+    the exponent texts the instance carries
+    (:attr:`~hyphodge.core.HypergeometricParams.texts`), so only a table
+    class that is not an exponent is formatted here, and once.
     """
 
-    def __init__(self, den: int) -> None:
-        super().__init__()
+    def __init__(self, den: int, seed: Mapping[int, str]) -> None:
+        super().__init__(seed)
         self.den = den
 
     def __missing__(self, r: int) -> str:
@@ -68,7 +75,7 @@ def _texts_over(texts: _Texts | None, den: int) -> tuple[_Texts, int]:
         scale, rest = divmod(texts.den, den)
         if not rest:
             return texts, scale
-    return _Texts(den), 1
+    return _Texts(den, {}), 1
 
 
 def table_to_dict(table: LocalHodgeTable, texts: _Texts | None = None) -> dict[str, Any]:
@@ -201,14 +208,11 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     )
 
 
-def params_to_dict(
-    params: HypergeometricParams, texts: _Texts | None = None
-) -> dict[str, Any]:
-    den, alpha, beta = params.numerators
-    texts, scale = _texts_over(texts, den)
+def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
+    texts = params.texts
     return {
-        "alpha": [texts[a * scale] for a in alpha],
-        "beta": [texts[b * scale] for b in beta],
+        "alpha": [texts[a] for a in params.alpha_numerators],
+        "beta": [texts[b] for b in params.beta_numerators],
     }
 
 
@@ -222,36 +226,41 @@ def params_from_dict(data: Any) -> HypergeometricParams:
     if not isinstance(data, Mapping):
         raise ValueError("line must be a JSON object")
 
-    def integer(value: Any) -> tuple[int, int]:
+    def integer(value: Any) -> tuple[int, int, str]:
         if isinstance(value, int) and not isinstance(value, bool):
-            return value, 1
+            return 0, 1, "0"
         raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
 
-    def many(key: str) -> list[tuple[int, int]]:
-        """The exponents under ``key``, each a reduced ``(num, den)`` ratio."""
+    def many(key: str) -> list[tuple[int, int, str]]:
+        """The exponents under ``key``, each its residue ``(m, d, text)``."""
         if key not in data:
             raise ValueError(f"missing key {key!r}")
         values = data[key]
         if not isinstance(values, list):
             raise ValueError(f"{key} must be a list of exponents, got {values!r}")
-        return [
-            parse_rational(v).as_integer_ratio() if isinstance(v, str) else integer(v)
-            for v in values
-        ]
+        return [parse_residue(v) if isinstance(v, str) else integer(v) for v in values]
 
     alpha, beta = many("alpha"), many("beta")
-    # A reduced ratio n/d has the residue (n mod d)/d, reduced too, so the
-    # lcm of the denominators is the instance's least common denominator.
-    den = lcm(*[d for _n, d in alpha], *[d for _n, d in beta])
-    return HypergeometricParams(
-        *([n % d * (den // d) for n, d in ratios] for ratios in (alpha, beta)),
-        den=den,
-    )
+    # Each m/d is reduced, so the lcm of the denominators is the instance's
+    # least common denominator.
+    den = lcm(*[d for _m, d, _t in alpha], *[d for _m, d, _t in beta])
+    texts: dict[int, str] = {}
+
+    def over_den(residues: list[tuple[int, int, str]]) -> list[int]:
+        """The numerators over ``den``, each noted in ``texts`` with its text."""
+        numerators = []
+        for m, d, text in residues:
+            r = m * (den // d)
+            numerators.append(r)
+            texts[r] = text
+        return numerators
+
+    return HypergeometricParams(over_den(alpha), over_den(beta), den=den, texts=texts)
 
 
-def report_to_dict(report: EngineReport, texts: _Texts | None = None) -> dict[str, Any]:
+def report_to_dict(report: EngineReport) -> dict[str, Any]:
     return {
-        "params": params_to_dict(report.params, texts),
+        "params": params_to_dict(report.params),
         "agree": report.agree,
         "shift": report.shift,
         "tables": dict(report.table_equal),
@@ -296,14 +305,14 @@ def build_compute_document(
     report: EngineReport | None,
     normalization: int,
 ) -> dict[str, Any]:
-    texts = _Texts(params.den)
+    texts = _Texts(params.den, params.texts)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compute",
-        "params": params_to_dict(params, texts),
+        "params": params_to_dict(params),
         "engine": engine,
         "profiles": {name: profile_to_dict(p, texts) for name, p in profiles.items()},
-        "report": None if report is None else report_to_dict(report, texts),
+        "report": None if report is None else report_to_dict(report),
         "normalization": normalization,
     }
 
@@ -377,8 +386,8 @@ def tsv_lines(
     normalization: int,
 ) -> list[str]:
     """Flat projection: one row per table entry, spreadsheet-friendly."""
-    texts = _Texts(params.den)
-    exponents = params_to_dict(params, texts)
+    texts = _Texts(params.den, params.texts)
+    exponents = params_to_dict(params)
     lines = [
         "# alpha " + ",".join(exponents["alpha"]),
         "# beta " + ",".join(exponents["beta"]),

@@ -153,6 +153,37 @@ def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
     assert counts == {"__new__": 0, "__hash__": 0}
 
 
+def test_closed_line_formats_no_exponent(monkeypatch):
+    # The parser hands each exponent's text to the document, so past a
+    # warm-up only a residue that is no exponent is formatted: on a closed
+    # line, the special exponent's class at 1.  Both bindings of
+    # ``format_residue`` are counted: serialize formats the table classes,
+    # core the exponents of a params that carries no texts.
+    from hyphodge import core, serialize
+    from hyphodge.cli import _compute_document
+    from hyphodge.serialize import document_to_json, params_from_dict
+
+    line, engine = BATCH_LINES[0]
+
+    def answer(normalize: bool) -> str:
+        params = params_from_dict(json.loads(line))
+        return document_to_json(_compute_document(params, engine, normalize), compact=True)
+
+    warm = [answer(normalize) for normalize in (False, True)]
+    calls = []
+    for module in (core, serialize):
+
+        def counted(r, den, real=module.format_residue):
+            calls.append(r)
+            return real(r, den)
+
+        monkeypatch.setattr(module, "format_residue", counted)
+    for normalize, expected in zip((False, True), warm):
+        calls.clear()
+        assert answer(normalize) == expected
+        assert len(calls) <= 1, calls
+
+
 def bounded_caches() -> set[str]:
     """``module.function`` of every ``lru_cache`` in the package.
 
@@ -193,7 +224,7 @@ def _names_lru_cache(node: ast.AST) -> bool:
 
 
 def test_every_cache_is_bounded():
-    assert {"core._parse", "recursion._profile_of_pairs"} <= bounded_caches()
+    assert {"core._parse", "core._residue", "recursion._profile_of_pairs"} <= bounded_caches()
 
 
 def test_no_check_vanishes_under_optimize():

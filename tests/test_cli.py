@@ -355,6 +355,34 @@ class TestBatch:
         }
         assert lines[2]["report"]["agree"] is True
 
+    def test_each_answer_is_one_write(self, monkeypatch):
+        # Under ``python -u`` each write goes to the pipe as it is made, so an
+        # answer written in two pieces can reach its reader in two.
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        stdin = (
+            '{"alpha": ["0", "1/2"], "beta": ["1/4", "3/4"]}\n'
+            '{"alpha": ["1/3"], "beta": ["1/3"]}\n'
+            "nonsense\n"
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        out = Recorder()
+        with redirect_stdout(out):
+            assert main(["batch"]) == 0
+        assert len(out.writes) == 3
+        for write in out.writes:
+            assert write.endswith("\n") and write.count("\n") == 1
+        docs = [json.loads(write) for write in out.writes]
+        assert "profiles" in docs[0]
+        assert [doc["error"]["code"] for doc in docs[1:]] == [3, 2]
+
     def test_each_document_is_flushed(self):
         # A closed-loop client reads each answer before sending the next
         # line, so the document must arrive while stdin is still open.

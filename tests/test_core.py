@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_irreducible, residue_grid
-from hyphodge.core import _parse
+from hyphodge.core import _parse, _residue, format_residue, parse_residue
 from hyphodge import (
     AT_ONE,
     INFINITY,
@@ -76,6 +76,9 @@ AGAINST_FRACTION = [
     ("", ValueError),
 ]
 
+MEMO_TEXTS = list(dict.fromkeys([t for t, _ in PARSED] + REJECTED + [t for t, _ in AGAINST_FRACTION]))
+"""Every text above once: the inputs of the memo tests."""
+
 
 def parse_outcome(parse, text):
     """The value ``parse`` gives ``text``, or the message of its ValueError."""
@@ -106,10 +109,7 @@ class TestRationalFormat:
         else:
             assert parse_rational(text) == expected == Fraction(text.replace("−", "-"))
 
-    @pytest.mark.parametrize(
-        "text",
-        dict.fromkeys([t for t, _ in PARSED] + REJECTED + [t for t, _ in AGAINST_FRACTION]),
-    )
+    @pytest.mark.parametrize("text", MEMO_TEXTS)
     def test_memo_is_transparent(self, text):
         # A cold memo, then two hits: each call gives what the unmemoized
         # parser gives, and an error is never kept.
@@ -156,6 +156,56 @@ class TestRationalFormat:
     @given(rationals)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+
+
+class TestResidueMemo:
+    # ``parse_residue`` memoizes ``(m, d, text)`` per exponent text, under
+    # the bounds of the ``parse_rational`` memo.
+    @pytest.mark.parametrize("text", MEMO_TEXTS)
+    def test_memo_is_transparent(self, text):
+        # A cold memo, then two hits: each call gives what the unmemoized
+        # reading gives, and an error is never kept.
+        _residue.cache_clear()
+        fresh = parse_outcome(_residue.__wrapped__, text)
+        assert [parse_outcome(parse_residue, text) for _ in range(3)] == [fresh] * 3
+        failed = fresh[0] == "ValueError"
+        assert _residue.cache_info().currsize == (0 if failed else 1)
+
+    @pytest.mark.parametrize("text", MEMO_TEXTS)
+    def test_residue_and_text(self, text):
+        # The reduced residue of what ``parse_rational`` reads, and the text
+        # ``format_residue`` writes for it over any multiple of its denominator.
+        try:
+            value = frac(parse_rational(text))
+        except ValueError:
+            return
+        m, d, residue_text = parse_residue(text)
+        assert (m, d) == (value.numerator, value.denominator)
+        assert residue_text == str(value)
+        for k in (1, 6, 10**25 + 1):
+            assert format_residue(m * k, d * k) == residue_text
+
+    @pytest.mark.parametrize("value,error", [(5, AttributeError), (b"1/2", TypeError)])
+    def test_non_text_raises_as_unmemoized(self, value, error):
+        size = _residue.cache_info().currsize
+        with pytest.raises(error):
+            parse_residue(value)
+        assert _residue.cache_info().currsize == size
+
+    def test_memo_keys_are_at_most_32_characters(self):
+        _residue.cache_clear()
+        assert parse_residue("-1/2".rjust(32)) == (1, 2, "1/2")
+        assert _residue.cache_info().currsize == 1
+        assert parse_residue("-1/2".rjust(33)) == (1, 2, "1/2")
+        assert _residue.cache_info().currsize == 1
+
+    def test_memo_is_bounded(self):
+        for i in range(10_000):
+            parse_residue(f"{i}/{i + 1}")
+        info = _residue.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= 4096
 
 
 class TestTotals:

@@ -11,6 +11,8 @@ from hyphodge import (
     profile_recursive,
     verify_cross_engine,
 )
+from hyphodge.cli import _compute_document
+from hyphodge.core import frac, parse_rational
 from hyphodge.serialize import (
     build_compute_document,
     document_to_json,
@@ -23,7 +25,7 @@ from hyphodge.serialize import (
     table_to_dict,
     tsv_lines,
 )
-from conftest import random_irreducible
+from conftest import random_irreducible, residue_grid
 
 F = Fraction
 
@@ -260,6 +262,43 @@ class TestJsonHygiene:
     def test_params_rejects_floats(self):
         with pytest.raises(ValueError):
             params_from_dict({"alpha": [0.5], "beta": ["1/2"]})
+
+
+def seeded_cases():
+    """Batch lines as objects, each with the ``Fraction`` exponents it
+    stands for: every residue of the denominator-64 grid, the accepted
+    spellings of a residue, JSON integers, and a text too long to memoize."""
+    grid = [str(r) for r in residue_grid(64)]
+    # Eight distinct residues, four against four, make an irreducible line;
+    # the last line overlaps the one before it to reach the grid's end.
+    starts = [*range(0, len(grid) - 8, 8), len(grid) - 8]
+    lines = [{"alpha": grid[i : i + 4], "beta": grid[i + 4 : i + 8]} for i in starts]
+    for text in ["2/4", "-1/8", "5/2", "\u22121/3", " 1/2 ", "+3/4", "0/5", "6/3"]:
+        lines.append({"alpha": [text, "1/7"], "beta": ["2/7", "3/7"]})
+    lines.append({"alpha": [0, 3, -2], "beta": ["1/3", "1/2", "2/3"]})
+    lines.append({"alpha": [" " * 40 + "1/3", "1/3"], "beta": ["1/5", "3/5"]})
+
+    def value(v):
+        return F(v) if type(v) is int else parse_rational(v)
+
+    return [(line, [[value(v) for v in line[k]] for k in ("alpha", "beta")]) for line in lines]
+
+
+@pytest.mark.parametrize("engine", ["closed", "both"])
+def test_seeded_texts_match_formatted_ones(engine):
+    # The batch parser hands each exponent's text to the document; a params
+    # built from ``Fraction``s formats its own.  The bytes must not differ.
+    cases = seeded_cases()
+    covered = {frac(v) for _line, exponents in cases for values in exponents for v in values}
+    assert covered >= set(residue_grid(64))
+    for line, (alpha, beta) in cases:
+        seeded = params_from_dict(json.loads(json.dumps(line)))
+        formatted = HypergeometricParams(alpha, beta)
+        assert "texts" in vars(seeded) and "texts" not in vars(formatted)
+        assert seeded == formatted
+        ours = document_to_json(_compute_document(seeded, engine, False), compact=True)
+        theirs = document_to_json(_compute_document(formatted, engine, False), compact=True)
+        assert ours == theirs, line
 
 
 class TestTsv:
