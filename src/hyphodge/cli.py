@@ -35,6 +35,7 @@ from .serialize import (
     ENGINES,
     SCHEMA_VERSION,
     build_compute_document,
+    compute_document_text,
     document_to_json,
     params_from_dict,
     params_to_dict,
@@ -87,8 +88,12 @@ def _compute(
 def _compute_document(
     params: HypergeometricParams, engine: str, normalize: bool
 ) -> dict[str, Any]:
-    profiles, report, shift = _compute(params, engine, normalize)
-    return build_compute_document(params, engine, profiles, report, shift)
+    return build_compute_document(params, engine, *_compute(params, engine, normalize))
+
+
+def _compute_text(params: HypergeometricParams, engine: str, normalize: bool) -> str:
+    """The compute document as the batch stream writes it: compact JSON text."""
+    return compute_document_text(params, engine, *_compute(params, engine, normalize))
 
 
 def _run_compute(args: argparse.Namespace) -> int:
@@ -211,12 +216,14 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _error_document(line: int, code: int, exc: Exception) -> dict[str, Any]:
-    return {
+def _error_text(line: int, code: int, exc: Exception) -> str:
+    """The inline error document for input line ``line``, as compact JSON text."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "line": line,
         "error": {"code": code, "message": str(exc)},
     }
+    return document_to_json(doc, compact=True)
 
 
 def _run_batch(args: argparse.Namespace) -> int:
@@ -234,16 +241,16 @@ def _run_batch(args: argparse.Namespace) -> int:
             engine = data.get("engine", args.engine)
             if engine not in ENGINES:
                 raise ValueError(f"unknown engine {engine!r}")
-            doc = _compute_document(params, engine, args.normalize)
+            text = _compute_text(params, engine, args.normalize)
         except ReducibleInput as exc:
-            doc = _error_document(i + 1, EXIT_REDUCIBLE, exc)
+            text = _error_text(i + 1, EXIT_REDUCIBLE, exc)
         except ENGINE_ERRORS as exc:
-            doc = _error_document(i + 1, EXIT_INTERNAL, exc)
+            text = _error_text(i + 1, EXIT_INTERNAL, exc)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            doc = _error_document(i + 1, EXIT_PARSE, exc)
+            text = _error_text(i + 1, EXIT_PARSE, exc)
         # One write per answer: under ``python -u`` print would send the
         # newline as a second write, so a reader could get half an answer.
-        sys.stdout.write(document_to_json(doc, compact=True) + "\n")
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
     return EXIT_OK
 

@@ -163,6 +163,18 @@ IntEntry = tuple[int, int, int]
 """Table key with the residue as its integer numerator over the table's ``den``."""
 
 
+def _exact(values: Sequence[Any]) -> Sequence[Any]:
+    """``values``, if none is a ``float`` or a ``bool``; else :class:`TypeError`.
+
+    Both have an ``as_integer_ratio()``, so without this check ``0.1`` would
+    become the binary fraction nearest it and ``True`` the integer 1.
+    """
+    for v in values:
+        if isinstance(v, (float, bool)):
+            raise TypeError(f"expected a Fraction or an int, got {v!r}")
+    return values
+
+
 def _common_numerators(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """Rationals as integer numerators over the least common denominator.
 
@@ -188,10 +200,11 @@ class LocalHodgeTable:
     when their contents are, whatever denominator each was built over.
 
     ``LocalHodgeTable(point, kind, entries, unknown)`` takes rational
-    residues (``Fraction`` or int) and puts them on their common
-    denominator; with ``den=`` the residues are numerators over ``den``, as
-    the engines hand them over.  Either way ``__post_init__`` runs once and
-    checks the integers.  ``entries`` and ``unknown`` are the same contents
+    residues (``Fraction`` or int; a float or a bool raises
+    :class:`TypeError`) and puts them on their common denominator; with
+    ``den=`` the residues are numerators over ``den``, as the engines hand
+    them over.  Either way ``__post_init__`` runs once and checks the
+    integers.  ``entries`` and ``unknown`` are the same contents
     keyed by ``Fraction`` residues, built on first read.
     """
 
@@ -214,7 +227,7 @@ class LocalHodgeTable:
             items = list((entries or {}).items())
             slots = list(unknown)
             keys = [key[0] for key, _m in items] + [r for r, _lv in slots]
-            den, nums = _common_numerators(keys)
+            den, nums = _common_numerators(_exact(keys))
             entries = {
                 (r, int(lv), int(p)): int(m)
                 for r, ((_r, lv, p), m) in zip(nums, items)
@@ -363,9 +376,10 @@ class HypergeometricParams:
     Stored as integer numerators in ``[0, den)`` over ``den``, the least
     common denominator of the exponents taken mod 1; residues compare, add
     and subtract as these ints.  ``HypergeometricParams(alpha, beta)`` takes
-    rationals and reduces them mod 1; with ``den=`` the exponents are already
-    numerators over ``den``, as the batch parser hands them over.  Either way
-    ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
+    rationals (``Fraction`` or int; a float or a bool raises
+    :class:`TypeError`) and reduces them mod 1; with ``den=`` the exponents
+    are already numerators over ``den``, as the batch parser hands them
+    over.  Either way ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
     the exponents as ``Fraction``s, built on first read.
 
     ``texts`` maps each exponent numerator to its residue text, as
@@ -389,7 +403,7 @@ class HypergeometricParams:
     ) -> None:
         alpha, beta = tuple(alpha), tuple(beta)
         if den is None:
-            den, nums = _common_numerators([frac(v) for v in alpha + beta])
+            den, nums = _common_numerators([frac(v) for v in _exact(alpha + beta)])
             alpha, beta = tuple(nums[: len(alpha)]), tuple(nums[len(alpha) :])
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "alpha_numerators", alpha)

@@ -7,6 +7,16 @@ leaf has exactly its JSON type, and ``emit_document`` of the parsed view
 gives back the input; else :class:`ValueError` names the first field that
 differs, such as ``document.profiles.closed.nearby_zero.entries[0].residue``.
 
+One writer spells the compute document: :func:`compute_document_text`
+writes it as compact JSON text, byte for byte what
+``json.dumps(doc, separators=(",", ":"))`` writes, with the keys as
+literals, integers through f-strings and every other string through
+``json.encoder.encode_basestring_ascii``.  The batch stream writes that
+text.  The dict builders (:func:`build_compute_document`,
+:func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
+:func:`params_to_dict`, :func:`report_to_dict`) are its parsed view, the
+``json.loads`` of the writer's text, so they spell no key of their own.
+
 Residues go out as they are stored, integer numerators over a denominator.
 Exponent texts come in through the memo of
 :func:`~hyphodge.core.parse_residue`, each as its reduced residue and the
@@ -15,14 +25,15 @@ denominator and the texts into :attr:`~hyphodge.core.HypergeometricParams.texts`
 where the document finds them.  Only a table residue that is no exponent
 is formatted, by :func:`~hyphodge.core.format_residue`.  So past a memo
 hit, a batch line builds and hashes no ``Fraction`` between ``json.loads``
-and ``json.dumps``, and formats no exponent over its denominator.
+and its answer's text, and formats no exponent over its denominator.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any, Collection, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 from .core import (
     AT_ONE,
@@ -48,55 +59,61 @@ ENGINE_PROFILES = {
 }
 """The profiles a document of each engine holds; only ``both`` has a report."""
 ENGINES = tuple(ENGINE_PROFILES)
+_BOOLS = {True: "true", False: "false"}
+_LITERALS = {member: _quote(member.value) for member in (*SingularPoint, *TableKind)}
+"""Each point and table kind as the JSON string the writer puts down for it."""
 
 
 class _Texts(dict):
-    """Residue texts keyed by numerator over ``den``, each formatted on first use.
+    """Residue texts keyed by numerator over ``den``, each made on first use.
 
     A document shares one map over its instance's denominator, seeded with
     the exponent texts the instance carries
     (:attr:`~hyphodge.core.HypergeometricParams.texts`), so only a table
-    class that is not an exponent is formatted here, and once.
+    class that is not an exponent is formatted here, and once.  Each text is
+    kept as ``write`` gives it: the writer keeps JSON string literals, the
+    TSV projection the bare texts.
     """
 
-    def __init__(self, den: int, seed: Mapping[int, str]) -> None:
-        super().__init__(seed)
+    def __init__(
+        self, den: int, seed: Mapping[int, str], write: Callable[[str], str] = _quote
+    ) -> None:
+        super().__init__({r: write(text) for r, text in seed.items()})
         self.den = den
+        self.write = write
 
     def __missing__(self, r: int) -> str:
-        text = self[r] = format_residue(r, self.den)
+        text = self[r] = self.write(format_residue(r, self.den))
         return text
 
 
-def _texts_over(texts: _Texts | None, den: int) -> tuple[_Texts, int]:
-    """``texts``, or a new map if it is ``None`` or not over a multiple of
+def _texts_over(texts: _Texts, den: int) -> tuple[_Texts, int]:
+    """``texts``, or a new map of its kind if it is not over a multiple of
     ``den``, and the factor taking a numerator over ``den`` to its key."""
-    if texts is not None:
-        scale, rest = divmod(texts.den, den)
-        if not rest:
-            return texts, scale
-    return _Texts(den, {}), 1
+    scale, rest = divmod(texts.den, den)
+    if rest:
+        return _Texts(den, {}, texts.write), 1
+    return texts, scale
 
 
-def table_to_dict(table: LocalHodgeTable, texts: _Texts | None = None) -> dict[str, Any]:
+def _table_text(table: LocalHodgeTable, texts: _Texts) -> str:
     texts, scale = _texts_over(texts, table.den)
-    return {
-        "point": table.point.value,
-        "kind": table.kind.value,
-        "entries": [
-            {
-                "residue": texts[r * scale],
-                "level": lv,
-                "p": p,
-                "mult": m,
-            }
-            for (r, lv, p), m in sorted(table.int_entries.items())
-        ],
-        "unknown": [
-            {"residue": texts[r * scale], "level": lv}
-            for r, lv in sorted(table.int_unknown)
-        ],
-    }
+    entries = ",".join([
+        f'{{"residue":{texts[r * scale]},"level":{lv},"p":{p},"mult":{m}}}'
+        for (r, lv, p), m in sorted(table.int_entries.items())
+    ])
+    unknown = ",".join([
+        f'{{"residue":{texts[r * scale]},"level":{lv}}}'
+        for r, lv in sorted(table.int_unknown)
+    ])
+    return (
+        f'{{"point":{_LITERALS[table.point]},"kind":{_LITERALS[table.kind]},'
+        f'"entries":[{entries}],"unknown":[{unknown}]}}'
+    )
+
+
+def table_to_dict(table: LocalHodgeTable) -> dict[str, Any]:
+    return json.loads(_table_text(table, _Texts(table.den, {})))
 
 
 def _leaf(value: Any, kind: type, name: str, convert: Any = None) -> Any:
@@ -148,31 +165,35 @@ def table_from_dict(data: Any, name: str = "table") -> LocalHodgeTable:
     return _built(name, LocalHodgeTable, point, kind, entries, unknown)
 
 
-def _int_map_to_dict(mapping: Mapping[int, int]) -> dict[str, int]:
-    return {str(p): v for p, v in sorted(mapping.items())}
+def _int_map_text(mapping: Mapping[int, int]) -> str:
+    """An int-keyed map as a JSON object, its keys the ints' decimal strings."""
+    return "{" + ",".join([f'"{p}":{v}' for p, v in sorted(mapping.items())]) + "}"
 
 
 def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
-    """Inverse of :func:`_int_map_to_dict`, up to the spelling of the keys."""
+    """Inverse of :func:`_int_map_text`, up to the spelling of the keys."""
     return {
         _leaf(key, str, f"{name} key", int): _leaf(value, int, f"{name}[{key}]")
         for key, value in _leaf(data, dict, name).items()
     }
 
 
-def profile_to_dict(profile: HodgeProfile, texts: _Texts | None = None) -> dict[str, Any]:
-    return {
-        "rank": profile.rank,
-        "nearby_zero": table_to_dict(profile.nearby_zero, texts),
-        "nearby_infinity": table_to_dict(profile.nearby_infinity, texts),
-        "nearby_finite": [],
-        "vanishing_finite": [table_to_dict(t, texts) for t in profile.vanishing_finite],
-        "hodge": _int_map_to_dict(profile.hodge),
-        "degrees": None
-        if profile.degrees is None
-        else _int_map_to_dict(profile.degrees),
-        "note": profile.note,
-    }
+def _profile_text(profile: HodgeProfile, texts: _Texts) -> str:
+    vanishing = ",".join([_table_text(t, texts) for t in profile.vanishing_finite])
+    degrees = "null" if profile.degrees is None else _int_map_text(profile.degrees)
+    return (
+        f'{{"rank":{profile.rank},'
+        f'"nearby_zero":{_table_text(profile.nearby_zero, texts)},'
+        f'"nearby_infinity":{_table_text(profile.nearby_infinity, texts)},'
+        f'"nearby_finite":[],"vanishing_finite":[{vanishing}],'
+        f'"hodge":{_int_map_text(profile.hodge)},"degrees":{degrees},'
+        f'"note":{_quote(profile.note)}}}'
+    )
+
+
+def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
+    tables = (profile.nearby_zero, profile.nearby_infinity, *profile.vanishing_finite)
+    return json.loads(_profile_text(profile, _Texts(lcm(*[t.den for t in tables]), {})))
 
 
 def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
@@ -208,12 +229,20 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     )
 
 
+def _params_text(params: HypergeometricParams, texts: _Texts) -> str:
+    """The exponents, ``texts`` holding each one's literal by its numerator."""
+    alpha = ",".join(map(texts.__getitem__, params.alpha_numerators))
+    beta = ",".join(map(texts.__getitem__, params.beta_numerators))
+    return f'{{"alpha":[{alpha}],"beta":[{beta}]}}'
+
+
+def _exponent_texts(params: HypergeometricParams) -> _Texts:
+    """A fresh map over ``params.den``, seeded with the exponent texts."""
+    return _Texts(params.den, params.texts)
+
+
 def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
-    texts = params.texts
-    return {
-        "alpha": [texts[a] for a in params.alpha_numerators],
-        "beta": [texts[b] for b in params.beta_numerators],
-    }
+    return json.loads(_params_text(params, _exponent_texts(params)))
 
 
 def params_from_dict(data: Any) -> HypergeometricParams:
@@ -258,16 +287,21 @@ def params_from_dict(data: Any) -> HypergeometricParams:
     return HypergeometricParams(over_den(alpha), over_den(beta), den=den, texts=texts)
 
 
+def _report_text(report: EngineReport, texts: _Texts) -> str:
+    """The report; ``texts`` is the exponent map of ``report.params``."""
+    tables = ",".join([f"{_quote(k)}:{_BOOLS[v]}" for k, v in report.table_equal.items()])
+    shift = "null" if report.shift is None else report.shift
+    error = "null" if report.error is None else _quote(report.error)
+    return (
+        f'{{"params":{_params_text(report.params, texts)},'
+        f'"agree":{_BOOLS[report.agree]},"shift":{shift},"tables":{{{tables}}},'
+        f'"identities_ok":{_BOOLS[report.identities_ok]},'
+        f'"mismatches":[{",".join(map(_quote, report.mismatches))}],"error":{error}}}'
+    )
+
+
 def report_to_dict(report: EngineReport) -> dict[str, Any]:
-    return {
-        "params": params_to_dict(report.params),
-        "agree": report.agree,
-        "shift": report.shift,
-        "tables": dict(report.table_equal),
-        "identities_ok": report.identities_ok,
-        "mismatches": list(report.mismatches),
-        "error": report.error,
-    }
+    return json.loads(_report_text(report, _exponent_texts(report.params)))
 
 
 def report_from_dict(
@@ -298,6 +332,31 @@ def report_from_dict(
     return report
 
 
+def compute_document_text(
+    params: HypergeometricParams,
+    engine: str,
+    profiles: Mapping[str, HodgeProfile],
+    report: EngineReport | None,
+    normalization: int,
+) -> str:
+    """The compute document as compact JSON text: byte for byte what
+    ``json.dumps(doc, separators=(",", ":"))`` writes for the document
+    :func:`build_compute_document` returns."""
+    texts = _exponent_texts(params)
+    named = ",".join(
+        [f"{_quote(name)}:{_profile_text(p, texts)}" for name, p in profiles.items()]
+    )
+    report_text = "null"
+    if report is not None:
+        own = texts if report.params is params else _exponent_texts(report.params)
+        report_text = _report_text(report, own)
+    return (
+        f'{{"schema_version":{_quote(SCHEMA_VERSION)},"command":"compute",'
+        f'"params":{_params_text(params, texts)},"engine":{_quote(engine)},'
+        f'"profiles":{{{named}}},"report":{report_text},"normalization":{normalization}}}'
+    )
+
+
 def build_compute_document(
     params: HypergeometricParams,
     engine: str,
@@ -305,16 +364,8 @@ def build_compute_document(
     report: EngineReport | None,
     normalization: int,
 ) -> dict[str, Any]:
-    texts = _Texts(params.den, params.texts)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compute",
-        "params": params_to_dict(params),
-        "engine": engine,
-        "profiles": {name: profile_to_dict(p, texts) for name, p in profiles.items()},
-        "report": None if report is None else report_to_dict(report),
-        "normalization": normalization,
-    }
+    text = compute_document_text(params, engine, profiles, report, normalization)
+    return json.loads(text)
 
 
 def parse_document(data: Any) -> dict[str, Any]:
@@ -386,11 +437,10 @@ def tsv_lines(
     normalization: int,
 ) -> list[str]:
     """Flat projection: one row per table entry, spreadsheet-friendly."""
-    texts = _Texts(params.den, params.texts)
-    exponents = params_to_dict(params)
+    texts = _Texts(params.den, params.texts, str)
     lines = [
-        "# alpha " + ",".join(exponents["alpha"]),
-        "# beta " + ",".join(exponents["beta"]),
+        "# alpha " + ",".join([texts[a] for a in params.alpha_numerators]),
+        "# beta " + ",".join([texts[b] for b in params.beta_numerators]),
         f"# normalization {normalization}",
     ]
     for name, profile in profiles.items():

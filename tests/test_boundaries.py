@@ -119,17 +119,17 @@ BATCH_LINES = [
 
 def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
     # Past the parse memo, every residue on a batch line is an int numerator:
-    # nothing between ``json.loads`` and ``json.dumps`` builds or hashes a
+    # nothing between ``json.loads`` and the answer's text builds or hashes a
     # Fraction.  The warm-up fills the memo, the only place one is built.
     from fractions import Fraction
 
-    from hyphodge.cli import _compute_document
-    from hyphodge.serialize import document_to_json, params_from_dict
+    from hyphodge.cli import _compute_text
+    from hyphodge.serialize import params_from_dict
 
     def answer(line: str, engine: str, normalize: bool) -> str:
         params = params_from_dict(json.loads(line))
         params.require_irreducible()
-        return document_to_json(_compute_document(params, engine, normalize), compact=True)
+        return _compute_text(params, engine, normalize)
 
     cases = [(line, engine, normalize) for line, engine in BATCH_LINES for normalize in (False, True)]
     warm = [answer(*case) for case in cases]
@@ -160,14 +160,14 @@ def test_closed_line_formats_no_exponent(monkeypatch):
     # ``format_residue`` are counted: serialize formats the table classes,
     # core the exponents of a params that carries no texts.
     from hyphodge import core, serialize
-    from hyphodge.cli import _compute_document
-    from hyphodge.serialize import document_to_json, params_from_dict
+    from hyphodge.cli import _compute_text
+    from hyphodge.serialize import params_from_dict
 
     line, engine = BATCH_LINES[0]
 
     def answer(normalize: bool) -> str:
         params = params_from_dict(json.loads(line))
-        return document_to_json(_compute_document(params, engine, normalize), compact=True)
+        return _compute_text(params, engine, normalize)
 
     warm = [answer(normalize) for normalize in (False, True)]
     calls = []

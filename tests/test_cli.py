@@ -514,6 +514,70 @@ class TestBatchDigest:
         assert hashlib.sha256(out.encode()).hexdigest() == self.NORMALIZED[engine]
 
 
+def shapes_corpus(seed=20261020):
+    """Seeded batch lines in the three benchmark shapes, as the benchmark
+    spells them: closed-only lines of rank 16-64 over denominators up to 64,
+    distinct lines of rank 4-10 up to 12, and a pool of four rank 1-4
+    instances up to 6 re-sent permuted; then a reducible line, a malformed
+    line, a line naming an unknown engine and a blank line among them."""
+    rng = random.Random(seed)
+
+    def instance(n, den_max):
+        grid = residue_grid(den_max)
+        rng.shuffle(grid)
+        half = len(grid) // 2
+
+        def exponents(pool):
+            classes = rng.sample(pool, rng.randint(max(1, n - 2), n))
+            out = classes + [rng.choice(classes) for _ in range(n - len(classes))]
+            rng.shuffle(out)
+            return [str(r) for r in out]
+
+        return {"alpha": exponents(grid[:half]), "beta": exponents(grid[half:])}
+
+    lines = [{**instance(n, 64), "engine": "closed"} for n in (16, 24, 32, 48, 64)]
+    lines += [instance(n, 12) for n in (4, 6, 7, 10)]
+    pool = [instance(n, 6) for n in (1, 2, 3, 4)]
+    for _ in range(8):
+        data = rng.choice(pool)
+        order = list(range(len(data["alpha"])))
+        rng.shuffle(order)
+        lines.append({k: [data[k][i] for i in order] for k in ("alpha", "beta")})
+    texts = [json.dumps(data, separators=(",", ":")) for data in lines]
+    texts[3:3] = ['{"alpha":["1/3","1/2"],"beta":["1/4","1/3"]}', '{"alpha":["1/2"],']
+    texts[9:9] = ['{"alpha":["0"],"beta":["1/2"],"engine":"magic"}', ""]
+    return "".join(text + "\n" for text in texts)
+
+
+class TestShapesDigest:
+    # sha256 of the batch output over ``shapes_corpus``, taken before batch
+    # answers were written as text by one writer.
+    DIGESTS = {
+        ("closed", False):
+            "e3794c79a6b5660923c67423d450466e755430a021a018217e300579feb5156f",
+        ("recursive", False):
+            "8dc83bff9c4b1401f891d367c1efc5a873a8845063c71b1135511bf8bb1ba7c9",
+        ("both", False):
+            "e85171539c4c36fa0375433946a0d3ecf01db300b03176fc4bc1252cf72ed81e",
+        ("closed", True):
+            "22fcc02d5f4cadb50f369c12b3012308fe7f17bc85702bbca689c30e709f58ca",
+        ("recursive", True):
+            "ec800ea3dc50430af8f66a320dba5e433595ed753cb92983de91a4f585cc3f44",
+        ("both", True):
+            "1b8897e7039e323a813fc3d2b06a61a61ca1dd50ddfc6b96809bb6c131eb5fcf",
+    }
+
+    @pytest.mark.parametrize("engine, normalize", DIGESTS)
+    def test_output_bytes_are_pinned(self, monkeypatch, engine, normalize):
+        argv = ["batch", "--engine", engine] + ["--normalize"] * normalize
+        code, out = run_cli(argv, shapes_corpus(), monkeypatch)
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert len(docs) == 20
+        assert [doc["error"]["code"] for doc in docs if "error" in doc] == [3, 2, 2]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[engine, normalize]
+
+
 def tsv_corpus(count=60, seed=20261019):
     """Seeded ``compute --format tsv`` argument lists: ranks 1-10, every
     engine, half of them normalized, exponents spelled in every accepted form."""

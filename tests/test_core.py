@@ -290,6 +290,15 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             nearby(entries, unknown=unknown)
 
+    @pytest.mark.parametrize(
+        "entries,unknown",
+        [({(0.5, 0, 1): 1}, ()), ({(True, 0, 1): 1}, ()), ({}, [(0.25, 0)]), ({}, [(False, 0)])],
+    )
+    def test_refuses_float_and_bool_residues(self, entries, unknown):
+        (value,) = [key[0] for key in entries] + [r for r, _lv in unknown]
+        with pytest.raises(TypeError, match=f"got {value!r}$"):
+            nearby(entries, unknown=unknown)
+
     def test_coerces_keys_and_counts(self):
         table = nearby({(0, True, 2): True})
         assert table.entries == {(F(0), 1, 2): 1}
@@ -402,6 +411,15 @@ class TestParams:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             HypergeometricParams((F(0),), (F(1, 2), F(1, 3)))
+
+    @pytest.mark.parametrize(
+        "alpha, beta, value",
+        [((0.1,), (F(1, 2),), 0.1), ((F(0),), (0.5,), 0.5), ((True,), (F(1, 2),), True)],
+    )
+    def test_refuses_float_and_bool_exponents(self, alpha, beta, value):
+        # 0.1 would otherwise become 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError, match=f"got {value!r}$"):
+            HypergeometricParams(alpha, beta)
 
     def test_irreducibility(self):
         good = HypergeometricParams((F(0),), (F(1, 2),))

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,12 @@ from hyphodge import (
     profile_recursive,
     verify_cross_engine,
 )
-from hyphodge.cli import _compute_document
+from hyphodge.cli import _compute, _compute_text
 from hyphodge.core import frac, parse_rational
 from hyphodge.serialize import (
+    ENGINES,
     build_compute_document,
+    compute_document_text,
     document_to_json,
     emit_document,
     parse_document,
@@ -25,7 +29,7 @@ from hyphodge.serialize import (
     table_to_dict,
     tsv_lines,
 )
-from conftest import random_irreducible, residue_grid
+from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction
 
@@ -296,9 +300,50 @@ def test_seeded_texts_match_formatted_ones(engine):
         formatted = HypergeometricParams(alpha, beta)
         assert "texts" in vars(seeded) and "texts" not in vars(formatted)
         assert seeded == formatted
-        ours = document_to_json(_compute_document(seeded, engine, False), compact=True)
-        theirs = document_to_json(_compute_document(formatted, engine, False), compact=True)
+        ours = _compute_text(seeded, engine, False)
+        theirs = _compute_text(formatted, engine, False)
         assert ours == theirs, line
+
+
+def compact(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+class TestWriter:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_text_is_the_compact_dump_of_its_view(self, engine, normalize):
+        rng = random.Random(f"writer:{engine}:{normalize}")
+        for _ in range(12):
+            params = disjoint_pool_instance(rng, rng.randint(1, 6), 12)
+            answer = _compute(params, engine, normalize)
+            text = compute_document_text(params, engine, *answer)
+            assert text == compact(build_compute_document(params, engine, *answer))
+            assert text == compact(json.loads(text))
+
+    def test_library_texts_are_escaped_as_json_dumps_escapes_them(self):
+        # Texts given with ``texts=`` are written as given, so the writer
+        # must escape them: a quote, a backslash, a control character and
+        # characters outside ASCII.
+        texts = {0: 'a"b', 1: "c\\d", 2: "e\x01f\n", 3: "\u00e9\u22121/4\U0001d54f"}
+        params = HypergeometricParams((0, 1), (2, 3), den=4, texts=texts)
+        assert params.texts is texts
+        profiles, report, shift = _compute(params, "both", False)
+        profiles = {name: replace(p, note='tab\there "\u00fc"') for name, p in profiles.items()}
+        report = replace(report, error="\\ \u2603 \x7f")
+        text = compute_document_text(params, "both", profiles, report, shift)
+        assert text.isascii()
+        assert text == compact(build_compute_document(params, "both", profiles, report, shift))
+        assert text == compact(json.loads(text))
+        doc = json.loads(text)
+        assert doc["params"] == {"alpha": ['a"b', "c\\d"], "beta": ["e\x01f\n", texts[3]]}
+        assert doc["report"]["params"] == doc["params"]
+        assert doc["report"]["error"] == report.error
+        assert doc["profiles"]["closed"]["note"] == 'tab\there "\u00fc"'
+        for literal in (r'"a\"b"', r'"c\\d"', r'"e\u0001f\n"', r'"\u00e9\u22121/4\ud835\udd4f"'):
+            assert literal in text, literal
+        residues = {e["residue"] for e in doc["profiles"]["closed"]["nearby_zero"]["entries"]}
+        assert residues == {'a"b', "c\\d"}
 
 
 class TestTsv:
