@@ -52,7 +52,6 @@ from .core import (
     class_totals,
     conjugate_table,
     equal_up_to_shift,
-    format_rational,
     frac,
     hodge_numbers,
     parse_rational,

@@ -26,7 +26,6 @@ from .core import (
     ReducibleInput,
     UnknownData,
     hodge_numbers,
-    parse_rational,
     profile_min_p,
 )
 from .recursion import compare_profiles, profile_recursive
@@ -53,13 +52,13 @@ ENGINE_ERRORS = (InternalEngineError, NoValidPeel, UnknownData)
 """Failures of the engines themselves, never of the input: exit code 4."""
 
 
-def _parse_tuple(text: str, option: str) -> tuple[Fraction, ...]:
-    """The comma-separated exponents of ``option``; no field may be empty."""
+def _exponent_texts(text: str, option: str) -> list[str]:
+    """The comma-separated exponent texts of ``option``; no field may be empty."""
     fields = text.split(",")
     for i, part in enumerate(fields, 1):
         if not part.strip():
             raise ValueError(f"{option}: exponent {i} of {len(fields)} is empty")
-    return tuple(parse_rational(p) for p in fields)
+    return fields
 
 
 def _compute(
@@ -98,9 +97,10 @@ def _compute_text(params: HypergeometricParams, engine: str, normalize: bool) ->
 
 def _run_compute(args: argparse.Namespace) -> int:
     try:
-        params = HypergeometricParams(
-            _parse_tuple(args.alpha, "--alpha"), _parse_tuple(args.beta, "--beta")
-        )
+        params = params_from_dict({
+            "alpha": _exponent_texts(args.alpha, "--alpha"),
+            "beta": _exponent_texts(args.beta, "--beta"),
+        })
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -41,6 +41,7 @@ from .core import (
     UnknownData,
     _prune,
     _spread_sum,
+    format_residue,
 )
 
 NumeratorEntry = tuple[int, int, int]
@@ -166,7 +167,8 @@ def _require_known(
     scale = den // table.den
     for r, _lv in table.int_unknown:
         if read(r * scale):
-            raise UnknownData(f"class {Fraction(r, table.den)} has undetermined slots")
+            text = format_residue(r, table.den)
+            raise UnknownData(f"class {text} has undetermined slots")
 
 
 def _through_rows(

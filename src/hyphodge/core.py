@@ -9,10 +9,12 @@ represented by 1 (see :mod:`hyphodge.convolution`).
 
 Residues are stored as integers: an instance holds its exponents as
 numerators over their least common denominator, and a table its residues as
-numerators over the least denominator of its own.  ``Fraction`` is the
-library's boundary only: constructors take ``Fraction`` input and put it on
-a denominator, and ``alpha``, ``beta``, ``entries`` and ``unknown`` are
-``Fraction`` views built on first read.  Nothing on the batch path reads them.
+numerators over the least denominator of its own.  Every exponent or
+residue text is read by the memo of :func:`parse_residue` into a reduced
+ratio of ints, and :func:`common_numerators` puts ratios on their lcm.
+``Fraction`` is the library's boundary only: constructors take it and put
+it on a denominator by the same helper, and ``alpha``, ``beta``, ``entries``
+and ``unknown`` are ``Fraction`` views built on first read.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -26,6 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import index
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
@@ -63,11 +66,17 @@ def frac(value: Fraction | int) -> Fraction:
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 _MEMO_TEXT_MAX = 32
-"""Longest text :func:`parse_rational` memoizes; longer ones are parsed each time."""
+"""Longest text :func:`parse_residue` memoizes; longer ones are read each time."""
 
 
-@lru_cache(maxsize=4096)
-def _parse(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction:
+    """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
+
+    Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
+    (floats, whitespace inside the number, other scripts' digits, empty
+    strings, a zero denominator) is rejected with :class:`ValueError`.  No
+    memo: :func:`parse_residue` calls this on a miss.
+    """
     match = _RATIONAL_RE.fullmatch(text.strip().replace("−", "-"))
     if match is None:
         raise ValueError(f"not a rational in a/b form: {text!r}")
@@ -78,31 +87,8 @@ def _parse(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
-
-    Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
-    (floats, whitespace inside the number, other scripts' digits, empty
-    strings, a zero denominator) is rejected with :class:`ValueError`.
-
-    Each distinct ``str`` of at most 32 characters is parsed once per
-    process: a least-recently-used memo of 4096 entries keeps its value,
-    never an error.  The ``Fraction``s it hands out are shared and
-    immutable, so a caller cannot tell a memo hit from a fresh parse, and
-    reading one's ``as_integer_ratio()`` builds and hashes no ``Fraction``.
-    """
-    if type(text) is str and len(text) <= _MEMO_TEXT_MAX:
-        return _parse(text)
-    return _parse.__wrapped__(text)
-
-
-def format_rational(value: Fraction) -> str:
-    """Render an exact rational in the shared ``a/b`` (or integer) format."""
-    return str(value)
-
-
 def format_residue(r: int, den: int) -> str:
-    """The residue ``r / den`` in the format of :func:`format_rational`.
+    """The residue ``r / den`` as the shared ``a/b`` format writes it.
 
     ``r`` is an integer numerator in ``[0, den)``; the text is ``"0"`` or the
     reduced ``a/b``, as ``str(Fraction(r, den))`` gives it, without building
@@ -122,17 +108,30 @@ def _residue(text: str) -> tuple[int, int, str]:
 
 
 def parse_residue(text: str) -> tuple[int, int, str]:
-    """The residue mod 1 of an exponent text, as ``(m, d, text)``.
+    """The residue mod 1 of an exponent or residue text, as ``(m, d, text)``.
 
     ``m/d`` is the residue in ``[0, 1)`` as a reduced ratio of ints and
     ``text`` is what :func:`format_residue` writes for it over any
-    denominator.  The text is read by :func:`parse_rational`, and the result
-    is memoized under the same bounds: each distinct ``str`` of at most 32
-    characters once per process, in at most 4096 entries, never an error.
+    denominator.  A miss is read by :func:`parse_rational`: each distinct
+    ``str`` of at most 32 characters once per process, in a least-recently-
+    used memo of at most 4096 entries that never keeps an error.
     """
     if type(text) is str and len(text) <= _MEMO_TEXT_MAX:
         return _residue(text)
     return _residue.__wrapped__(text)
+
+
+def common_numerators(ratios: Sequence[Sequence[Any]]) -> tuple[int, list[int]]:
+    """Ratios as integer numerators over the lcm of their denominators.
+
+    Each ratio is ``r[0] / r[1]``: an ``(n, d)`` pair, or the ``(m, d, text)``
+    of :func:`parse_residue`.  For reduced ratios the lcm is their least
+    common denominator, and the order, sums and differences of the values
+    are those of the ints.
+    """
+    # A set: one bigint lcm step per distinct denominator, not per ratio.
+    den = lcm(*{r[1] for r in ratios})
+    return den, [r[0] * (den // r[1]) for r in ratios]
 
 
 class TableKind(Enum):
@@ -175,17 +174,6 @@ def _exact(values: Sequence[Any]) -> Sequence[Any]:
     return values
 
 
-def _common_numerators(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """Rationals as integer numerators over the least common denominator.
-
-    The library boundary: each value gives its ``as_integer_ratio()``, and
-    the order, sums and differences of the values are those of the ints.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*(d for _n, d in ratios))
-    return den, [n * (den // d) for n, d in ratios]
-
-
 @dataclass(frozen=True, init=False)
 class LocalHodgeTable:
     """Multiset of graded primitive dimensions at one singular point.
@@ -201,11 +189,13 @@ class LocalHodgeTable:
 
     ``LocalHodgeTable(point, kind, entries, unknown)`` takes rational
     residues (``Fraction`` or int; a float or a bool raises
-    :class:`TypeError`) and puts them on their common denominator; with
-    ``den=`` the residues are numerators over ``den``, as the engines hand
-    them over.  Either way ``__post_init__`` runs once and checks the
-    integers.  ``entries`` and ``unknown`` are the same contents
-    keyed by ``Fraction`` residues, built on first read.
+    :class:`TypeError`) and puts them on their common denominator, and
+    takes levels, indices and multiplicities by ``operator.index``, so a
+    non-integral one raises :class:`TypeError`; with ``den=`` the residues
+    are numerators over ``den``, as the engines and documents hand them
+    over.  Either way ``__post_init__`` runs once and checks the integers.
+    ``entries`` and ``unknown`` are the same contents keyed by ``Fraction``
+    residues, built on first read.
     """
 
     point: SingularPoint
@@ -227,12 +217,12 @@ class LocalHodgeTable:
             items = list((entries or {}).items())
             slots = list(unknown)
             keys = [key[0] for key, _m in items] + [r for r, _lv in slots]
-            den, nums = _common_numerators(_exact(keys))
+            den, nums = common_numerators([k.as_integer_ratio() for k in _exact(keys)])
             entries = {
-                (r, int(lv), int(p)): int(m)
+                (r, index(lv), index(p)): index(m)
                 for r, ((_r, lv, p), m) in zip(nums, items)
             }
-            unknown = [(r, int(lv)) for r, (_r, lv) in zip(nums[len(items) :], slots)]
+            unknown = [(r, index(lv)) for r, (_r, lv) in zip(nums[len(items) :], slots)]
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "den", den)
@@ -258,7 +248,9 @@ class LocalHodgeTable:
         if unknown:
             overlap = {(r, lv) for (r, lv, _p) in entries} & unknown
             if overlap:
-                slots = sorted((Fraction(r, den), lv) for r, lv in overlap)
+                slots = ", ".join(
+                    [f"({format_residue(r, den)}, {lv})" for r, lv in sorted(overlap)]
+                )
                 raise ValueError(f"slots both determined and unknown: {slots}")
         # Copy the caller's dict; divide out what the residues share with den.
         g = gcd(den, *[r for r, _lv, _p in entries], *[r for r, _lv in unknown])
@@ -378,14 +370,16 @@ class HypergeometricParams:
     and subtract as these ints.  ``HypergeometricParams(alpha, beta)`` takes
     rationals (``Fraction`` or int; a float or a bool raises
     :class:`TypeError`) and reduces them mod 1; with ``den=`` the exponents
-    are already numerators over ``den``, as the batch parser hands them
-    over.  Either way ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
-    the exponents as ``Fraction``s, built on first read.
+    are already numerators over ``den``, as
+    :func:`hyphodge.serialize.params_from_dict` hands over the exponents of
+    a batch line, of ``compute --alpha/--beta`` or of a document.  Either
+    way ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta``
+    are the exponents as ``Fraction``s, built on first read.
 
     ``texts`` maps each exponent numerator to its residue text, as
     :func:`format_residue` writes it.  A caller that has the texts in hand
     passes that map with ``texts=``, keyed by numerator over ``den=``, as
-    the batch parser does; it is kept as given unless ``__post_init__``
+    ``params_from_dict`` does; it is kept as given unless ``__post_init__``
     reduces ``den``.  Otherwise the map is formatted on first read.
     """
 
@@ -403,7 +397,8 @@ class HypergeometricParams:
     ) -> None:
         alpha, beta = tuple(alpha), tuple(beta)
         if den is None:
-            den, nums = _common_numerators([frac(v) for v in _exact(alpha + beta)])
+            ratios = [frac(v).as_integer_ratio() for v in _exact(alpha + beta)]
+            den, nums = common_numerators(ratios)
             alpha, beta = tuple(nums[: len(alpha)]), tuple(nums[len(alpha) :])
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "alpha_numerators", alpha)

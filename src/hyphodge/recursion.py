@@ -83,6 +83,7 @@ from .core import (
     TableKind,
     _spread_sum,
     equal_up_to_shift,
+    format_residue,
 )
 
 Pairs = tuple[tuple[int, int], ...]
@@ -216,7 +217,7 @@ def _nearby_class(
             row = zero_row(sub_residue, level, kernel, den)
         if row is None:
             raise InternalEngineError(
-                f"class {sub_residue}/{den} at {(ZERO, INFINITY)[side]}"
+                f"class {format_residue(sub_residue, den)} at {(ZERO, INFINITY)[side]}"
                 " reached a dropped row"
             )
         level, p = classes[residue] = row[0], p + row[1]

@@ -18,14 +18,15 @@ text.  The dict builders (:func:`build_compute_document`,
 ``json.loads`` of the writer's text, so they spell no key of their own.
 
 Residues go out as they are stored, integer numerators over a denominator.
-Exponent texts come in through the memo of
-:func:`~hyphodge.core.parse_residue`, each as its reduced residue and the
-text it is written as; the residues go onto the instance's common
-denominator and the texts into :attr:`~hyphodge.core.HypergeometricParams.texts`,
+Exponents of batch lines, of ``compute --alpha/--beta`` and of documents,
+and a document's table residues, come in through the memo of
+:func:`~hyphodge.core.parse_residue`, each as its reduced residue and its
+text; :func:`~hyphodge.core.common_numerators` puts them on their lcm, and
+exponent texts go into :attr:`~hyphodge.core.HypergeometricParams.texts`,
 where the document finds them.  Only a table residue that is no exponent
 is formatted, by :func:`~hyphodge.core.format_residue`.  So past a memo
-hit, a batch line builds and hashes no ``Fraction`` between ``json.loads``
-and its answer's text, and formats no exponent over its denominator.
+hit, no batch line or :func:`parse_document` builds or hashes a
+``Fraction``, and a batch line formats no exponent over its denominator.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
+    common_numerators,
     format_residue,
-    parse_rational,
     parse_residue,
 )
 
@@ -135,21 +136,25 @@ def _fields(value: Any, name: str, keys: Collection[str]) -> Any:
     return value
 
 
-def _built(name: str, make: Any, *args: Any) -> Any:
-    """``make(*args)``, with a :class:`ValueError` it raises prefixed by ``name``."""
+def _built(name: str, make: Any, *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, its :class:`ValueError` prefixed by ``name``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
 def _rows(table: Any, name: str, field: str, keys: list[str]) -> list[tuple[Any, ...]]:
-    """The rows in ``table[field]``: each its ``a/b`` residue, then its ``keys``."""
+    """The rows in ``table[field]``: each its residue's ``(m, d, text)``
+    (:func:`~hyphodge.core.parse_residue`), then its ``keys``.  A residue
+    must be written as :func:`table_to_dict` writes it."""
     rows = []
     for i, row in enumerate(_leaf(table[field], list, f"{name}.{field}")):
         at = f"{name}.{field}[{i}]"
         _fields(row, at, ["residue", *keys])
-        residue = _leaf(row["residue"], str, f"{at}.residue", parse_rational)
+        residue = _leaf(row["residue"], str, f"{at}.residue", parse_residue)
+        if residue[2] != row["residue"]:
+            raise ValueError(f"{at}.residue must be {residue[2]!r}, got {row['residue']!r}")
         rows.append((residue, *(_leaf(row[k], int, f"{at}.{k}") for k in keys)))
     return rows
 
@@ -160,9 +165,11 @@ def table_from_dict(data: Any, name: str = "table") -> LocalHodgeTable:
     point = _leaf(data["point"], str, f"{name}.point", SingularPoint)
     kind = _leaf(data["kind"], str, f"{name}.kind", TableKind)
     rows = _rows(data, name, "entries", ["level", "p", "mult"])
-    entries = {(r, lv, p): m for r, lv, p, m in rows}
-    unknown = frozenset(_rows(data, name, "unknown", ["level"]))
-    return _built(name, LocalHodgeTable, point, kind, entries, unknown)
+    slots = _rows(data, name, "unknown", ["level"])
+    den, nums = common_numerators([row[0] for row in rows + slots])
+    entries = {(r, lv, p): m for r, (_res, lv, p, m) in zip(nums, rows)}
+    unknown = frozenset((r, lv) for r, (_res, lv) in zip(nums[len(rows) :], slots))
+    return _built(name, LocalHodgeTable, point, kind, entries, unknown, den=den)
 
 
 def _int_map_text(mapping: Mapping[int, int]) -> str:
@@ -269,22 +276,14 @@ def params_from_dict(data: Any) -> HypergeometricParams:
             raise ValueError(f"{key} must be a list of exponents, got {values!r}")
         return [parse_residue(v) if isinstance(v, str) else integer(v) for v in values]
 
-    alpha, beta = many("alpha"), many("beta")
+    residues = many("alpha")
+    n = len(residues)
+    residues += many("beta")
     # Each m/d is reduced, so the lcm of the denominators is the instance's
     # least common denominator.
-    den = lcm(*[d for _m, d, _t in alpha], *[d for _m, d, _t in beta])
-    texts: dict[int, str] = {}
-
-    def over_den(residues: list[tuple[int, int, str]]) -> list[int]:
-        """The numerators over ``den``, each noted in ``texts`` with its text."""
-        numerators = []
-        for m, d, text in residues:
-            r = m * (den // d)
-            numerators.append(r)
-            texts[r] = text
-        return numerators
-
-    return HypergeometricParams(over_den(alpha), over_den(beta), den=den, texts=texts)
+    den, nums = common_numerators(residues)
+    texts = {r: residue[2] for r, residue in zip(nums, residues)}
+    return HypergeometricParams(nums[:n], nums[n:], den=den, texts=texts)
 
 
 def _report_text(report: EngineReport, texts: _Texts) -> str:

@@ -117,22 +117,11 @@ BATCH_LINES = [
 ]
 
 
-def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
-    # Past the parse memo, every residue on a batch line is an int numerator:
-    # nothing between ``json.loads`` and the answer's text builds or hashes a
-    # Fraction.  The warm-up fills the memo, the only place one is built.
+def count_fractions(monkeypatch) -> dict[str, int]:
+    """Counts of ``Fraction.__new__`` and ``Fraction.__hash__`` calls from
+    here on, as the test's ``monkeypatch`` installs the counters."""
     from fractions import Fraction
 
-    from hyphodge.cli import _compute_text
-    from hyphodge.serialize import params_from_dict
-
-    def answer(line: str, engine: str, normalize: bool) -> str:
-        params = params_from_dict(json.loads(line))
-        params.require_irreducible()
-        return _compute_text(params, engine, normalize)
-
-    cases = [(line, engine, normalize) for line, engine in BATCH_LINES for normalize in (False, True)]
-    warm = [answer(*case) for case in cases]
     counts = {"__new__": 0, "__hash__": 0}
     new, hash_ = Fraction.__new__, Fraction.__hash__
 
@@ -149,8 +138,52 @@ def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
     Fraction(1, 2), hash(Fraction(1, 3))  # the counters themselves work
     assert counts == {"__new__": 2, "__hash__": 1}
     counts.update({"__new__": 0, "__hash__": 0})
+    return counts
+
+
+def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
+    # Past the parse memo, every residue on a batch line is an int numerator:
+    # nothing between ``json.loads`` and the answer's text builds or hashes a
+    # Fraction.  The warm-up fills the memo, the only place one is built.
+    from hyphodge.cli import _compute_text
+    from hyphodge.serialize import params_from_dict
+
+    def answer(line: str, engine: str, normalize: bool) -> str:
+        params = params_from_dict(json.loads(line))
+        params.require_irreducible()
+        return _compute_text(params, engine, normalize)
+
+    cases = [(line, engine, normalize) for line, engine in BATCH_LINES for normalize in (False, True)]
+    warm = [answer(*case) for case in cases]
+    counts = count_fractions(monkeypatch)
     assert [answer(*case) for case in cases] == warm
     assert counts == {"__new__": 0, "__hash__": 0}
+
+
+def test_document_read_builds_and_hashes_no_fraction(monkeypatch):
+    # Exponents and table residues of a document go through the same memo
+    # as batch lines, so past a warm-up reading one builds no Fraction.
+    from hyphodge.cli import _compute_text
+    from hyphodge.serialize import ENGINES, params_from_dict, parse_document
+
+    line = '{"alpha":["0","1/3","-1/8","5/2"],"beta":["1/4","2/5","5/6","1/6"]}'
+    params = params_from_dict(json.loads(line))
+    docs = [json.loads(_compute_text(params, engine, False)) for engine in ENGINES]
+    assert [doc["engine"] for doc in docs] == ["closed", "recursive", "both"]
+    for doc in docs:
+        parse_document(doc)
+    counts = count_fractions(monkeypatch)
+    for doc in docs:
+        parse_document(doc)
+    assert counts == {"__new__": 0, "__hash__": 0}
+
+
+def test_one_reader_of_texts():
+    # Every exponent and residue text is read by ``core.parse_residue``.
+    for module in ("cli", "serialize"):
+        assert "parse_rational" not in package_imports(module)["core"], module
+    assert not hasattr(hyphodge, "format_rational")
+    assert not hasattr(hyphodge.core, "format_rational")
 
 
 def test_closed_line_formats_no_exponent(monkeypatch):
@@ -224,7 +257,8 @@ def _names_lru_cache(node: ast.AST) -> bool:
 
 
 def test_every_cache_is_bounded():
-    assert {"core._parse", "core._residue", "recursion._profile_of_pairs"} <= bounded_caches()
+    # Exactly these: a lost cache and a new one both show here.
+    assert bounded_caches() == {"core._residue", "recursion._profile_of_pairs"}
 
 
 def test_no_check_vanishes_under_optimize():

@@ -204,6 +204,54 @@ class TestCompute:
         assert "zero\t1/3\t0\t1\t1" in out
 
 
+SPELLINGS = {
+    "1/2": ["2/4", "5/2", " 1/2 "],
+    "7/8": ["-1/8"],
+    "2/3": ["\u22121/3"],
+    "3/4": ["+3/4"],
+    "0": ["0/5", "6/3"],
+}
+"""Exponent texts keyed by the residue each reads as."""
+
+
+def spelled_instances(count=10, seed=20261021):
+    """Seeded ``(alpha, beta)`` text lists of rank 1-3 over ``SPELLINGS``,
+    alpha and beta drawn from disjoint residue classes."""
+    rng = random.Random(seed)
+    classes = sorted(SPELLINGS)
+    out = []
+    for _ in range(count):
+        rng.shuffle(classes)
+        cut = rng.randint(1, len(classes) - 1)
+        n = rng.randint(1, 3)
+        alpha = [rng.choice(SPELLINGS[rng.choice(classes[:cut])]) for _ in range(n)]
+        beta = [rng.choice(SPELLINGS[rng.choice(classes[cut:])]) for _ in range(n)]
+        out.append((alpha, beta))
+    return out
+
+
+class TestComputeMatchesBatch:
+    # ``compute --alpha/--beta`` and a batch line read their exponents by one
+    # route, so the same texts give the same document.
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("engine", ["closed", "recursive", "both"])
+    def test_same_document(self, monkeypatch, engine, normalize):
+        flags = ["--engine", engine] + ["--normalize"] * normalize
+        instances = spelled_instances()
+        used = {text for alpha, beta in instances for text in alpha + beta}
+        assert used == {text for texts in SPELLINGS.values() for text in texts}
+        lines = "".join(json.dumps({"alpha": a, "beta": b}) + "\n" for a, b in instances)
+        code, out = run_cli(["batch", *flags], lines, monkeypatch)
+        assert code == 0
+        answers = [json.loads(line) for line in out.splitlines()]
+        assert len(answers) == len(instances)
+        for (alpha, beta), answer in zip(instances, answers):
+            argv = ["compute", f"--alpha={','.join(alpha)}", f"--beta={','.join(beta)}"]
+            code, out = run_cli(argv + flags)
+            assert code == 0
+            assert json.loads(out) == answer
+
+
 class TestVerify:
     def test_exhaustive_small(self):
         code, out = run_cli(["verify", "--n-max", "1", "--den-max", "3"])

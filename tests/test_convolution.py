@@ -243,7 +243,7 @@ class TestDegreesTransport:
 
     def test_unknown_range_raises(self):
         table = nearby({}, unknown=[(F(3, 4), 0)])
-        with pytest.raises(UnknownData):
+        with pytest.raises(UnknownData, match=r"^class 3/4 has undetermined slots$"):
             convolve_degrees({}, table, (), HALF)
 
     def test_twist_unknown_kept_class_at_infinity_raises(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_irreducible, residue_grid
-from hyphodge.core import _parse, _residue, format_residue, parse_residue
+from hyphodge.core import _residue, format_residue, parse_residue
 from hyphodge import (
     AT_ONE,
     INFINITY,
@@ -22,7 +23,6 @@ from hyphodge import (
     UnknownData,
     class_totals,
     equal_up_to_shift,
-    format_rational,
     frac,
     parse_rational,
     table_shift,
@@ -109,18 +109,6 @@ class TestRationalFormat:
         else:
             assert parse_rational(text) == expected == Fraction(text.replace("−", "-"))
 
-    @pytest.mark.parametrize("text", MEMO_TEXTS)
-    def test_memo_is_transparent(self, text):
-        # A cold memo, then two hits: each call gives what the unmemoized
-        # parser gives, and an error is never kept.
-        _parse.cache_clear()
-        fresh = parse_outcome(_parse.__wrapped__, text)
-        assert [parse_outcome(parse_rational, text) for _ in range(3)] == [fresh] * 3
-        assert _parse.cache_info().currsize == (0 if isinstance(fresh, tuple) else 1)
-
-    def test_memo_hands_out_one_shared_value(self):
-        assert parse_rational("5/7") is parse_rational("5/7")
-
     @pytest.mark.parametrize(
         "value,error",
         [
@@ -134,34 +122,15 @@ class TestRationalFormat:
         with pytest.raises(error):
             parse_rational(value)
 
-    def test_memo_keys_are_at_most_32_characters(self):
-        _parse.cache_clear()
-        assert parse_rational("1/2".rjust(32)) == F(1, 2)
-        assert _parse.cache_info().currsize == 1
-        assert parse_rational("1/2".rjust(33)) == F(1, 2)
-        assert _parse.cache_info().currsize == 1
-
-    def test_long_text_leaves_the_memo_alone(self):
-        size = _parse.cache_info().currsize
-        assert parse_rational(" " * 10_000 + "1/2") == F(1, 2)
-        assert _parse.cache_info().currsize == size
-
-    def test_memo_is_bounded(self):
-        for i in range(10_000):
-            parse_rational(f"{i}/{i + 1}")
-        info = _parse.cache_info()
-        assert info.maxsize == 4096
-        assert info.currsize <= 4096
-
     @given(rationals)
     def test_round_trip(self, x):
-        assert parse_rational(format_rational(x)) == x
-
+        assert parse_rational(str(x)) == x
 
 
 class TestResidueMemo:
-    # ``parse_residue`` memoizes ``(m, d, text)`` per exponent text, under
-    # the bounds of the ``parse_rational`` memo.
+    # ``parse_residue`` memoizes ``(m, d, text)`` per exponent or residue
+    # text; it is the only memo over texts, and ``parse_rational`` reads a
+    # text on a miss.
     @pytest.mark.parametrize("text", MEMO_TEXTS)
     def test_memo_is_transparent(self, text):
         # A cold memo, then two hits: each call gives what the unmemoized
@@ -193,12 +162,20 @@ class TestResidueMemo:
             parse_residue(value)
         assert _residue.cache_info().currsize == size
 
+    def test_memo_hands_out_one_shared_value(self):
+        assert parse_residue("5/7") is parse_residue("5/7")
+
     def test_memo_keys_are_at_most_32_characters(self):
         _residue.cache_clear()
         assert parse_residue("-1/2".rjust(32)) == (1, 2, "1/2")
         assert _residue.cache_info().currsize == 1
         assert parse_residue("-1/2".rjust(33)) == (1, 2, "1/2")
         assert _residue.cache_info().currsize == 1
+
+    def test_long_text_leaves_the_memo_alone(self):
+        size = _residue.cache_info().currsize
+        assert parse_residue(" " * 10_000 + "-1/2") == (1, 2, "1/2")
+        assert _residue.cache_info().currsize == size
 
     def test_memo_is_bounded(self):
         for i in range(10_000):
@@ -298,6 +275,30 @@ class TestTableValidation:
         (value,) = [key[0] for key in entries] + [r for r, _lv in unknown]
         with pytest.raises(TypeError, match=f"got {value!r}$"):
             nearby(entries, unknown=unknown)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, F(3, 2), F(2), Decimal("1.5"), Decimal(2)])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: ({(F(1, 2), v, 2): 1}, ()),
+            lambda v: ({(F(1, 2), 1, v): 1}, ()),
+            lambda v: ({(F(1, 2), 1, 2): v}, ()),
+            lambda v: ({}, [(F(1, 3), v)]),
+        ],
+        ids=["level", "p", "mult", "unknown-level"],
+    )
+    def test_refuses_non_integral_levels_indices_and_counts(self, make, value):
+        # Nothing is truncated: 1.5 would otherwise become the level 1.
+        entries, unknown = make(value)
+        with pytest.raises(TypeError):
+            nearby(entries, unknown=unknown)
+
+    def test_overlap_message_writes_residues(self):
+        with pytest.raises(ValueError, match=r"unknown: \(1/4, 0\), \(1/2, 1\)$"):
+            nearby(
+                {(F(1, 4), 0, 0): 1, (F(1, 2), 1, 3): 1},
+                unknown=[(F(1, 2), 1), (F(1, 4), 0)],
+            )
 
     def test_coerces_keys_and_counts(self):
         table = nearby({(0, True, 2): True})

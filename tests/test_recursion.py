@@ -14,6 +14,7 @@ from hyphodge import (
     ConvolutionContext,
     HodgeProfile,
     HypergeometricParams,
+    InternalEngineError,
     LocalHodgeTable,
     NoValidPeel,
     ReducibleInput,
@@ -213,6 +214,18 @@ class TestProfileRecursive:
         recursion._profile_of_pairs.cache_clear()
         profile_recursive(p)
         assert calls
+
+    def test_dropped_row_message_writes_the_reduced_residue(self, monkeypatch):
+        # The walk's class is 9 over the instance's denominator 12; the
+        # message writes it as the documents do, reduced.
+        from hyphodge import recursion
+
+        monkeypatch.setattr(recursion, "zero_row", lambda *args: None)
+        recursion._profile_of_pairs.cache_clear()
+        p = HypergeometricParams((F(0), F(1, 4)), (F(1, 2), F(1, 3)))
+        assert p.den == 12
+        with pytest.raises(InternalEngineError, match=r"^class 3/4 at 0 reached a dropped row$"):
+            profile_recursive(p)
 
     def test_reducible_reported_not_raised(self):
         rep = verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))

@@ -244,6 +244,21 @@ class TestStrictParsing:
         # flag deleted while agree stays true); nearly all must be refused.
         assert built > 5000 and 0 < accepted < built // 10
 
+    @pytest.mark.parametrize("text", ["5/4", "-3/4"])
+    def test_residue_outside_the_unit_interval_names_its_field(self, text):
+        # A residue is read mod 1 and written reduced, so the unreduced
+        # text is refused at its own field.
+        doc = make_document(PARAMS)
+        table = doc["profiles"]["closed"]["nearby_infinity"]
+        assert table["entries"][0]["residue"] == "1/4"
+        table["entries"][0]["residue"] = text
+        field = "document.profiles.closed.nearby_infinity.entries[0].residue"
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be '1/4', got '{text}'")):
+            parse_document(doc)
+        # The table alone is refused too; it is not read mod 1 without a word.
+        with pytest.raises(ValueError, match=re.escape("t.entries[0].residue must be '1/4'")):
+            table_from_dict(table, "t")
+
     def test_accepts_a_null_shift(self):
         doc = make_document(PARAMS)
         doc["report"]["shift"] = None
