@@ -109,6 +109,39 @@ class TestRationalFormat:
         else:
             assert parse_rational(text) == expected == Fraction(text.replace("−", "-"))
 
+    # ``parse_rational`` keeps no memo of its own: the memo over texts is
+    # ``parse_residue``'s, and the tests below hold it to what
+    # ``parse_rational`` reads.
+    @pytest.mark.parametrize("text", MEMO_TEXTS)
+    def test_memo_is_transparent(self, text):
+        # A cold memo, then two hits: each gives the residue of what
+        # ``parse_rational`` reads, or its very error, and no error is kept.
+        _residue.cache_clear()
+        read = parse_outcome(parse_rational, text)
+        if isinstance(read, Fraction):
+            residue = frac(read)
+            read = (residue.numerator, residue.denominator, str(residue))
+        assert [parse_outcome(parse_residue, text) for _ in range(3)] == [read] * 3
+        failed = read[0] == "ValueError"
+        assert _residue.cache_info().currsize == (0 if failed else 1)
+
+    def test_memo_keys_are_at_most_32_characters(self):
+        _residue.cache_clear()
+        short, long = "-1/2".rjust(32), "-1/2".rjust(33)
+        assert parse_rational(short) == parse_rational(long) == F(-1, 2)
+        assert _residue.cache_info().currsize == 0
+        assert parse_residue(short) == parse_residue(long) == (1, 2, "1/2")
+        assert _residue.cache_info().currsize == 1
+
+    def test_memo_is_bounded(self):
+        _residue.cache_clear()
+        for i in range(10_000):
+            value = parse_rational(f"{i}/{i + 1}")
+            assert parse_residue(f"{i}/{i + 1}")[:2] == value.as_integer_ratio()
+        info = _residue.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= 4096
+
     @pytest.mark.parametrize(
         "value,error",
         [
