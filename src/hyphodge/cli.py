@@ -14,7 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .closed_form import profile_closed
 from .core import (
@@ -95,29 +95,42 @@ def _compute_text(params: HypergeometricParams, engine: str, normalize: bool) ->
     return compute_document_text(params, engine, *_compute(params, engine, normalize))
 
 
-def _run_compute(args: argparse.Namespace) -> int:
+def _answer(request: Callable[..., str], *args: Any) -> tuple[int, str]:
+    """Code 0 and the text of ``request(*args)``, or its error's code and message.
+
+    The one rule from exception to code, shared by ``compute`` and each
+    ``batch`` line, over the whole request: parse, engines and writer.
+    """
     try:
-        params = params_from_dict({
-            "alpha": _exponent_texts(args.alpha, "--alpha"),
-            "beta": _exponent_texts(args.beta, "--beta"),
-        })
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        params.require_irreducible()
-        if args.format == "tsv":
-            profiles, _report, shift = _compute(params, args.engine, args.normalize)
-            print("\n".join(tsv_lines(params, profiles, shift)))
-        else:
-            print(document_to_json(_compute_document(params, args.engine, args.normalize)))
+        return EXIT_OK, request(*args)
     except ReducibleInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCIBLE
+        return EXIT_REDUCIBLE, str(exc)
     except ENGINE_ERRORS as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+        return EXIT_INTERNAL, str(exc)
+    except (ValueError, KeyError, TypeError) as exc:
+        return EXIT_PARSE, str(exc)
+
+
+def _compute_answer(args: argparse.Namespace) -> str:
+    params = params_from_dict({
+        "alpha": _exponent_texts(args.alpha, "--alpha"),
+        "beta": _exponent_texts(args.beta, "--beta"),
+    })
+    params.require_irreducible()
+    if args.format == "tsv":
+        profiles, _report, shift = _compute(params, args.engine, args.normalize)
+        return "\n".join(tsv_lines(params, profiles, shift))
+    return document_to_json(_compute_document(params, args.engine, args.normalize))
+
+
+def _run_compute(args: argparse.Namespace) -> int:
+    code, text = _answer(_compute_answer, args)
+    if code:
+        prefix = "internal error" if code == EXIT_INTERNAL else "error"
+        print(f"{prefix}: {text}", file=sys.stderr)
+    else:
+        print(text)
+    return code
 
 
 def _residue_grid(den_max: int) -> list[Fraction]:
@@ -216,14 +229,27 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _error_text(line: int, code: int, exc: Exception) -> str:
+def _error_text(line: int, code: int, message: str) -> str:
     """The inline error document for input line ``line``, as compact JSON text."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "line": line,
-        "error": {"code": code, "message": str(exc)},
+        "error": {"code": code, "message": message},
     }
     return document_to_json(doc, compact=True)
+
+
+def _batch_answer(line: str, args: argparse.Namespace) -> str:
+    try:
+        data = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    params = params_from_dict(data)
+    params.require_irreducible()
+    engine = data.get("engine", args.engine)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    return _compute_text(params, engine, args.normalize)
 
 
 def _run_batch(args: argparse.Namespace) -> int:
@@ -231,23 +257,9 @@ def _run_batch(args: argparse.Namespace) -> int:
         line = line.strip()
         if not line:
             continue
-        try:
-            try:
-                data = json.loads(line)
-            except RecursionError:
-                raise ValueError("JSON nested too deeply") from None
-            params = params_from_dict(data)
-            params.require_irreducible()
-            engine = data.get("engine", args.engine)
-            if engine not in ENGINES:
-                raise ValueError(f"unknown engine {engine!r}")
-            text = _compute_text(params, engine, args.normalize)
-        except ReducibleInput as exc:
-            text = _error_text(i + 1, EXIT_REDUCIBLE, exc)
-        except ENGINE_ERRORS as exc:
-            text = _error_text(i + 1, EXIT_INTERNAL, exc)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            text = _error_text(i + 1, EXIT_PARSE, exc)
+        code, text = _answer(_batch_answer, line, args)
+        if code:
+            text = _error_text(i + 1, code, text)
         # One write per answer: under ``python -u`` print would send the
         # newline as a second write, so a reader could get half an answer.
         sys.stdout.write(text + "\n")

@@ -504,6 +504,11 @@ class HodgeProfile:
                     f"{table.total_dimension()}, expected {self.rank}"
                 )
 
+    @property
+    def tables(self) -> tuple[LocalHodgeTable, ...]:
+        """Every table of the profile: nearby at 0, nearby at infinity, vanishing."""
+        return (self.nearby_zero, self.nearby_infinity, *self.vanishing_finite)
+
     def shifted(self, s: int) -> "HodgeProfile":
         """Translate the whole Hodge grading by ``s``."""
         return HodgeProfile(
@@ -545,31 +550,17 @@ class EngineReport:
 
 def profile_min_p(profile: HodgeProfile) -> int:
     """The lowest Hodge index anywhere in the profile, degrees included."""
-    ps = [min(profile.hodge)]
-    for table in (
-        profile.nearby_zero,
-        profile.nearby_infinity,
-        *profile.vanishing_finite,
-    ):
+    ps = [min(profile.hodge), *(profile.degrees or ())]
+    for table in profile.tables:
         ps.extend(p for (_r, _lv, p) in table.int_entries)
-    if profile.degrees:
-        ps.extend(profile.degrees)
     return min(ps)
 
 
 def _profiles_match(a: HodgeProfile, b: HodgeProfile) -> bool:
-    if (
-        a.rank != b.rank
-        or a.nearby_zero != b.nearby_zero
-        or a.nearby_infinity != b.nearby_infinity
-        or a.vanishing_finite != b.vanishing_finite
-        or a.hodge != b.hodge
-    ):
+    if a.rank != b.rank or any(getattr(a, n) != getattr(b, n) for n in COMPARED):
         return False
-    if a.degrees is not None and b.degrees is not None:
-        return a.degrees == b.degrees
     # One-sided degree data does not veto agreement of the rest.
-    return True
+    return a.degrees is None or b.degrees is None or a.degrees == b.degrees
 
 
 def equal_up_to_shift(a: HodgeProfile, b: HodgeProfile) -> int | None:

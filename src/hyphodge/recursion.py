@@ -2,9 +2,10 @@
 
 The engine rebuilds every local invariant of a hypergeometric module by
 induction on the number of factors, using only the forward convolution
-transforms and the rank-one data at the end of each peel chain.  It shares
-only the data model in :mod:`hyphodge.core` with the closed engine, which
-makes exact agreement of the two engines' tables a real cross-check.
+transforms and the rank-one data at the end of each peel chain.  The engine
+code reads only :mod:`hyphodge.core` and :mod:`hyphodge.convolution`; it
+shares only the data model with the closed engine, which makes exact
+agreement of the two engines' tables a real cross-check.
 
 It runs as two loops (Katz's middle-convolution algorithm, one rank-one
 factor per step), and neither calls itself:
@@ -48,8 +49,10 @@ costs O(n**3) integer operations.  Finished profiles are kept in one bounded
 least-recently-used cache, so memory stays flat across batch lines while
 repeated instances are still answered from it.
 
-The module also holds the cross-engine comparison, which returns a plain
-:class:`~hyphodge.core.EngineReport` of the data model.
+The comparison at the bottom, :func:`compare_profiles` and
+:func:`verify_cross_engine`, is not engine code: it alone imports the closed
+engine and the identity check of :mod:`hyphodge.combinatorics`, and stays
+here because ``bench/run.py`` looks its names up in this module.
 """
 
 from __future__ import annotations
@@ -348,18 +351,15 @@ def compare_profiles(
     reported as data, not raised.  Both engines take ``hodge`` as the
     spread-sum of their nearby classes at 0, so the ``"hodge"`` entry is
     implied by the ``"nearby_zero"`` entry and is not an independent check.
+    The shift is 0 whenever every flag holds; only when one fails is a
+    grading translation searched for (:func:`~hyphodge.core.equal_up_to_shift`).
     """
-    shift = equal_up_to_shift(closed, recursive)
-    if shift == 0:
-        # A zero shift means every table and ``hodge`` already compared equal.
-        table_equal = dict.fromkeys(COMPARED, True)
-    else:
-        table_equal = {
-            name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
-        }
+    table_equal = {
+        name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
+    }
     return EngineReport(
         params=params,
-        shift=shift,
+        shift=0 if all(table_equal.values()) else equal_up_to_shift(closed, recursive),
         table_equal=table_equal,
         identities_ok=count_identities_hold(params),
     )

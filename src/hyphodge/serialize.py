@@ -199,8 +199,8 @@ def _profile_text(profile: HodgeProfile, texts: _Texts) -> str:
 
 
 def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
-    tables = (profile.nearby_zero, profile.nearby_infinity, *profile.vanishing_finite)
-    return json.loads(_profile_text(profile, _Texts(lcm(*[t.den for t in tables]), {})))
+    den = lcm(*[t.den for t in profile.tables])
+    return json.loads(_profile_text(profile, _Texts(den, {})))
 
 
 def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
@@ -453,11 +453,7 @@ def tsv_lines(
                 + " ".join(f"{p}:{v}" for p, v in sorted(profile.degrees.items()))
             )
         lines.append("point\tresidue\tlevel\tp\tmult")
-        for table in (
-            profile.nearby_zero,
-            profile.nearby_infinity,
-            *profile.vanishing_finite,
-        ):
+        for table in profile.tables:
             label = table.point.value
             table_texts, scale = _texts_over(texts, table.den)
             for (r, lv, p), m in sorted(table.int_entries.items()):

@@ -55,6 +55,24 @@ def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     assert imports.get("combinatorics") == {"count_identities_hold"}
 
 
+def test_only_the_comparison_reaches_the_closed_engine_and_the_identities():
+    # The engine code of ``recursion`` reads the data model and the rows;
+    # the two borrowed names are used by the comparison at its bottom only.
+    tree = ast.parse((PACKAGE / "recursion.py").read_text())
+    borrowed = {"profile_closed", "count_identities_hold"}
+    users = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id in borrowed:
+                users.add((getattr(node, "name", None), inner.id))
+    assert users == {
+        ("compare_profiles", "count_identities_hold"),
+        ("verify_cross_engine", "profile_closed"),
+    }
+
+
 def test_identity_check_cannot_borrow_the_closed_sweep():
     # The index identities count pair by pair; reading them by bisection, or
     # from the closed engine, would check the closed formula against itself.

@@ -230,6 +230,15 @@ def spelled_instances(count=10, seed=20261021):
     return out
 
 
+HUGE_DEN = ([f"1/{10**2200 + 1}"], [f"1/{10**2200 + 3}"])
+"""Coprime denominators whose lcm has about 4,400 digits, so writing the
+special exponent passes Python's limit on int-to-str conversion."""
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
 class TestComputeMatchesBatch:
     # ``compute --alpha/--beta`` and a batch line read their exponents by one
     # route, so the same texts give the same document.
@@ -250,6 +259,38 @@ class TestComputeMatchesBatch:
             code, out = run_cli(argv + flags)
             assert code == 0
             assert json.loads(out) == answer
+
+    @pytest.mark.parametrize(
+        "alpha, beta, code",
+        [
+            (["1/3"], ["1/3"], 3),
+            (["1/0"], ["1/2"], 2),
+            (["0.5"], ["1/2"], 2),
+            (["0", "1/3"], ["1/2"], 2),
+            pytest.param(*HUGE_DEN, 2, marks=NEEDS_DIGIT_LIMIT),
+            (["0", "0"], ["1/2", "1/2"], 4),
+        ],
+        ids=["reducible", "zero-denominator", "float", "length", "huge-den", "engine"],
+    )
+    def test_same_error_code(self, monkeypatch, capsys, alpha, beta, code):
+        fail_on_rank(monkeypatch, 2, InternalEngineError)
+        line = json.dumps({"alpha": alpha, "beta": beta}) + "\n"
+        _code, out = run_cli(["batch"], line, monkeypatch)
+        assert json.loads(out)["error"]["code"] == code
+        argv = ["compute", f"--alpha={','.join(alpha)}", f"--beta={','.join(beta)}"]
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @NEEDS_DIGIT_LIMIT
+    def test_huge_denominator_exits_2_without_traceback(self):
+        (alpha,), (beta,) = HUGE_DEN
+        argv = ["-m", "hyphodge.cli", "compute", f"--alpha={alpha}", f"--beta={beta}"]
+        done = subprocess.run(
+            [sys.executable, *argv], env=cli_env(), capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestVerify:

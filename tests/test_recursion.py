@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -32,6 +33,7 @@ from hyphodge import (
     twist_degrees,
     verify_cross_engine,
 )
+from hyphodge.core import profile_min_p
 from hyphodge.serialize import profile_to_dict
 from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
@@ -356,6 +358,16 @@ class TestCrossEngine:
         assert moved.shift is None
         assert moved.table_equal["nearby_zero"] and not moved.table_equal["nearby_infinity"]
         assert moved.mismatches == tuple(n for n, ok in moved.table_equal.items() if not ok)
+
+    def test_agreement_always_reports_shift_zero(self):
+        # One-sided degrees below every table index move ``profile_min_p``
+        # of one profile only; the four flags still hold, so the shift is 0.
+        p = HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(3, 4)))
+        closed, recursive = profile_closed(p), profile_recursive(p)
+        low = profile_min_p(closed) - 2
+        recursive = dataclasses.replace(recursive, degrees={**recursive.degrees, low: 1})
+        rep = compare_profiles(p, closed, recursive)
+        assert rep.agree and rep.shift == 0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):
