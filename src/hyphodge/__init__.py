@@ -3,8 +3,13 @@
 Two independent engines compute the complete local numerical package (graded
 nearby tables at 0 and infinity, the vanishing table at 1, fibre dimensions,
 degrees) from exact rational exponents: closed combinatorial formulas and a
-recursive middle-convolution engine.  They are cross-validated against each other and
-against the combinatorial identities relating the two index conventions.
+recursive middle-convolution engine.  They are cross-validated against each
+other and against the combinatorial identities relating the two index
+conventions (:func:`compare_profiles`, :func:`verify_cross_engine`).
+
+The package exports the data model, both engines and the check.  The
+reference counts (:mod:`hyphodge.combinatorics`) and the convolution rows
+and transforms (:mod:`hyphodge.convolution`) are imported from their modules.
 """
 
 from .closed_form import (
@@ -13,27 +18,6 @@ from .closed_form import (
     profile_closed,
     special_exponent,
     vanishing_at_one_closed,
-)
-from .combinatorics import (
-    ascending_pair_count,
-    check_count_identity,
-    contribution_pair,
-    count_identities_hold,
-    dualize_table,
-    interlacing_index,
-    nonseparated_count,
-    separated,
-)
-from .convolution import (
-    ConvolutionContext,
-    convolve_degrees,
-    convolve_hodge_numbers,
-    convolve_nearby_infinity,
-    convolve_nearby_zero,
-    convolve_vanishing_finite,
-    infinity_row,
-    twist_degrees,
-    zero_row,
 )
 from .core import (
     AT_ONE,
@@ -49,19 +33,14 @@ from .core import (
     SingularPoint,
     TableKind,
     UnknownData,
-    class_totals,
-    conjugate_table,
+    compare_profiles,
+    count_identities_hold,
     equal_up_to_shift,
     frac,
     hodge_numbers,
     parse_rational,
     table_shift,
 )
-from .recursion import (
-    choose_peel,
-    compare_profiles,
-    profile_recursive,
-    verify_cross_engine,
-)
+from .recursion import choose_peel, profile_recursive, verify_cross_engine
 
 __version__ = "0.1.0"

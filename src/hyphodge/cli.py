@@ -25,10 +25,11 @@ from .core import (
     NoValidPeel,
     ReducibleInput,
     UnknownData,
+    compare_profiles,
     hodge_numbers,
     profile_min_p,
 )
-from .recursion import compare_profiles, profile_recursive
+from .recursion import profile_recursive
 from .serialize import (
     ENGINE_PROFILES,
     ENGINES,
@@ -53,7 +54,18 @@ ENGINE_ERRORS = (InternalEngineError, NoValidPeel, UnknownData)
 
 
 def _exponent_texts(text: str, option: str) -> list[str]:
-    """The comma-separated exponent texts of ``option``; no field may be empty."""
+    """The comma-separated exponent texts of ``option``; no field may be empty.
+
+    The argument's bytes (``os.fsencode`` undoes the locale's decoding of
+    argv) are read as UTF-8; a caller's ``str`` the locale cannot encode is
+    taken as it is.
+    """
+    try:
+        text = os.fsencode(text).decode("utf-8")
+    except UnicodeEncodeError:
+        pass
+    except UnicodeDecodeError:
+        raise ValueError(f"{option}: argument is not UTF-8") from None
     fields = text.split(",")
     for i, part in enumerate(fields, 1):
         if not part.strip():
@@ -253,11 +265,17 @@ def _batch_answer(line: str, args: argparse.Namespace) -> str:
 
 
 def _run_batch(args: argparse.Namespace) -> int:
-    for i, line in enumerate(sys.stdin):
-        line = line.strip()
-        if not line:
-            continue
-        code, text = _answer(_batch_answer, line, args)
+    # JSON text is UTF-8 (RFC 8259 section 8.1) whatever the locale.  A
+    # stand-in ``sys.stdin`` without ``buffer`` hands out decoded lines.
+    for i, line in enumerate(getattr(sys.stdin, "buffer", sys.stdin)):
+        try:
+            line = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+        except UnicodeDecodeError as exc:
+            code, text = EXIT_PARSE, f"line is not UTF-8: {exc}"
+        else:
+            if not line:
+                continue
+            code, text = _answer(_batch_answer, line, args)
         if code:
             text = _error_text(i + 1, code, text)
         # One write per answer: under ``python -u`` print would send the

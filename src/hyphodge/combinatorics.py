@@ -1,17 +1,19 @@
-"""The literal pair-by-pair counts behind the Hodge indices.
+"""Reference code: the literal pair-by-pair counts behind the Hodge indices,
+and table helpers (conjugation, duality, per-class totals) on ``Fraction``s.
 
 These counts locate the graded pieces of the Hodge filtration.  Everything
 works with exact residues in ``[0, 1)`` read as points on the oriented unit
 circle; comparisons are literal inequalities between those representatives.
 
-They are reference definitions: neither engine reads an index from here.  The
-product calls only :func:`count_identities_hold`, the integer spelling of
-:func:`check_count_identity`, as the cross-check in ``compare_profiles``.
+No product module imports this one, and the tests hold the engines to it.
+A ``both`` report runs the integer spelling of :func:`check_count_identity`,
+:func:`hyphodge.core.count_identities_hold`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     INFINITY,
@@ -19,7 +21,8 @@ from .core import (
     HypergeometricParams,
     LocalHodgeTable,
     SingularPoint,
-    conjugate_table,
+    UnknownData,
+    _spread_sum,
     frac,
 )
 
@@ -109,34 +112,16 @@ def check_count_identity(
     return lhs == ascending_pair_count(params)
 
 
-def count_identities_hold(params: HypergeometricParams) -> bool:
-    """:func:`check_count_identity` for every index ``m`` at 0 and at infinity.
-
-    The same literal counts, pair by pair: the three separation chains, the
-    strict (at 0) or weak (at infinity) interlacing count, and the ascending
-    count.  The residues are compared as the integer numerators of
-    :attr:`HypergeometricParams.numerators`, and since the identity depends
-    only on the reference value, each distinct value is checked once.  No
-    count is read from a sorted tuple, so the check stays independent of the
-    closed engine's sweep (:func:`hyphodge.closed_form.nearby_closed`).  A
-    rank-``n`` instance costs O(n**2) integer comparisons.
-    """
-    _den, alpha, beta = params.numerators
-    pairs = tuple(zip(alpha, beta))
-    ascending = sum(a < b for a, b in pairs)
-    for point, refs in ((ZERO, alpha), (INFINITY, beta)):
-        for g in set(refs):
-            nonseparated = sum(
-                not (a < g < b or g < b < a or b < a < g) for a, b in pairs
-            )
-            if point == ZERO:
-                below = sum(b < g for b in beta)
-            else:
-                below = sum(b <= g for b in beta)
-            interlacing = below - sum(a < g for a in alpha)
-            if nonseparated - interlacing != ascending:
-                return False
-    return True
+def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
+    """Flip the orientation of the eigenvalue keys (``r`` to ``{-r}``)."""
+    den = table.den
+    return LocalHodgeTable(
+        table.point,
+        table.kind,
+        {(-r % den, lv, p): m for (r, lv, p), m in table.int_entries.items()},
+        frozenset((-r % den, lv) for r, lv in table.int_unknown),
+        den=den,
+    )
 
 
 def dualize_table(table: LocalHodgeTable) -> LocalHodgeTable:
@@ -154,3 +139,20 @@ def dualize_table(table: LocalHodgeTable) -> LocalHodgeTable:
         conjugate.int_unknown,
         den=conjugate.den,
     )
+
+
+def kept_totals(
+    table: LocalHodgeTable, keep: Callable[[Fraction], bool]
+) -> dict[int, int]:
+    """Total graded dimensions of all classes whose residue passes ``keep``,
+    in one pass; a kept class with undetermined slots raises ``UnknownData``,
+    and a class that is not kept is never read."""
+    for r, _lv in table.unknown:
+        if keep(r):
+            raise UnknownData(f"class {r} has undetermined slots")
+    return _spread_sum(e for e in table.entries.items() if keep(e[0][0]))
+
+
+def class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
+    """Total graded dimensions of one eigenvalue class, indexed by p."""
+    return kept_totals(table, lambda r: r == residue)

@@ -4,8 +4,7 @@ The convolution kernel is the rank-one hypergeometric module with exponent
 drop ``g0`` in ``(0, 1)``.  All transforms here are total forward maps on
 tables keyed so that a residue ``r`` stands for the eigenvalue
 ``exp(-2*pi*i*r)``; profile tables at infinity use the opposite orientation
-and must pass through :func:`hyphodge.core.conjugate_table` on the way in and
-out.
+and must be conjugated (``r`` to ``{-r}``) on the way in and out.
 
 Interval conditions are evaluated on ``(0, 1]`` representatives with the
 bracket placement written out case by case.  Two slots are genuinely not

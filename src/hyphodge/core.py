@@ -1,4 +1,4 @@
-"""Exact residue arithmetic and the local Hodge data model.
+"""Exact residue arithmetic, the local Hodge data model, and the check.
 
 Eigenvalues of local monodromies are recorded through rational residues in
 ``[0, 1)``.  Which complex eigenvalue a residue ``r`` stands for depends on the
@@ -16,6 +16,9 @@ ratio of ints, and :func:`common_numerators` puts ratios on their lcm.
 it on a denominator by the same helper, and ``alpha``, ``beta``, ``entries``
 and ``unknown`` are ``Fraction`` views built on first read.
 
+The check of a ``both`` report reads this data model only, so it is spelled
+here too: :func:`compare_profiles` and :func:`count_identities_hold`.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
 """
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import index
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class UnknownData(Exception):
@@ -304,18 +307,6 @@ def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
     )
 
 
-def conjugate_table(table: LocalHodgeTable) -> LocalHodgeTable:
-    """Flip the orientation of the eigenvalue keys (``r`` to ``{-r}``)."""
-    den = table.den
-    return LocalHodgeTable(
-        table.point,
-        table.kind,
-        {(-r % den, lv, p): m for (r, lv, p), m in table.int_entries.items()},
-        frozenset((-r % den, lv) for r, lv in table.int_unknown),
-        den=den,
-    )
-
-
 def _spread_sum(items: Iterable[tuple[Entry, int]]) -> dict[int, int]:
     """Total graded dimensions of primitive entries, in one pass.
 
@@ -339,25 +330,6 @@ def hodge_numbers(table: LocalHodgeTable) -> dict[int, int]:
     return dict(sorted(_spread_sum(table.int_entries.items()).items()))
 
 
-def kept_totals(
-    table: LocalHodgeTable, keep: Callable[[Fraction], bool]
-) -> dict[int, int]:
-    """Total graded dimensions of all classes whose residue passes ``keep``.
-
-    One pass over the table.  A kept class with undetermined slots raises
-    :class:`UnknownData`; a class that is not kept is never read.
-    """
-    for r, _lv in table.unknown:
-        if keep(r):
-            raise UnknownData(f"class {r} has undetermined slots")
-    return _spread_sum(e for e in table.entries.items() if keep(e[0][0]))
-
-
-def class_totals(table: LocalHodgeTable, residue: Fraction) -> dict[int, int]:
-    """Total graded dimensions of one eigenvalue class, indexed by p."""
-    return kept_totals(table, lambda r: r == residue)
-
-
 @dataclass(frozen=True, init=False)
 class HypergeometricParams:
     """The pair of exponent tuples defining a hypergeometric module.
@@ -365,22 +337,21 @@ class HypergeometricParams:
     The order of the list is meaningful: it records the chosen decomposition
     into rank-one convolution factors, pairing ``alpha[k]`` with ``beta[k]``.
 
-    Stored as integer numerators in ``[0, den)`` over ``den``, the least
-    common denominator of the exponents taken mod 1; residues compare, add
-    and subtract as these ints.  ``HypergeometricParams(alpha, beta)`` takes
-    rationals (``Fraction`` or int; a float or a bool raises
-    :class:`TypeError`) and reduces them mod 1; with ``den=`` the exponents
-    are already numerators over ``den``, as
-    :func:`hyphodge.serialize.params_from_dict` hands over the exponents of
-    a batch line, of ``compute --alpha/--beta`` or of a document.  Either
-    way ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta``
-    are the exponents as ``Fraction``s, built on first read.
+    Stored as integer numerators in ``[0, den)`` over ``den``; residues
+    compare, add and subtract as these ints.  ``HypergeometricParams(alpha,
+    beta)`` takes rationals (``Fraction`` or int; a float or a bool raises
+    :class:`TypeError`) and puts them mod 1 on their least common
+    denominator.  With ``den=`` the exponents are numerators over ``den``,
+    kept as given: :func:`hyphodge.serialize.params_from_dict` passes the
+    lcm of reduced ratios and :meth:`permuted` its own ``den``.  Either way
+    ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
+    the exponents as ``Fraction``s, built on first read.
 
     ``texts`` maps each exponent numerator to its residue text, as
     :func:`format_residue` writes it.  A caller that has the texts in hand
     passes that map with ``texts=``, keyed by numerator over ``den=``, as
-    ``params_from_dict`` does; it is kept as given unless ``__post_init__``
-    reduces ``den``.  Otherwise the map is formatted on first read.
+    ``params_from_dict`` does, and it is kept as given.  Otherwise the map
+    is formatted on first read.
     """
 
     den: int
@@ -404,7 +375,7 @@ class HypergeometricParams:
         object.__setattr__(self, "alpha_numerators", alpha)
         object.__setattr__(self, "beta_numerators", beta)
         self.__post_init__()
-        if texts is not None and self.den == den:
+        if texts is not None:
             self.__dict__["texts"] = texts
 
     def __post_init__(self) -> None:
@@ -413,11 +384,6 @@ class HypergeometricParams:
             raise ValueError("alpha and beta must be non-empty tuples of equal length")
         if min(min(alpha), min(beta)) < 0 or max(max(alpha), max(beta)) >= den:
             raise ValueError(f"exponent numerators must lie in [0, {den})")
-        g = gcd(den, *alpha, *beta)
-        if g > 1:
-            object.__setattr__(self, "den", den // g)
-            object.__setattr__(self, "alpha_numerators", tuple(a // g for a in alpha))
-            object.__setattr__(self, "beta_numerators", tuple(b // g for b in beta))
 
     @property
     def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -574,3 +540,53 @@ def equal_up_to_shift(a: HodgeProfile, b: HodgeProfile) -> int | None:
         return None
     s = profile_min_p(b) - profile_min_p(a)
     return s if _profiles_match(a.shifted(s) if s else a, b) else None
+
+
+def count_identities_hold(params: HypergeometricParams) -> bool:
+    """``check_count_identity`` of :mod:`hyphodge.combinatorics` at every
+    index ``m``, at 0 and at infinity, on the integer numerators.
+
+    The same literal counts, pair by pair: the three separation chains, the
+    strict (at 0) or weak (at infinity) interlacing count, and the ascending
+    count.  Each distinct reference value is checked once.  No count is read
+    from a sorted tuple, so the check stays independent of the closed
+    engine's sweep.  A rank-``n`` instance costs O(n**2) comparisons.
+    """
+    _den, alpha, beta = params.numerators
+    pairs = tuple(zip(alpha, beta))
+    ascending = sum(a < b for a, b in pairs)
+    for point, refs in ((ZERO, alpha), (INFINITY, beta)):
+        for g in set(refs):
+            nonseparated = sum(
+                not (a < g < b or g < b < a or b < a < g) for a, b in pairs
+            )
+            if point == ZERO:
+                below = sum(b < g for b in beta)
+            else:
+                below = sum(b <= g for b in beta)
+            interlacing = below - sum(a < g for a in alpha)
+            if nonseparated - interlacing != ascending:
+                return False
+    return True
+
+
+def compare_profiles(
+    params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
+) -> EngineReport:
+    """What a ``both`` report checks: the two engines' unshifted profiles of
+    ``params`` compared exactly, and :func:`count_identities_hold`.
+
+    Mismatches are reported as data, not raised.  Both engines take ``hodge``
+    as the spread-sum of their classes at 0, so the ``"hodge"`` entry is
+    implied by ``"nearby_zero"``.  The shift is 0 whenever every flag holds;
+    only when one fails is a translation searched for (:func:`equal_up_to_shift`).
+    """
+    table_equal = {
+        name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
+    }
+    return EngineReport(
+        params=params,
+        shift=0 if all(table_equal.values()) else equal_up_to_shift(closed, recursive),
+        table_equal=table_equal,
+        identities_ok=count_identities_hold(params),
+    )

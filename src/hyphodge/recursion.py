@@ -49,10 +49,10 @@ costs O(n**3) integer operations.  Finished profiles are kept in one bounded
 least-recently-used cache, so memory stays flat across batch lines while
 repeated instances are still answered from it.
 
-The comparison at the bottom, :func:`compare_profiles` and
-:func:`verify_cross_engine`, is not engine code: it alone imports the closed
-engine and the identity check of :mod:`hyphodge.combinatorics`, and stays
-here because ``bench/run.py`` looks its names up in this module.
+:func:`verify_cross_engine`, at the bottom, is not engine code: it runs
+both engines and hands their profiles to the check,
+:func:`hyphodge.core.compare_profiles`.  It alone reads the closed engine,
+and it stays here because ``bench/run.py`` looks its name up in this module.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from functools import lru_cache
 from typing import Callable
 
 from .closed_form import profile_closed
-from .combinatorics import count_identities_hold
 from .convolution import (
     degree_step,
     infinity_row,
@@ -72,7 +71,6 @@ from .convolution import (
 )
 from .core import (
     AT_ONE,
-    COMPARED,
     INFINITY,
     ZERO,
     EngineReport,
@@ -85,7 +83,7 @@ from .core import (
     SingularPoint,
     TableKind,
     _spread_sum,
-    equal_up_to_shift,
+    compare_profiles,
     format_residue,
 )
 
@@ -337,32 +335,6 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     params.require_irreducible()
     den, alpha, beta = params.numerators
     return _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
-
-
-def compare_profiles(
-    params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
-) -> EngineReport:
-    """Compare the two engines' unshifted profiles of ``params`` exactly.
-
-    Also runs the index identities at every index at 0 and at infinity
-    (:func:`~hyphodge.combinatorics.count_identities_hold`): the literal
-    pair-by-pair counts of :func:`~hyphodge.combinatorics.check_count_identity`,
-    on integer numerators, O(n**2) comparisons per instance.  Mismatches are
-    reported as data, not raised.  Both engines take ``hodge`` as the
-    spread-sum of their nearby classes at 0, so the ``"hodge"`` entry is
-    implied by the ``"nearby_zero"`` entry and is not an independent check.
-    The shift is 0 whenever every flag holds; only when one fails is a
-    grading translation searched for (:func:`~hyphodge.core.equal_up_to_shift`).
-    """
-    table_equal = {
-        name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
-    }
-    return EngineReport(
-        params=params,
-        shift=0 if all(table_equal.values()) else equal_up_to_shift(closed, recursive),
-        table_equal=table_equal,
-        identities_ok=count_identities_hold(params),
-    )
 
 
 def verify_cross_engine(params: HypergeometricParams) -> EngineReport:

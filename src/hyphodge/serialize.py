@@ -14,8 +14,8 @@ literals, integers through f-strings and every other string through
 ``json.encoder.encode_basestring_ascii``.  The batch stream writes that
 text.  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
-:func:`params_to_dict`, :func:`report_to_dict`) are its parsed view, the
-``json.loads`` of the writer's text, so they spell no key of their own.
+:func:`params_to_dict`) are its parsed view, the ``json.loads`` of the
+writer's text, so they spell no key of their own.
 
 Residues go out as they are stored, integer numerators over a denominator.
 Exponents of batch lines, of ``compute --alpha/--beta`` and of documents,
@@ -297,10 +297,6 @@ def _report_text(report: EngineReport, texts: _Texts) -> str:
         f'"identities_ok":{_BOOLS[report.identities_ok]},'
         f'"mismatches":[{",".join(map(_quote, report.mismatches))}],"error":{error}}}'
     )
-
-
-def report_to_dict(report: EngineReport) -> dict[str, Any]:
-    return json.loads(_report_text(report, _exponent_texts(report.params)))
 
 
 def report_from_dict(

@@ -13,22 +13,23 @@ import pytest
 from hyphodge import (
     INFINITY,
     ZERO,
-    ConvolutionContext,
     HypergeometricParams,
     LocalHodgeTable,
     TableKind,
-    check_count_identity,
-    class_totals,
-    contribution_pair,
-    convolve_nearby_infinity,
     counts_at_one,
-    dualize_table,
     equal_up_to_shift,
     frac,
     profile_closed,
     profile_recursive,
     special_exponent,
 )
+from hyphodge.combinatorics import (
+    check_count_identity,
+    class_totals,
+    contribution_pair,
+    dualize_table,
+)
+from hyphodge.convolution import ConvolutionContext, convolve_nearby_infinity
 from conftest import random_irreducible, residue_grid
 
 F = Fraction
@@ -186,7 +187,7 @@ def _fiber_consistent(profile, n):
 
 
 def _spread_counts(params, point):
-    from hyphodge import nonseparated_count
+    from hyphodge.combinatorics import nonseparated_count
 
     values = params.alpha if point == ZERO else params.beta
     out = {}

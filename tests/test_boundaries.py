@@ -18,7 +18,7 @@ BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 def package_imports(module: str) -> dict[str, set[str]]:
     """Names imported from each sibling module, keyed by that module."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     out: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -49,34 +49,57 @@ def test_serialize_reads_only_the_data_model():
     assert hyphodge.core.EngineReport is hyphodge.recursion.EngineReport is hyphodge.EngineReport
 
 
-def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
-    imports = package_imports("recursion")
-    assert imports.get("closed_form") == {"profile_closed"}
-    assert imports.get("combinatorics") == {"count_identities_hold"}
+PRODUCT = ("cli", "core", "closed_form", "convolution", "recursion", "serialize")
 
 
-def test_only_the_comparison_reaches_the_closed_engine_and_the_identities():
-    # The engine code of ``recursion`` reads the data model and the rows;
-    # the two borrowed names are used by the comparison at its bottom only.
-    tree = ast.parse((PACKAGE / "recursion.py").read_text())
-    borrowed = {"profile_closed", "count_identities_hold"}
-    users = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Name) and inner.id in borrowed:
-                users.add((getattr(node, "name", None), inner.id))
-    assert users == {
-        ("compare_profiles", "count_identities_hold"),
-        ("verify_cross_engine", "profile_closed"),
+def test_package_import_graph():
+    # Product code and reference code are apart: the engines share only the
+    # data model, which holds the check, and no product module reads the
+    # reference counts of ``combinatorics``.
+    graph = {module: set(package_imports(module)) for module in (*PRODUCT, "__init__")}
+    assert graph["core"] == set()
+    for module in ("closed_form", "convolution", "serialize"):
+        assert graph[module] == {"core"}, module
+    assert graph["recursion"] == {"core", "convolution", "closed_form"}
+    assert graph["cli"] == {"core", "closed_form", "recursion", "serialize"}
+    assert not graph["__init__"] & {"combinatorics", "convolution"}
+    for module in PRODUCT:
+        assert "combinatorics" not in graph[module], module
+    # The recursive engine's code never reads the closed engine: only the
+    # cross-engine run at the bottom of ``recursion`` does.
+    assert package_imports("recursion")["closed_form"] == {"profile_closed"}
+    tree = ast.parse((PACKAGE / "recursion.py").read_text(encoding="utf-8"))
+    users = {
+        getattr(node, "name", None)
+        for node in tree.body
+        if not isinstance(node, ast.ImportFrom)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id == "profile_closed"
     }
+    assert users == {"verify_cross_engine"}
+
+
+def test_check_in_core_and_reference_helpers_in_combinatorics():
+    from hyphodge import combinatorics, core, serialize
+
+    for name in ("compare_profiles", "count_identities_hold"):
+        assert getattr(hyphodge, name) is getattr(core, name)
+        assert getattr(core, name).__module__ == "hyphodge.core"
+    for name in ("conjugate_table", "kept_totals", "class_totals"):
+        assert getattr(combinatorics, name).__module__ == "hyphodge.combinatorics"
+        assert not hasattr(core, name), name
+    assert not hasattr(serialize, "report_to_dict")
+    # The package exports the product; reference names live in their modules.
+    for name in ("nonseparated_count", "dualize_table", "class_totals", "zero_row",
+                 "convolve_nearby_zero", "ConvolutionContext"):
+        assert not hasattr(hyphodge, name), name
 
 
 def test_identity_check_cannot_borrow_the_closed_sweep():
     # The index identities count pair by pair; reading them by bisection, or
     # from the closed engine, would check the closed formula against itself.
-    tree = ast.parse((PACKAGE / "combinatorics.py").read_text())
+    holder = sys.modules[hyphodge.count_identities_hold.__module__]
+    tree = ast.parse(Path(holder.__file__).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -337,6 +338,150 @@ class TestVerify:
         proc = self.run_verify("--n-max", "1", "--den-max", "1", "--sample", "1")
         assert proc.returncode == 2
         assert "--den-max" in proc.stderr
+
+
+class TestVerifyFails:
+    """Each failure reason of ``verify``, produced by an injected fault."""
+
+    def verify(self, *bounds):
+        code, out = run_cli(["verify", *bounds])
+        return code, json.loads(out)
+
+    def test_engines_disagree(self, monkeypatch):
+        from hyphodge import cli, table_shift
+
+        real = cli.profile_recursive
+
+        def engine(params):
+            profile = real(params)
+            (table,) = profile.vanishing_finite
+            return dataclasses.replace(profile, vanishing_finite=(table_shift(table, 1),))
+
+        monkeypatch.setattr(cli, "profile_recursive", engine)
+        code, doc = self.verify("--n-max", "1", "--den-max", "2")
+        assert code == 1
+        assert doc["instances"] == 2 and len(doc["failures"]) == 2
+        for failure in doc["failures"]:
+            assert "engines disagree on vanishing_finite" in failure["reasons"]
+
+    def test_grading_shift(self, monkeypatch):
+        from hyphodge import cli
+
+        real = cli.profile_recursive
+        monkeypatch.setattr(cli, "profile_recursive", lambda params: real(params).shifted(1))
+        code, doc = self.verify("--n-max", "1", "--den-max", "2")
+        assert code == 1
+        for failure in doc["failures"]:
+            assert failure["reasons"] == [
+                "engines disagree on nearby_zero, nearby_infinity, vanishing_finite, hodge",
+                "grading shift 1, expected 0",
+            ]
+
+    def test_index_identity(self, monkeypatch):
+        # The check reads the identities through its own module's binding.
+        from hyphodge import core
+
+        monkeypatch.setattr(core, "count_identities_hold", lambda params: False)
+        code, doc = self.verify("--n-max", "1", "--den-max", "2")
+        assert code == 1
+        assert doc["failures"] == [
+            {"params": {"alpha": ["0"], "beta": ["1/2"]}, "reasons": ["index identity failed"]},
+            {"params": {"alpha": ["1/2"], "beta": ["0"]}, "reasons": ["index identity failed"]},
+        ]
+
+    def test_fibre_rank_consistency(self, monkeypatch):
+        from hyphodge import cli
+
+        real = cli.hodge_numbers
+        monkeypatch.setattr(
+            cli, "hodge_numbers", lambda table: {p + 1: v for p, v in real(table).items()}
+        )
+        code, doc = self.verify("--n-max", "1", "--den-max", "2")
+        assert code == 1
+        for failure in doc["failures"]:
+            assert failure["reasons"] == [
+                "fibre-rank consistency failed at p=1",
+                "fibre-rank consistency failed at p=2",
+            ]
+
+    def test_closed_profile_order_sensitive(self, monkeypatch):
+        # The closed engine answers every permuted instance one index up.
+        from hyphodge import HypergeometricParams, cli
+
+        permuted, real_permuted, real = [], HypergeometricParams.permuted, cli.profile_closed
+
+        def permute(params, order):
+            permuted.append(real_permuted(params, order))
+            return permuted[-1]
+
+        def closed(params):
+            profile = real(params)
+            return profile.shifted(1) if any(params is p for p in permuted) else profile
+
+        monkeypatch.setattr(HypergeometricParams, "permuted", permute)
+        monkeypatch.setattr(cli, "profile_closed", closed)
+        code, doc = self.verify("--n-max", "3", "--den-max", "4", "--sample", "12")
+        assert code == 1
+        ranks = [len(failure["params"]["alpha"]) for failure in doc["failures"]]
+        assert len(ranks) == len(permuted) > 0 and min(ranks) > 1
+        for failure in doc["failures"]:
+            assert failure["reasons"] == ["closed profile is order-sensitive"]
+
+
+LOCALES = ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"})
+"""An ASCII locale with UTF-8 mode off, and a UTF-8 one."""
+
+
+def run_in_locales(argv, stdin=b""):
+    """``python -m hyphodge.cli *argv`` on ``stdin`` under each of ``LOCALES``."""
+    procs = []
+    for locale in LOCALES:
+        env = {**cli_env(), **locale}
+        probe = [sys.executable, "-c", "import sys; print(sys.getfilesystemencoding())"]
+        probed = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=30)
+        assert probed.stdout.strip() == ("ascii" if locale["LC_ALL"] == "C" else "utf-8")
+        procs.append(
+            subprocess.run(
+                [sys.executable, "-m", "hyphodge.cli", *argv],
+                input=stdin,
+                env=env,
+                capture_output=True,
+                timeout=30,
+            )
+        )
+    return procs
+
+
+class TestLocale:
+    """The same bytes get the same answer whatever the locale."""
+
+    def test_batch_reads_utf8(self):
+        # A U+2212 minus, a line that is not UTF-8, then a plain line.
+        stdin = (
+            '{"alpha":["\u22121/3"],"beta":["0"],"engine":"closed"}\n'.encode()
+            + b'\xff{"alpha":["0"],"beta":["1/2"]}\n'
+            + b'{"alpha":["0"],"beta":["1/2"],"engine":"closed"}\n'
+        )
+        procs = run_in_locales(["batch"], stdin)
+        assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
+        assert procs[0].stdout == procs[1].stdout
+        first, bad, last = (json.loads(line) for line in procs[0].stdout.splitlines())
+        assert first["params"]["alpha"] == ["2/3"]
+        assert bad["line"] == 2 and bad["error"]["code"] == 2
+        assert bad["error"]["message"].startswith("line is not UTF-8: ")
+        assert last["params"] == {"alpha": ["0"], "beta": ["1/2"]}
+
+    def test_compute_reads_utf8_arguments(self):
+        procs = run_in_locales(["compute", "--alpha", "\u22121/3".encode(), "--beta", "0"])
+        assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2
+        assert procs[0].stdout == procs[1].stdout
+        assert json.loads(procs[0].stdout)["params"]["alpha"] == ["2/3"]
+
+    def test_compute_refuses_an_argument_that_is_not_utf8(self):
+        procs = run_in_locales(["compute", "--alpha", b"1/3,\xff", "--beta", "0"])
+        for proc in procs:
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == b"error: --alpha: argument is not UTF-8\n"
 
 
 class TestBatch:

@@ -13,15 +13,14 @@ from hyphodge import (
     ReducibleInput,
     TableKind,
     UnknownData,
-    class_totals,
     counts_at_one,
     equal_up_to_shift,
     hodge_numbers,
     nearby_closed,
-    nonseparated_count,
     profile_closed,
     vanishing_at_one_closed,
 )
+from hyphodge.combinatorics import class_totals, nonseparated_count
 from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction

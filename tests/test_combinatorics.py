@@ -11,16 +11,18 @@ from hyphodge import (
     HypergeometricParams,
     LocalHodgeTable,
     TableKind,
+    count_identities_hold,
+    frac,
+    special_exponent,
+)
+from hyphodge.combinatorics import (
     ascending_pair_count,
     check_count_identity,
     contribution_pair,
-    count_identities_hold,
     dualize_table,
-    frac,
     interlacing_index,
     nonseparated_count,
     separated,
-    special_exponent,
 )
 from conftest import residue_grid
 

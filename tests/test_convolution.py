@@ -7,27 +7,27 @@ from hyphodge import (
     AT_ONE,
     INFINITY,
     ZERO,
-    ConvolutionContext,
     HypergeometricParams,
     LocalHodgeTable,
     TableKind,
     UnknownData,
-    class_totals,
-    conjugate_table,
+    frac,
+    hodge_numbers,
+    profile_closed,
+)
+from hyphodge.combinatorics import class_totals, conjugate_table, kept_totals
+from hyphodge.convolution import (
+    ConvolutionContext,
     convolve_degrees,
     convolve_hodge_numbers,
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
-    frac,
-    hodge_numbers,
     infinity_row,
-    profile_closed,
     twist_degrees,
     zero_row,
 )
 from conftest import random_irreducible, residue_grid
-from hyphodge.core import kept_totals
 
 F = Fraction
 HALF = ConvolutionContext(F(1, 2))
@@ -124,6 +124,33 @@ class TestNearbyZero:
         assert out == nearby({(F(0), 0, 0): 2, (F(0), 0, 1): 1})
 
 
+class TestUnknownSlotsThroughRows:
+    # An unknown slot moves to its row's level, like an entry of its class,
+    # and a dropped row drops it; kernel 1/3, so the conjugate class is 2/3.
+    THIRD = ConvolutionContext(F(1, 3))
+    SLOTS = [(F(1, 4), 2), (F(5, 6), 0)]
+
+    @pytest.mark.parametrize("h1, extra", [({}, set()), (None, {(F(0), 0)})])
+    def test_at_zero(self, h1, extra):
+        unknown = [(F(0), 0), (F(1, 3), 1), (F(1, 3), 0), *self.SLOTS]
+        table = nearby({(F(1, 2), 0, 3): 1}, ZERO, unknown)
+        out = convolve_nearby_zero(table, self.THIRD, h1)
+        assert out.entries == {(F(1, 2), 0, 4): 1}
+        # 0 climbs a level, the kernel class drops one (level 0 is dropped).
+        assert out.unknown == {(F(0), 1), (F(1, 3), 0), *self.SLOTS} | extra
+
+    def test_at_infinity(self):
+        unknown = [(F(0), 1), (F(0), 0), (F(2, 3), 1), (F(1, 4), 2), (F(5, 6), 1)]
+        table = nearby({(F(1, 2), 0, 3): 1}, INFINITY, unknown)
+        out = convolve_nearby_infinity(table, self.THIRD)
+        assert out.entries == {(F(1, 2), 0, 4): 1}
+        # 0 drops a level (level 0 is dropped), the conjugate class climbs
+        # one; the conjugate class's level-0 slot is the transform's own.
+        assert out.unknown == {
+            (F(0), 0), (F(2, 3), 2), (F(1, 4), 2), (F(5, 6), 1), (F(2, 3), 0)
+        }
+
+
 class TestRowReads:
     """One row read equals the whole-table transform of a one-entry table."""
 
@@ -170,13 +197,14 @@ class TestHodgeTransport:
 
     def test_matches_summing_the_transformed_table(self, rng):
         # Transporting the fibre dimensions directly agrees with summing the
-        # transformed table at 0, whenever the middle cohomology input is 0.
+        # transformed table at 0, whenever the middle cohomology input is 0;
+        # also when the kernel is a class at 0 (the largest alpha).
         for _ in range(60):
             p = random_irreducible(rng, rng.randint(1, 3), 6)
             prof = profile_closed(p)
-            for num in (1, 2):
-                g0 = F(num, 3)
-                if any(a == g0 for a in p.alpha) or any(b == g0 for b in p.beta):
+            kernel_class = max(p.alpha)
+            for g0 in (F(1, 3), F(2, 3), kernel_class):
+                if not g0 or g0 != kernel_class and (g0 in p.alpha or g0 in p.beta):
                     continue
                 ctx = ConvolutionContext(g0)
                 table = convolve_nearby_zero(prof.nearby_zero, ctx, h1={})

@@ -21,12 +21,12 @@ from hyphodge import (
     SingularPoint,
     TableKind,
     UnknownData,
-    class_totals,
     equal_up_to_shift,
     frac,
     parse_rational,
     table_shift,
 )
+from hyphodge.combinatorics import class_totals
 
 F = Fraction
 
@@ -393,11 +393,11 @@ class TestIntegerTables:
         from collections import Counter
 
         from hyphodge import (
-            nonseparated_count,
             profile_closed,
             profile_recursive,
             special_exponent,
         )
+        from hyphodge.combinatorics import nonseparated_count
 
         for _ in range(40):
             params = random_irreducible(rng, rng.randint(1, 7), 12)
@@ -497,6 +497,56 @@ class TestParams:
         assert p.numerators == (12, (3, 6), (8, 0))
         assert p == q and hash(p) == hash(q) == before
         assert p != p.permuted([1, 0])
+
+    def test_every_constructor_path_gives_the_least_denominator(self, rng):
+        # ``Fraction`` input, ``params_from_dict`` (texts, unreduced texts,
+        # integers and "0") and ``permuted`` all hand over numerators that
+        # share no factor with ``den``.
+        from math import gcd
+
+        from hyphodge.serialize import params_from_dict
+
+        def spell(r):
+            k = rng.randint(1, 3)
+            return rng.choice([str(r), f"{r.numerator * k}/{r.denominator * k}", str(r + k)])
+
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            grid = residue_grid(rng.randint(1, 12))
+            alpha = [rng.choice(grid) for _ in range(n)]
+            beta = [rng.choice(grid) for _ in range(n)]
+            data = {
+                "alpha": [spell(r) for r in alpha],
+                "beta": [rng.choice([0, 3, "0"]) if r == 0 else spell(r) for r in beta],
+            }
+            built = [HypergeometricParams(alpha, beta), params_from_dict(data)]
+            order = list(range(n))
+            rng.shuffle(order)
+            built += [p.permuted(order) for p in built]
+            for p in built:
+                den, a, b = p.numerators
+                assert gcd(den, *a, *b) == 1, (data, p)
+
+    def test_den_is_kept_as_given(self):
+        # A ``den=`` caller's denominator is kept: the instance is not equal
+        # to the canonical one, but every document it writes is the same.
+        from hyphodge.cli import _compute, _compute_text
+        from hyphodge.serialize import tsv_lines
+
+        def written(params, engine, normalize):
+            profiles, _report, shift = _compute(params, engine, normalize)
+            text = _compute_text(params, engine, normalize)
+            return text, list(tsv_lines(params, profiles, shift))
+
+        odd = HypergeometricParams((6, 18, 0), (12, 8, 16), den=120)
+        canonical = HypergeometricParams(
+            (F(1, 20), F(3, 20), F(0)), (F(1, 10), F(1, 15), F(2, 15))
+        )
+        assert (odd.den, canonical.den) == (120, 60) and odd != canonical
+        assert odd.alpha == canonical.alpha and odd.beta == canonical.beta
+        for engine in ("closed", "recursive", "both"):
+            for normalize in (False, True):
+                assert written(odd, engine, normalize) == written(canonical, engine, normalize)
 
 
 def small_profile():

@@ -12,7 +12,6 @@ from hyphodge import (
     AT_ONE,
     INFINITY,
     ZERO,
-    ConvolutionContext,
     HodgeProfile,
     HypergeometricParams,
     InternalEngineError,
@@ -22,16 +21,19 @@ from hyphodge import (
     TableKind,
     choose_peel,
     compare_profiles,
-    conjugate_table,
-    convolve_degrees,
-    convolve_vanishing_finite,
     frac,
     hodge_numbers,
     profile_closed,
     profile_recursive,
     special_exponent,
-    twist_degrees,
     verify_cross_engine,
+)
+from hyphodge.combinatorics import conjugate_table
+from hyphodge.convolution import (
+    ConvolutionContext,
+    convolve_degrees,
+    convolve_vanishing_finite,
+    twist_degrees,
 )
 from hyphodge.core import profile_min_p
 from hyphodge.serialize import profile_to_dict

@@ -53,7 +53,8 @@ class TestRoundTrips:
             assert table_from_dict(table_to_dict(table)) == table
 
     def test_table_with_unknown_slots(self):
-        from hyphodge import ConvolutionContext, convolve_nearby_infinity, conjugate_table
+        from hyphodge.combinatorics import conjugate_table
+        from hyphodge.convolution import ConvolutionContext, convolve_nearby_infinity
 
         table = convolve_nearby_infinity(
             conjugate_table(profile_closed(PARAMS).nearby_infinity),
