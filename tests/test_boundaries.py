@@ -65,18 +65,36 @@ def test_package_import_graph():
     assert not graph["__init__"] & {"combinatorics", "convolution"}
     for module in PRODUCT:
         assert "combinatorics" not in graph[module], module
-    # The recursive engine's code never reads the closed engine: only the
-    # cross-engine run at the bottom of ``recursion`` does.
-    assert package_imports("recursion")["closed_form"] == {"profile_closed"}
-    tree = ast.parse((PACKAGE / "recursion.py").read_text(encoding="utf-8"))
-    users = {
-        getattr(node, "name", None)
-        for node in tree.body
-        if not isinstance(node, ast.ImportFrom)
-        for inner in ast.walk(node)
-        if isinstance(inner, ast.Name) and inner.id == "profile_closed"
-    }
-    assert users == {"verify_cross_engine"}
+
+
+def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
+    imports = package_imports("recursion")
+    assert imports.get("closed_form") == {"profile_closed"}
+    assert "combinatorics" not in imports
+    assert "count_identities_hold" not in imports.get("core", set())
+
+
+def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:
+    """``(top-level definition, name)`` for each use of ``names`` in ``module``
+    outside its import lines."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    users = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and inner.id in names:
+                users.add((getattr(node, "name", None), inner.id))
+    return users
+
+
+def test_only_the_comparison_reaches_the_closed_engine_and_the_identities():
+    # The engine code of ``recursion`` reads the data model and the rows; the
+    # closed engine is used by the cross-engine run at its bottom only, and
+    # the identity check by the comparison in ``core`` only.
+    borrowed = {"profile_closed", "count_identities_hold"}
+    assert users_of("recursion", borrowed) == {("verify_cross_engine", "profile_closed")}
+    assert users_of("core", borrowed) == {("compare_profiles", "count_identities_hold")}
 
 
 def test_check_in_core_and_reference_helpers_in_combinatorics():
