@@ -492,22 +492,20 @@ class HodgeProfile:
 
 COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
 """The invariants both engines compute, in report order: the keys of
-``EngineReport.table_equal`` whenever ``error`` is ``None``."""
+``EngineReport.table_equal``."""
 
 
 @dataclass(frozen=True)
 class EngineReport:
-    """Outcome of running both engines on one input and comparing."""
+    """The comparison of one instance's two profiles (:func:`compare_profiles`)."""
 
-    params: HypergeometricParams
     shift: int | None
     table_equal: dict[str, bool]
     identities_ok: bool
-    error: str | None = None
 
     @property
     def agree(self) -> bool:
-        return self.error is None and all(self.table_equal.values())
+        return all(self.table_equal.values())
 
     @property
     def mismatches(self) -> tuple[str, ...]:
@@ -585,7 +583,6 @@ def compare_profiles(
         name: getattr(closed, name) == getattr(recursive, name) for name in COMPARED
     }
     return EngineReport(
-        params=params,
         shift=0 if all(table_equal.values()) else equal_up_to_shift(closed, recursive),
         table_equal=table_equal,
         identities_ok=count_identities_hold(params),

@@ -79,7 +79,6 @@ from .core import (
     InternalEngineError,
     LocalHodgeTable,
     NoValidPeel,
-    ReducibleInput,
     SingularPoint,
     TableKind,
     _spread_sum,
@@ -340,17 +339,7 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
 def verify_cross_engine(params: HypergeometricParams) -> EngineReport:
     """Run both engines and compare every shared invariant exactly.
 
-    Mismatches are reported as data, not raised.  Reducible input is caught
-    and surfaced in the report.
+    Mismatches are reported as data, not raised.  Reducible input raises
+    :class:`~hyphodge.core.ReducibleInput`, as each engine does.
     """
-    try:
-        params.require_irreducible()
-    except ReducibleInput as exc:
-        return EngineReport(
-            params=params,
-            shift=None,
-            table_equal={},
-            identities_ok=False,
-            error=str(exc),
-        )
     return compare_profiles(params, profile_closed(params), profile_recursive(params))

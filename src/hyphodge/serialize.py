@@ -14,8 +14,10 @@ literals, integers through f-strings and every other string through
 ``json.encoder.encode_basestring_ascii``.  The batch stream writes that
 text.  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
-:func:`params_to_dict`) are its parsed view, the ``json.loads`` of the
-writer's text, so they spell no key of their own.
+:func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
+writer's text back with ``json.loads``, so they spell no key of their own.
+A ``both`` report compares the document's own two profiles: it repeats the
+document's params text, and its ``error`` is always ``null``.
 
 Residues go out as they are stored, integer numerators over a denominator.
 Exponents of batch lines, of ``compute --alpha/--beta`` and of documents,
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Collection, Mapping
 
 from .core import (
     AT_ONE,
@@ -72,28 +74,24 @@ class _Texts(dict):
     the exponent texts the instance carries
     (:attr:`~hyphodge.core.HypergeometricParams.texts`), so only a table
     class that is not an exponent is formatted here, and once.  Each text is
-    kept as ``write`` gives it: the writer keeps JSON string literals, the
-    TSV projection the bare texts.
+    kept as its JSON string literal.
     """
 
-    def __init__(
-        self, den: int, seed: Mapping[int, str], write: Callable[[str], str] = _quote
-    ) -> None:
-        super().__init__({r: write(text) for r, text in seed.items()})
+    def __init__(self, den: int, seed: Mapping[int, str]) -> None:
+        super().__init__({r: _quote(text) for r, text in seed.items()})
         self.den = den
-        self.write = write
 
     def __missing__(self, r: int) -> str:
-        text = self[r] = self.write(format_residue(r, self.den))
+        text = self[r] = _quote(format_residue(r, self.den))
         return text
 
 
 def _texts_over(texts: _Texts, den: int) -> tuple[_Texts, int]:
-    """``texts``, or a new map of its kind if it is not over a multiple of
-    ``den``, and the factor taking a numerator over ``den`` to its key."""
+    """``texts``, or a new map if it is not over a multiple of ``den``, and
+    the factor taking a numerator over ``den`` to its key."""
     scale, rest = divmod(texts.den, den)
     if rest:
-        return _Texts(den, {}, texts.write), 1
+        return _Texts(den, {}), 1
     return texts, scale
 
 
@@ -286,42 +284,36 @@ def params_from_dict(data: Any) -> HypergeometricParams:
     return HypergeometricParams(nums[:n], nums[n:], den=den, texts=texts)
 
 
-def _report_text(report: EngineReport, texts: _Texts) -> str:
-    """The report; ``texts`` is the exponent map of ``report.params``."""
+def _report_text(report: EngineReport, params_text: str) -> str:
+    """The report on the instance whose exponents ``params_text`` writes."""
     tables = ",".join([f"{_quote(k)}:{_BOOLS[v]}" for k, v in report.table_equal.items()])
     shift = "null" if report.shift is None else report.shift
-    error = "null" if report.error is None else _quote(report.error)
     return (
-        f'{{"params":{_params_text(report.params, texts)},'
+        f'{{"params":{params_text},'
         f'"agree":{_BOOLS[report.agree]},"shift":{shift},"tables":{{{tables}}},'
         f'"identities_ok":{_BOOLS[report.identities_ok]},'
-        f'"mismatches":[{",".join(map(_quote, report.mismatches))}],"error":{error}}}'
+        f'"mismatches":[{",".join(map(_quote, report.mismatches))}],"error":null}}'
     )
 
 
-def report_from_dict(
-    data: Any, params: HypergeometricParams, name: str = "report"
-) -> EngineReport:
-    """The report in ``data`` on ``params``, its document's instance; its
-    ``agree`` and ``mismatches`` must be what :class:`EngineReport` derives,
-    and without an ``error`` its ``tables`` flag exactly the compared
-    invariants (:data:`~hyphodge.core.COMPARED`)."""
+def report_from_dict(data: Any, name: str = "report") -> EngineReport:
+    """The report in ``data``: its ``tables`` flag exactly the compared
+    invariants (:data:`~hyphodge.core.COMPARED`), and its ``agree`` and
+    ``mismatches`` must be what :class:`EngineReport` derives from them.
+    Its ``params`` and ``error`` are its document's to check: the report
+    re-emits with the document's params and a null error."""
     keys = "params agree shift tables identities_ok mismatches error"
     _fields(data, name, keys.split())
-    shift, error = data["shift"], data["error"]
-    tables = _leaf(data["tables"], dict, f"{name}.tables")
-    if error is None:
-        _fields(tables, f"{name}.tables", COMPARED)
+    shift = data["shift"]
+    tables = _fields(data["tables"], f"{name}.tables", COMPARED)
     report = EngineReport(
-        params,
         None if shift is None else _leaf(shift, int, f"{name}.shift"),
-        {k: _leaf(v, bool, f"{name}.tables[{k}]") for k, v in tables.items()},
+        {k: _leaf(tables[k], bool, f"{name}.tables[{k}]") for k in COMPARED},
         _leaf(data["identities_ok"], bool, f"{name}.identities_ok"),
-        None if error is None else _leaf(error, str, f"{name}.error"),
     )
     agree, mismatches = data["agree"], data["mismatches"]
     if agree is not report.agree:
-        raise ValueError(f"{name}.agree contradicts tables and error, got {agree!r}")
+        raise ValueError(f"{name}.agree contradicts tables, got {agree!r}")
     if mismatches != list(report.mismatches):
         raise ValueError(f"{name}.mismatches contradict tables, got {mismatches!r}")
     return report
@@ -338,16 +330,14 @@ def compute_document_text(
     ``json.dumps(doc, separators=(",", ":"))`` writes for the document
     :func:`build_compute_document` returns."""
     texts = _exponent_texts(params)
+    params_text = _params_text(params, texts)
     named = ",".join(
         [f"{_quote(name)}:{_profile_text(p, texts)}" for name, p in profiles.items()]
     )
-    report_text = "null"
-    if report is not None:
-        own = texts if report.params is params else _exponent_texts(report.params)
-        report_text = _report_text(report, own)
+    report_text = "null" if report is None else _report_text(report, params_text)
     return (
         f'{{"schema_version":{_quote(SCHEMA_VERSION)},"command":"compute",'
-        f'"params":{_params_text(params, texts)},"engine":{_quote(engine)},'
+        f'"params":{params_text},"engine":{_quote(engine)},'
         f'"profiles":{{{named}}},"report":{report_text},"normalization":{normalization}}}'
     )
 
@@ -381,7 +371,7 @@ def parse_document(data: Any) -> dict[str, Any]:
         "profiles": {
             n: profile_from_dict(profiles[n], f"document.profiles.{n}") for n in names
         },
-        "report": report_from_dict(data["report"], params, "document.report")
+        "report": report_from_dict(data["report"], "document.report")
         if engine == "both"
         else None,
         "normalization": _leaf(data["normalization"], int, "document.normalization"),
@@ -431,27 +421,25 @@ def tsv_lines(
     profiles: Mapping[str, HodgeProfile],
     normalization: int,
 ) -> list[str]:
-    """Flat projection: one row per table entry, spreadsheet-friendly."""
-    texts = _Texts(params.den, params.texts, str)
+    """Flat projection, one row per table entry, spreadsheet-friendly: read
+    back from the writer's text of the exponents and of each profile."""
+    texts = _exponent_texts(params)
+    exponents = json.loads(_params_text(params, texts))
     lines = [
-        "# alpha " + ",".join([texts[a] for a in params.alpha_numerators]),
-        "# beta " + ",".join([texts[b] for b in params.beta_numerators]),
+        "# alpha " + ",".join(exponents["alpha"]),
+        "# beta " + ",".join(exponents["beta"]),
         f"# normalization {normalization}",
     ]
     for name, profile in profiles.items():
+        doc = json.loads(_profile_text(profile, texts))
         lines.append(f"# engine {name}")
-        lines.append(
-            "# hodge " + " ".join(f"{p}:{v}" for p, v in sorted(profile.hodge.items()))
-        )
-        if profile.degrees is not None:
-            lines.append(
-                "# degrees "
-                + " ".join(f"{p}:{v}" for p, v in sorted(profile.degrees.items()))
-            )
+        for key in ("hodge", "degrees"):
+            if doc[key] is not None:
+                pairs = " ".join([f"{p}:{v}" for p, v in doc[key].items()])
+                lines.append(f"# {key} {pairs}")
         lines.append("point\tresidue\tlevel\tp\tmult")
-        for table in profile.tables:
-            label = table.point.value
-            table_texts, scale = _texts_over(texts, table.den)
-            for (r, lv, p), m in sorted(table.int_entries.items()):
-                lines.append(f"{label}\t{table_texts[r * scale]}\t{lv}\t{p}\t{m}")
+        tables = (doc["nearby_zero"], doc["nearby_infinity"], *doc["vanishing_finite"])
+        for table in tables:
+            for e in table["entries"]:
+                lines.append("\t".join([table["point"], *map(str, e.values())]))
     return lines

@@ -285,7 +285,7 @@ def bounded_caches() -> set[str]:
     """
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         calls = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -326,7 +326,7 @@ def test_no_check_vanishes_under_optimize():
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
     assert not found, found

@@ -50,6 +50,10 @@ class TestNearbyClosed:
             ZERO, TableKind.NEARBY, {(F(0), 0, 2): 1, (F(1, 2), 0, 2): 1}
         )
 
+    def test_refuses_the_finite_point(self):
+        with pytest.raises(ValueError, match="at 0 and infinity only"):
+            nearby_closed(LEGENDRE, AT_ONE)
+
     def test_rank_one_zero(self):
         assert nearby_closed(RANK_ONE, ZERO) == entries(
             ZERO, TableKind.NEARBY, {(F(1, 3), 0, 1): 1}

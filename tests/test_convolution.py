@@ -23,8 +23,11 @@ from hyphodge.convolution import (
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
+    degree_step,
     infinity_row,
     twist_degrees,
+    twist_step,
+    vanishing_step,
     zero_row,
 )
 from conftest import random_irreducible, residue_grid
@@ -102,6 +105,10 @@ class TestNearbyInfinity:
 
 
 class TestNearbyZero:
+    def test_rejects_vanishing_kind(self):
+        with pytest.raises(ValueError, match="expected a nearby table"):
+            convolve_nearby_zero(vanishing({(F(1, 4), 0, 0): 1}), HALF, h1={})
+
     def test_lower_arc_keeps_index(self):
         out = convolve_nearby_zero(nearby({(F(1, 4), 0, 0): 1}), HALF)
         assert out.entries == {(F(1, 4), 0, 0): 1}
@@ -185,6 +192,20 @@ class TestRowReads:
                 zero_row(*args)
             with pytest.raises(ValueError):
                 infinity_row(*args)
+
+    @pytest.mark.parametrize("kernel", [0, 6])
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda kernel: vanishing_step([((1, 0, 0), 1)], kernel, 6),
+            lambda kernel: degree_step({}, [((1, 0, 0), 1)], [], kernel, 6),
+            lambda kernel: twist_step({}, {}, [((1, 0, 0), 1)], [], kernel, 6),
+        ],
+        ids=["vanishing_step", "degree_step", "twist_step"],
+    )
+    def test_steps_reject_kernels_out_of_range(self, step, kernel):
+        with pytest.raises(ValueError, match=f"0 < kernel < den, got {kernel}, 6$"):
+            step(kernel)
 
 
 class TestHodgeTransport:

@@ -446,6 +446,17 @@ class TestParams:
         with pytest.raises(ValueError):
             HypergeometricParams((F(0),), (F(1, 2), F(1, 3)))
 
+    @pytest.mark.parametrize("alpha, beta", [((4,), (1,)), ((1,), (-1,))])
+    def test_numerators_must_lie_below_den(self, alpha, beta):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 4\)$"):
+            HypergeometricParams(alpha, beta, den=4)
+
+    @pytest.mark.parametrize("order", [[0, 0], [0], [1, 2]])
+    def test_permuted_refuses_what_is_no_permutation(self, order):
+        p = HypergeometricParams((F(1, 4), F(1, 2)), (F(2, 3), F(0)))
+        with pytest.raises(ValueError, match="not a permutation"):
+            p.permuted(order)
+
     @pytest.mark.parametrize(
         "alpha, beta, value",
         [((0.1,), (F(1, 2),), 0.1), ((F(0),), (0.5,), 0.5), ((True,), (F(1, 2),), True)],
@@ -581,6 +592,20 @@ class TestEqualUpToShift:
             hodge={1: 1, 2: 1},
         )
         assert equal_up_to_shift(p, q) is None
+
+    def test_different_rank(self):
+        p = small_profile()
+        q = HodgeProfile(
+            rank=1,
+            nearby_zero=nearby({(F(0), 0, 1): 1}),
+            nearby_infinity=nearby({(F(1, 2), 0, 1): 1}, point=INFINITY),
+            vanishing_finite=(
+                LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(1, 2), 0, 1): 1}),
+            ),
+            hodge={1: 1},
+        )
+        assert equal_up_to_shift(p, q) is None
+        assert equal_up_to_shift(q, p) is None
 
     def test_profile_invariants_enforced(self):
         with pytest.raises(ValueError):

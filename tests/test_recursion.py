@@ -231,9 +231,9 @@ class TestProfileRecursive:
         with pytest.raises(InternalEngineError, match=r"^class 3/4 at 0 reached a dropped row$"):
             profile_recursive(p)
 
-    def test_reducible_reported_not_raised(self):
-        rep = verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))
-        assert rep.error is not None and not rep.agree
+    def test_reducible_raises_as_the_engines_do(self):
+        with pytest.raises(ReducibleInput):
+            verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))
 
 
 def relabel(table: LocalHodgeTable, c: Fraction) -> LocalHodgeTable:

@@ -170,9 +170,41 @@ NEVER_EMITTED = [
         lambda d: recursive_profile(d).update(vanishing_finite=[]),
         "vanishing_finite must hold one table",
     ),
-    # Without an error, a report flags exactly the four compared invariants.
+    # A report compares the document's own two profiles: it flags exactly the
+    # four compared invariants, repeats the document's params, and its error
+    # is null.
     (lambda d: d["report"].update(tables={}), "document.report.tables.nearby_zero"),
     (lambda d: d["report"]["tables"].pop("hodge"), "document.report.tables.hodge"),
+    (
+        lambda d: d.update(
+            report={
+                "params": d["params"],
+                "agree": False,
+                "shift": None,
+                "tables": {},
+                "identities_ok": False,
+                "mismatches": [],
+                "error": "alpha and beta share the exponent 1/2",
+            }
+        ),
+        "document.report.tables.nearby_zero is missing",
+    ),
+    (
+        lambda d: d["report"].update(error="engines not run"),
+        "document.report.error must be None",
+    ),
+    (
+        lambda d: d["report"].update(params={"alpha": ["0", "1/3"], "beta": ["1/4", "3/4"]}),
+        "document.report.params.alpha[1] must be '1/2'",
+    ),
+    (
+        lambda d: d["report"].update(
+            tables={k: False for k in reversed(d["report"]["tables"])},
+            agree=False,
+            mismatches=["hodge", "vanishing_finite", "nearby_infinity", "nearby_zero"],
+        ),
+        "document.report.mismatches contradict tables",
+    ),
 ]
 
 
@@ -346,7 +378,6 @@ class TestWriter:
         assert params.texts is texts
         profiles, report, shift = _compute(params, "both", False)
         profiles = {name: replace(p, note='tab\there "\u00fc"') for name, p in profiles.items()}
-        report = replace(report, error="\\ \u2603 \x7f")
         text = compute_document_text(params, "both", profiles, report, shift)
         assert text.isascii()
         assert text == compact(build_compute_document(params, "both", profiles, report, shift))
@@ -354,7 +385,6 @@ class TestWriter:
         doc = json.loads(text)
         assert doc["params"] == {"alpha": ['a"b', "c\\d"], "beta": ["e\x01f\n", texts[3]]}
         assert doc["report"]["params"] == doc["params"]
-        assert doc["report"]["error"] == report.error
         assert doc["profiles"]["closed"]["note"] == 'tab\there "\u00fc"'
         for literal in (r'"a\"b"', r'"c\\d"', r'"e\u0001f\n"', r'"\u00e9\u22121/4\ud835\udd4f"'):
             assert literal in text, literal
