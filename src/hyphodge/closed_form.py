@@ -165,7 +165,7 @@ def profile_closed(params: HypergeometricParams) -> HodgeProfile:
         rank=params.n,
         nearby_zero=nearby_zero,
         nearby_infinity=_nearby_table(params, INFINITY, sweep),
-        vanishing_finite=(vanishing_at_one_closed(params),),
+        vanishing_finite=vanishing_at_one_closed(params),
         hodge=hodge_numbers(nearby_zero),
         degrees=None,
         note="closed formulas; pair order as given",

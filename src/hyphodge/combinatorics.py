@@ -44,7 +44,7 @@ def nonseparated_count(params: HypergeometricParams, g: Fraction) -> int:
     """
     g = frac(g)
     return sum(
-        1 for a, b in params.pairs() if not separated(a, g, b)
+        1 for a, b in zip(params.alpha, params.beta) if not separated(a, g, b)
     )
 
 
@@ -75,7 +75,7 @@ def interlacing_index(
 
 def ascending_pair_count(params: HypergeometricParams) -> int:
     """Count of pairs with ``alpha_k < beta_k``; depends only on the pairing."""
-    return sum(1 for a, b in params.pairs() if a < b)
+    return sum(1 for a, b in zip(params.alpha, params.beta) if a < b)
 
 
 def contribution_pair(

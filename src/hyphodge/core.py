@@ -278,22 +278,9 @@ class LocalHodgeTable:
         """``int_unknown`` with ``Fraction`` residues."""
         return frozenset((Fraction(r, self.den), lv) for r, lv in self.int_unknown)
 
-    def residues(self) -> set[Fraction]:
-        out = {r for (r, _lv, _p) in self.entries}
-        out.update(r for r, _lv in self.unknown)
-        return out
-
     def total_dimension(self) -> int:
         """Sum of multiplicity times Jordan size over all entries."""
         return sum(m * (lv + 1) for (_r, lv, _p), m in self.int_entries.items())
-
-    def sorted_items(self) -> list[tuple[Entry, int]]:
-        """The ``Fraction``-keyed entries in key order, sorted on the integers."""
-        den = self.den
-        return [
-            ((Fraction(r, den), lv, p), m)
-            for (r, lv, p), m in sorted(self.int_entries.items())
-        ]
 
 
 def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
@@ -408,9 +395,6 @@ class HypergeometricParams:
     def n(self) -> int:
         return len(self.alpha_numerators)
 
-    def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(self.alpha, self.beta))
-
     @cached_property
     def is_irreducible(self) -> bool:
         return set(self.alpha_numerators).isdisjoint(self.beta_numerators)
@@ -437,21 +421,29 @@ def _prune(mapping: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in sorted(mapping.items()) if v}
 
 
+_SLOTS = (
+    ("nearby_zero", ZERO, TableKind.NEARBY),
+    ("nearby_infinity", INFINITY, TableKind.NEARBY),
+    ("vanishing_finite", AT_ONE, TableKind.VANISHING),
+)
+
+
 @dataclass(frozen=True)
 class HodgeProfile:
-    """The full local Hodge package of one module.
+    """The full local Hodge package of one module, as a schema v1 profile.
 
-    ``hodge`` gives the graded dimensions of the generic fibre and ``degrees``
-    (optional) the graded degrees of the natural extension across the
-    singularities.  There is no nearby table at 1: the theory pins only the
-    eigenvalue counts there, not their grading (see
-    :func:`hyphodge.closed_form.counts_at_one`).
+    The nearby tables at 0 and at infinity and the one vanishing table at 1,
+    each in its slot, or :class:`ValueError` names the slot.  There is no
+    nearby table at 1: the theory pins only the eigenvalue counts there, not
+    their grading (see :func:`hyphodge.closed_form.counts_at_one`).
+    ``hodge`` gives the graded dimensions of the generic fibre and
+    ``degrees`` (optional) the graded degrees of the natural extension.
     """
 
     rank: int
     nearby_zero: LocalHodgeTable
     nearby_infinity: LocalHodgeTable
-    vanishing_finite: tuple[LocalHodgeTable, ...] = ()
+    vanishing_finite: LocalHodgeTable
     hodge: dict[int, int] = field(default_factory=dict)
     degrees: dict[int, int] | None = None
     note: str = ""
@@ -460,20 +452,23 @@ class HodgeProfile:
         object.__setattr__(self, "hodge", _prune(dict(self.hodge)))
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _prune(dict(self.degrees)))
-        object.__setattr__(self, "vanishing_finite", tuple(self.vanishing_finite))
         if sum(self.hodge.values()) != self.rank:
             raise ValueError("graded fibre dimensions do not sum to the rank")
-        for table in (self.nearby_zero, self.nearby_infinity):
-            if not table.int_unknown and table.total_dimension() != self.rank:
-                raise ValueError(
-                    f"table at {table.point} has dimension "
-                    f"{table.total_dimension()}, expected {self.rank}"
-                )
+        for name, point, kind in _SLOTS:
+            table = getattr(self, name)
+            held = (table.point, table.kind) if isinstance(table, LocalHodgeTable) else None
+            if held != (point, kind):
+                raise ValueError(f"{name} must be the {kind.value} table at {point.value}")
+            if kind is TableKind.NEARBY and not table.int_unknown:
+                if (dim := table.total_dimension()) != self.rank:
+                    raise ValueError(
+                        f"table at {point} has dimension {dim}, expected {self.rank}"
+                    )
 
     @property
     def tables(self) -> tuple[LocalHodgeTable, ...]:
         """Every table of the profile: nearby at 0, nearby at infinity, vanishing."""
-        return (self.nearby_zero, self.nearby_infinity, *self.vanishing_finite)
+        return (self.nearby_zero, self.nearby_infinity, self.vanishing_finite)
 
     def shifted(self, s: int) -> "HodgeProfile":
         """Translate the whole Hodge grading by ``s``."""
@@ -481,7 +476,7 @@ class HodgeProfile:
             rank=self.rank,
             nearby_zero=table_shift(self.nearby_zero, s),
             nearby_infinity=table_shift(self.nearby_infinity, s),
-            vanishing_finite=tuple(table_shift(t, s) for t in self.vanishing_finite),
+            vanishing_finite=table_shift(self.vanishing_finite, s),
             hodge={p + s: v for p, v in self.hodge.items()},
             degrees=None
             if self.degrees is None

@@ -16,8 +16,10 @@ text.  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
 :func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
 writer's text back with ``json.loads``, so they spell no key of their own.
-A ``both`` report compares the document's own two profiles: it repeats the
-document's params text, and its ``error`` is always ``null``.
+A profile's ``vanishing_finite`` lists its one table (which table each
+slot holds, :class:`~hyphodge.core.HodgeProfile` checks), and a ``both``
+report compares the document's own two profiles: it repeats the document's
+params text, and its ``error`` is always ``null``.
 
 Residues go out as they are stored, integer numerators over a denominator.
 Exponents of batch lines, of ``compute --alpha/--beta`` and of documents,
@@ -39,10 +41,7 @@ from math import lcm
 from typing import Any, Collection, Mapping
 
 from .core import (
-    AT_ONE,
     COMPARED,
-    INFINITY,
-    ZERO,
     EngineReport,
     HodgeProfile,
     HypergeometricParams,
@@ -184,13 +183,12 @@ def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
 
 
 def _profile_text(profile: HodgeProfile, texts: _Texts) -> str:
-    vanishing = ",".join([_table_text(t, texts) for t in profile.vanishing_finite])
     degrees = "null" if profile.degrees is None else _int_map_text(profile.degrees)
     return (
         f'{{"rank":{profile.rank},'
         f'"nearby_zero":{_table_text(profile.nearby_zero, texts)},'
         f'"nearby_infinity":{_table_text(profile.nearby_infinity, texts)},'
-        f'"nearby_finite":[],"vanishing_finite":[{vanishing}],'
+        f'"nearby_finite":[],"vanishing_finite":[{_table_text(profile.vanishing_finite, texts)}],'
         f'"hodge":{_int_map_text(profile.hodge)},"degrees":{degrees},'
         f'"note":{_quote(profile.note)}}}'
     )
@@ -202,7 +200,8 @@ def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
-    """The profile in ``data``, each of its three tables in its own slot."""
+    """The profile in ``data``, ``nearby_finite`` empty and ``vanishing_finite``
+    one table; :class:`~hyphodge.core.HodgeProfile` checks each slot's table."""
     slots = "nearby_zero nearby_infinity nearby_finite vanishing_finite"
     _fields(data, name, ["rank", *slots.split(), "hodge", "degrees", "note"])
     if _leaf(data["nearby_finite"], list, f"{name}.nearby_finite"):
@@ -210,24 +209,14 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     vanishing = _leaf(data["vanishing_finite"], list, f"{name}.vanishing_finite")
     if len(vanishing) != 1:
         raise ValueError(f"{name}.vanishing_finite must hold one table")
-    tables = []
-    for field, value, point, kind in (
-        ("nearby_zero", data["nearby_zero"], ZERO, TableKind.NEARBY),
-        ("nearby_infinity", data["nearby_infinity"], INFINITY, TableKind.NEARBY),
-        ("vanishing_finite[0]", vanishing[0], AT_ONE, TableKind.VANISHING),
-    ):
-        tables.append(table_from_dict(value, f"{name}.{field}"))
-        if (tables[-1].point, tables[-1].kind) != (point, kind):
-            raise ValueError(
-                f"{name}.{field} must be the {kind.value} table at {point.value}"
-            )
     degrees = data["degrees"]
     return _built(
         name,
         HodgeProfile,
         _leaf(data["rank"], int, f"{name}.rank"),
-        *tables[:2],
-        tables[2:],
+        table_from_dict(data["nearby_zero"], f"{name}.nearby_zero"),
+        table_from_dict(data["nearby_infinity"], f"{name}.nearby_infinity"),
+        table_from_dict(vanishing[0], f"{name}.vanishing_finite[0]"),
         _int_map_from_dict(data["hodge"], f"{name}.hodge"),
         None if degrees is None else _int_map_from_dict(degrees, f"{name}.degrees"),
         _leaf(data["note"], str, f"{name}.note"),

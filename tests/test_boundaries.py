@@ -332,6 +332,27 @@ def test_no_check_vanishes_under_optimize():
     assert not found, found
 
 
+def test_every_import_is_read():
+    # No linter is a dependency: every name a package module imports is read
+    # in that module.  ``__init__`` imports names to re-export them, and a
+    # ``__future__`` import switches on behaviour, so neither is scanned.
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, unread
+
+
 def package_bindings() -> dict[tuple[str, str], object]:
     """Every module attribute of the loaded package, and the three hooks
     ``install_tracing`` patches on classes."""

@@ -354,8 +354,8 @@ class TestVerifyFails:
 
         def engine(params):
             profile = real(params)
-            (table,) = profile.vanishing_finite
-            return dataclasses.replace(profile, vanishing_finite=(table_shift(table, 1),))
+            shifted = table_shift(profile.vanishing_finite, 1)
+            return dataclasses.replace(profile, vanishing_finite=shifted)
 
         monkeypatch.setattr(cli, "profile_recursive", engine)
         code, doc = self.verify("--n-max", "1", "--den-max", "2")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyphodge import (
+    AT_ONE,
     INFINITY,
     ZERO,
     HypergeometricParams,
@@ -135,6 +136,11 @@ class TestInterlacingIndex:
         with pytest.raises(IndexError):
             interlacing_index(p, 1, ZERO)
 
+    def test_undefined_at_one(self):
+        p = HypergeometricParams((F(0),), (F(1, 2),))
+        with pytest.raises(ValueError, match="0 and infinity only"):
+            interlacing_index(p, 0, AT_ONE)
+
 
 class TestAscendingPairCount:
     def test_both_ascending(self):
@@ -189,6 +195,10 @@ class TestContributionRows:
     def test_row_difference_is_ascending_indicator(self, triple, expected):
         a, b, _g = triple
         assert expected[0] - expected[1] == (1 if a < b else 0)
+
+    def test_undefined_at_one(self):
+        with pytest.raises(ValueError, match="0 and infinity only"):
+            contribution_pair(F(1, 4), F(1, 2), F(1, 8), AT_ONE)
 
 
 class TestCountIdentity:

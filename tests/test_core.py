@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -243,7 +244,7 @@ class TestTotals:
         t = nearby({(F(0), 2, 3): 2, (F(1, 2), 1, 0): 1})
         by_totals = sum(
             class_totals(t, r).get(p, 0)
-            for r in t.residues()
+            for r in {r for r, _lv, _p in t.entries}
             for p in range(-5, 6)
         )
         assert by_totals == t.total_dimension() == 8
@@ -411,7 +412,7 @@ class TestIntegerTables:
                     for g, mult in Counter(exponents).items()
                 }
                 assert all(type(r) is Fraction for r, _lv, _p in table.entries)
-            ((residue, level, _p),) = closed.vanishing_finite[0].entries
+            ((residue, level, _p),) = closed.vanishing_finite.entries
             assert (residue, level) == (frac(special_exponent(params)), 0)
             recursive = profile_recursive(params)
             assert recursive.nearby_zero.entries == closed.nearby_zero.entries
@@ -419,8 +420,10 @@ class TestIntegerTables:
 
 
 class TestSortedItems:
+    """The writer sorts ``int_entries``; that order is the ``Fraction`` order."""
+
     def test_empty(self):
-        assert nearby({}).sorted_items() == []
+        assert sorted(nearby({}).int_entries.items()) == []
 
     def test_matches_the_fraction_sort(self):
         rng = random.Random(20261018)
@@ -433,7 +436,11 @@ class TestSortedItems:
                 key = (rng.choice(residues), rng.randint(0, 3), rng.randint(-3, 3))
                 entries[key] = rng.randint(1, 3)
             table = nearby(entries)
-            assert table.sorted_items() == sorted(table.entries.items())
+            den = table.den
+            by_ints = [
+                ((F(r, den), lv, p), m) for (r, lv, p), m in sorted(table.int_entries.items())
+            ]
+            assert by_ints == sorted(table.entries.items())
 
 
 class TestParams:
@@ -565,9 +572,7 @@ def small_profile():
         rank=2,
         nearby_zero=nearby({(F(0), 1, 2): 1}),
         nearby_infinity=nearby({(F(1, 2), 1, 2): 1}, point=INFINITY),
-        vanishing_finite=(
-            LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(0), 0, 2): 1}),
-        ),
+        vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(0), 0, 2): 1}),
         hodge={1: 1, 2: 1},
     )
 
@@ -599,9 +604,7 @@ class TestEqualUpToShift:
             rank=1,
             nearby_zero=nearby({(F(0), 0, 1): 1}),
             nearby_infinity=nearby({(F(1, 2), 0, 1): 1}, point=INFINITY),
-            vanishing_finite=(
-                LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(1, 2), 0, 1): 1}),
-            ),
+            vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(1, 2), 0, 1): 1}),
             hodge={1: 1},
         )
         assert equal_up_to_shift(p, q) is None
@@ -613,8 +616,59 @@ class TestEqualUpToShift:
                 rank=2,
                 nearby_zero=nearby({(F(0), 0, 1): 1}),
                 nearby_infinity=nearby({(F(1, 2), 1, 2): 1}, point=INFINITY),
+                vanishing_finite=small_profile().vanishing_finite,
                 hodge={1: 2},
             )
+
+
+SLOTS = [
+    ("nearby_zero", ZERO, TableKind.NEARBY, "nearby_zero must be the nearby table at zero"),
+    (
+        "nearby_infinity",
+        INFINITY,
+        TableKind.NEARBY,
+        "nearby_infinity must be the nearby table at infinity",
+    ),
+    (
+        "vanishing_finite",
+        AT_ONE,
+        TableKind.VANISHING,
+        "vanishing_finite must be the vanishing table at one",
+    ),
+]
+
+
+class TestProfileSlots:
+    """A profile holds exactly the three tables of a schema v1 profile."""
+
+    @pytest.mark.parametrize("slot, point, kind, text", SLOTS, ids=[s[0] for s in SLOTS])
+    def test_a_table_in_a_wrong_slot_names_the_slot(self, slot, point, kind, text):
+        p = small_profile()
+        entries = getattr(p, slot).entries
+        for other in itertools.product(SingularPoint, TableKind):
+            table = LocalHodgeTable(*other, entries)
+            if other == (point, kind):
+                assert replace(p, **{slot: table}) == p
+            else:
+                with pytest.raises(ValueError, match=text):
+                    replace(p, **{slot: table})
+
+    def test_profiles_whose_document_is_refused_cannot_be_built(self):
+        """No vanishing table, two of them, or the nearby tables swapped:
+        each would write a document that ``parse_document`` refuses."""
+        p = small_profile()
+        with pytest.raises(TypeError):
+            HodgeProfile(2, p.nearby_zero, p.nearby_infinity, hodge=p.hodge)
+        for text, changes in [
+            (SLOTS[2][3], {"vanishing_finite": ()}),
+            (SLOTS[2][3], {"vanishing_finite": (p.vanishing_finite,) * 2}),
+            (
+                SLOTS[0][3],
+                {"nearby_zero": p.nearby_infinity, "nearby_infinity": p.nearby_zero},
+            ),
+        ]:
+            with pytest.raises(ValueError, match=text):
+                replace(p, **changes)
 
 
 class TestSingularPoint:

@@ -66,9 +66,7 @@ def rank_one_base(a: Fraction, b: Fraction) -> HodgeProfile:
         rank=1,
         nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
         nearby_infinity=LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1}),
-        vanishing_finite=(
-            LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
-        ),
+        vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
         hodge={1: 1},
         degrees={1: rank_one_degree_oracle(a, b)},
         note="rank-one base",
@@ -82,7 +80,7 @@ class TestBaseProfile:
         prof = rank_one(F(1, 3), F(0))
         assert prof.nearby_zero.entries == {(F(1, 3), 0, 1): 1}
         assert prof.nearby_infinity.entries == {(F(0), 0, 1): 1}
-        assert prof.vanishing_finite[0].entries == {(F(2, 3), 0, 0): 1}
+        assert prof.vanishing_finite.entries == {(F(2, 3), 0, 0): 1}
         assert prof.hodge == {1: 1}
 
     @pytest.mark.parametrize(
@@ -121,19 +119,19 @@ class TestChoosePeel:
 
     def test_same_class_with_multiplicity(self):
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
-        assert choose_peel(over(p.pairs(), 4), 1, 2, 4)[0] == 0
+        assert choose_peel(over(zip(p.alpha, p.beta), 4), 1, 2, 4)[0] == 0
 
     def test_retarget_when_multiplicity_one(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        assert choose_peel(over(p.pairs(), 4), 0, 0, 4)[0] == 1
+        assert choose_peel(over(zip(p.alpha, p.beta), 4), 0, 0, 4)[0] == 1
 
     def test_different_class(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        assert choose_peel(over(p.pairs(), 4), 0, 2, 4)[0] == 0
+        assert choose_peel(over(zip(p.alpha, p.beta), 4), 0, 2, 4)[0] == 0
 
     def test_kernel_rep(self):
         p = HypergeometricParams((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
-        _index, kernel = choose_peel(over(p.pairs(), 4), 0, 2, 4)
+        _index, kernel = choose_peel(over(zip(p.alpha, p.beta), 4), 0, 2, 4)
         assert F(kernel, 4) == F(1, 4)
 
     @pytest.mark.parametrize("side,residue", [(0, 1), (0, 2), (1, 3), (1, 0)])
@@ -305,7 +303,7 @@ class TestDegrees:
                     TableKind.VANISHING,
                     {
                         (r, lv, q if r == 0 else q + 1): m
-                        for (r, lv, q), m in sub.vanishing_finite[0].entries.items()
+                        for (r, lv, q), m in sub.vanishing_finite.entries.items()
                     },
                 )
                 delta_q = convolve_degrees(sub.degrees, sub.nearby_zero, (fiber,), ctx)
@@ -332,7 +330,7 @@ class TestDegrees:
             prof = profile_recursive(p)
             vanishing = [
                 (str(r), lv, q, m)
-                for (r, lv, q), m in prof.vanishing_finite[0].sorted_items()
+                for (r, lv, q), m in sorted(prof.vanishing_finite.entries.items())
             ]
             digest.update(repr((sorted(prof.degrees.items()), vanishing)).encode())
             digest.update(b"\n")
@@ -425,9 +423,9 @@ class TestRecursionInternals:
         # the unipotent class.
         p = HypergeometricParams((F(0), F(0)), (F(1, 2), F(1, 2)))
         raw = convolve_vanishing_finite(
-            rank_one(F(0), F(1, 2)).vanishing_finite[0], ConvolutionContext(F(1, 2))
+            rank_one(F(0), F(1, 2)).vanishing_finite, ConvolutionContext(F(1, 2))
         )
-        final = profile_recursive(p).vanishing_finite[0]
+        final = profile_recursive(p).vanishing_finite
         assert raw.entries == {(F(0), 0, 1): 1}
         assert final.entries == {(F(0), 0, 2): 1}
 

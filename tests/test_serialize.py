@@ -49,7 +49,7 @@ def make_document(params, engine="both"):
 class TestRoundTrips:
     def test_table(self):
         prof = profile_recursive(PARAMS)
-        for table in (prof.nearby_zero, prof.nearby_infinity, *prof.vanishing_finite):
+        for table in (prof.nearby_zero, prof.nearby_infinity, prof.vanishing_finite):
             assert table_from_dict(table_to_dict(table)) == table
 
     def test_table_with_unknown_slots(self):
@@ -401,7 +401,7 @@ class TestTsv:
         rows = [l for l in lines if not l.startswith("#")][1:]
         expected_rows = sum(
             len(t.entries)
-            for t in (prof.nearby_zero, prof.nearby_infinity, *prof.vanishing_finite)
+            for t in (prof.nearby_zero, prof.nearby_infinity, prof.vanishing_finite)
         )
         assert len(rows) == expected_rows
         for row in rows:
