@@ -2,8 +2,8 @@
 
 Everything in this module is evaluated directly from the exponent tuples:
 the graded nearby tables at 0 and infinity, the one-dimensional vanishing
-entry at the finite point, the eigenvalue counts there, and the graded fibre
-dimensions.  Degrees are not determined here; see the recursive engine.
+entry at the finite point, and the eigenvalue counts there.  Degrees are not
+determined here; see the recursive engine.
 Only the data model in :mod:`hyphodge.core` is imported; the literal counts
 these formulas are held to live in :mod:`hyphodge.combinatorics`.
 
@@ -29,7 +29,6 @@ from .core import (
     LocalHodgeTable,
     SingularPoint,
     TableKind,
-    hodge_numbers,
 )
 
 
@@ -90,15 +89,8 @@ def special_exponent(params: HypergeometricParams) -> Fraction:
     to a unipotent reflection (a transvection).  The sum is taken over the
     integer numerators of :attr:`HypergeometricParams.numerators`.
     """
-    drop = _special_drop(params)
+    drop = params.special_drop
     return Fraction(drop, params.den) if drop else Fraction(1)
-
-
-def _special_drop(params: HypergeometricParams) -> int:
-    """The special exponent mod 1, as a numerator over ``params.den``; 0 is
-    the transvection case."""
-    den, alpha, beta = params.numerators
-    return (sum(beta) - sum(alpha)) % den
 
 
 def _tail_no_wrap_count(params: HypergeometricParams) -> int:
@@ -132,7 +124,7 @@ def vanishing_at_one_closed(params: HypergeometricParams) -> LocalHodgeTable:
     that stay below the special exponent.
     """
     params.require_irreducible()
-    drop = _special_drop(params)
+    drop = params.special_drop
     p = _tail_no_wrap_count(params) + (0 if drop else 1)
     return LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(drop, 0, p): 1}, den=params.den)
 
@@ -145,7 +137,7 @@ def counts_at_one(params: HypergeometricParams) -> tuple[int, int]:
     transvection case, where the special eigenvalue merges into 1.
     """
     params.require_irreducible()
-    if not _special_drop(params):
+    if not params.special_drop:
         return params.n, 0
     return params.n - 1, 1
 
@@ -160,13 +152,11 @@ def profile_closed(params: HypergeometricParams) -> HodgeProfile:
     """
     params.require_irreducible()
     sweep = _sweep(params)
-    nearby_zero = _nearby_table(params, ZERO, sweep)
     return HodgeProfile(
         rank=params.n,
-        nearby_zero=nearby_zero,
+        nearby_zero=_nearby_table(params, ZERO, sweep),
         nearby_infinity=_nearby_table(params, INFINITY, sweep),
         vanishing_finite=vanishing_at_one_closed(params),
-        hodge=hodge_numbers(nearby_zero),
         degrees=None,
         note="closed formulas; pair order as given",
     )

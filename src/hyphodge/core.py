@@ -26,7 +26,7 @@ function, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -395,6 +395,12 @@ class HypergeometricParams:
     def n(self) -> int:
         return len(self.alpha_numerators)
 
+    @property
+    def special_drop(self) -> int:
+        """The special exponent at 1 mod 1, ``sum(beta) - sum(alpha)``, as a
+        numerator over ``den``; 0 is the transvection case."""
+        return (sum(self.beta_numerators) - sum(self.alpha_numerators)) % self.den
+
     @cached_property
     def is_irreducible(self) -> bool:
         return set(self.alpha_numerators).isdisjoint(self.beta_numerators)
@@ -432,62 +438,55 @@ _SLOTS = (
 class HodgeProfile:
     """The full local Hodge package of one module, as a schema v1 profile.
 
-    The nearby tables at 0 and at infinity and the one vanishing table at 1,
-    each in its slot, or :class:`ValueError` names the slot.  There is no
+    The nearby tables at 0 and at infinity, each of dimension ``rank``, and
+    the one vanishing table at 1, of dimension 1, each in its slot with no
+    undetermined slot, or :class:`ValueError` names the slot.  There is no
     nearby table at 1: the theory pins only the eigenvalue counts there, not
     their grading (see :func:`hyphodge.closed_form.counts_at_one`).
-    ``hodge`` gives the graded dimensions of the generic fibre and
-    ``degrees`` (optional) the graded degrees of the natural extension.
+    ``degrees`` (optional) gives the graded degrees of the natural extension.
     """
 
     rank: int
     nearby_zero: LocalHodgeTable
     nearby_infinity: LocalHodgeTable
     vanishing_finite: LocalHodgeTable
-    hodge: dict[int, int] = field(default_factory=dict)
     degrees: dict[int, int] | None = None
     note: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hodge", _prune(dict(self.hodge)))
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _prune(dict(self.degrees)))
-        if sum(self.hodge.values()) != self.rank:
-            raise ValueError("graded fibre dimensions do not sum to the rank")
         for name, point, kind in _SLOTS:
             table = getattr(self, name)
             held = (table.point, table.kind) if isinstance(table, LocalHodgeTable) else None
             if held != (point, kind):
                 raise ValueError(f"{name} must be the {kind.value} table at {point.value}")
-            if kind is TableKind.NEARBY and not table.int_unknown:
-                if (dim := table.total_dimension()) != self.rank:
-                    raise ValueError(
-                        f"table at {point} has dimension {dim}, expected {self.rank}"
-                    )
+            if table.int_unknown:
+                raise ValueError(f"{name} has undetermined slots")
+            expected = self.rank if kind is TableKind.NEARBY else 1
+            if (dim := table.total_dimension()) != expected:
+                raise ValueError(f"{name} has dimension {dim}, expected {expected}")
+
+    @cached_property
+    def hodge(self) -> dict[int, int]:
+        """The generic fibre's graded dimensions: by Schmid, those of the limit at 0."""
+        return hodge_numbers(self.nearby_zero)
 
     @property
     def tables(self) -> tuple[LocalHodgeTable, ...]:
         """Every table of the profile: nearby at 0, nearby at infinity, vanishing."""
-        return (self.nearby_zero, self.nearby_infinity, self.vanishing_finite)
+        return tuple(getattr(self, name) for name, _point, _kind in _SLOTS)
 
     def shifted(self, s: int) -> "HodgeProfile":
         """Translate the whole Hodge grading by ``s``."""
-        return HodgeProfile(
-            rank=self.rank,
-            nearby_zero=table_shift(self.nearby_zero, s),
-            nearby_infinity=table_shift(self.nearby_infinity, s),
-            vanishing_finite=table_shift(self.vanishing_finite, s),
-            hodge={p + s: v for p, v in self.hodge.items()},
-            degrees=None
-            if self.degrees is None
-            else {p + s: v for p, v in self.degrees.items()},
-            note=self.note,
-        )
+        degrees = None if self.degrees is None else {p + s: v for p, v in self.degrees.items()}
+        tables = {name: table_shift(getattr(self, name), s) for name, _point, _kind in _SLOTS}
+        return replace(self, **tables, degrees=degrees)
 
 
 COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
-"""The invariants both engines compute, in report order: the keys of
-``EngineReport.table_equal``."""
+"""The invariants of two profiles compared, in report order: the keys of
+``EngineReport.table_equal``.  Each profile reads ``hodge`` from ``nearby_zero``."""
 
 
 @dataclass(frozen=True)
@@ -569,9 +568,9 @@ def compare_profiles(
     """What a ``both`` report checks: the two engines' unshifted profiles of
     ``params`` compared exactly, and :func:`count_identities_hold`.
 
-    Mismatches are reported as data, not raised.  Both engines take ``hodge``
-    as the spread-sum of their classes at 0, so the ``"hodge"`` entry is
-    implied by ``"nearby_zero"``.  The shift is 0 whenever every flag holds;
+    Mismatches are reported as data, not raised.  Each profile reads
+    ``hodge`` from its ``nearby_zero``, so the ``"hodge"`` entry is implied
+    by ``"nearby_zero"``.  The shift is 0 whenever every flag holds;
     only when one fails is a translation searched for (:func:`equal_up_to_shift`).
     """
     table_equal = {

@@ -313,7 +313,6 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
         nearby_zero=_nearby_table(ZERO, zero_classes, den),
         nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
         vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded, den=den),
-        hodge=_spread_sum(zero_items),
         degrees=degrees,
         note="rank-one base"
         if len(pairs) == 1

@@ -3,9 +3,10 @@
 Rationals are serialized as ``a/b`` strings, never as floats; Hodge indices,
 levels and multiplicities are plain integers.  ``parse_document`` accepts a
 document only if every object has exactly the keys schema v1 writes, every
-leaf has exactly its JSON type, and ``emit_document`` of the parsed view
-gives back the input; else :class:`ValueError` names the first field that
-differs, such as ``document.profiles.closed.nearby_zero.entries[0].residue``.
+leaf has exactly its JSON type, ``emit_document`` of the parsed view gives
+back the input, and each profile holds the classes of the document's params;
+else :class:`ValueError` names the first field that differs, such as
+``document.profiles.closed.nearby_zero.entries[0].residue``.
 
 One writer spells the compute document: :func:`compute_document_text`
 writes it as compact JSON text, byte for byte what
@@ -16,10 +17,10 @@ text.  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
 :func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
 writer's text back with ``json.loads``, so they spell no key of their own.
-A profile's ``vanishing_finite`` lists its one table (which table each
-slot holds, :class:`~hyphodge.core.HodgeProfile` checks), and a ``both``
-report compares the document's own two profiles: it repeats the document's
-params text, and its ``error`` is always ``null``.
+A profile's ``vanishing_finite`` lists its one table, its ``hodge`` is the
+one :class:`~hyphodge.core.HodgeProfile` derives, and a ``both`` report
+compares the document's own two profiles: it repeats the document's params
+text, and its ``error`` is always ``null``.
 
 Residues go out as they are stored, integer numerators over a denominator.
 Exponents of batch lines, of ``compute --alpha/--beta`` and of documents,
@@ -36,6 +37,7 @@ hit, no batch line or :func:`parse_document` builds or hashes a
 from __future__ import annotations
 
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Any, Collection, Mapping
@@ -200,8 +202,8 @@ def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
 
 
 def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
-    """The profile in ``data``, ``nearby_finite`` empty and ``vanishing_finite``
-    one table; :class:`~hyphodge.core.HodgeProfile` checks each slot's table."""
+    """The profile in ``data``: ``nearby_finite`` empty, ``vanishing_finite`` one
+    table, ``hodge`` its own; :class:`~hyphodge.core.HodgeProfile` checks each slot."""
     slots = "nearby_zero nearby_infinity nearby_finite vanishing_finite"
     _fields(data, name, ["rank", *slots.split(), "hodge", "degrees", "note"])
     if _leaf(data["nearby_finite"], list, f"{name}.nearby_finite"):
@@ -210,17 +212,19 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     if len(vanishing) != 1:
         raise ValueError(f"{name}.vanishing_finite must hold one table")
     degrees = data["degrees"]
-    return _built(
+    profile = _built(
         name,
         HodgeProfile,
         _leaf(data["rank"], int, f"{name}.rank"),
         table_from_dict(data["nearby_zero"], f"{name}.nearby_zero"),
         table_from_dict(data["nearby_infinity"], f"{name}.nearby_infinity"),
         table_from_dict(vanishing[0], f"{name}.vanishing_finite[0]"),
-        _int_map_from_dict(data["hodge"], f"{name}.hodge"),
         None if degrees is None else _int_map_from_dict(degrees, f"{name}.degrees"),
         _leaf(data["note"], str, f"{name}.note"),
     )
+    if _int_map_from_dict(data["hodge"], f"{name}.hodge") != profile.hodge:
+        raise ValueError(f"{name}.hodge contradicts its nearby_zero")
+    return profile
 
 
 def _params_text(params: HypergeometricParams, texts: _Texts) -> str:
@@ -366,6 +370,22 @@ def parse_document(data: Any) -> dict[str, Any]:
         "normalization": _leaf(data["normalization"], int, "document.normalization"),
     }
     _same(emit_document(parsed), data, "document")
+    # Each class of the params, as ``(residue over params.den, level, mult)``:
+    # an exponent of multiplicity k at level k - 1, and the special drop at 1.
+    _den, alpha, beta = params.numerators
+    held = {
+        "nearby_zero": sorted((a, k - 1, 1) for a, k in Counter(alpha).items()),
+        "nearby_infinity": sorted((b, k - 1, 1) for b, k in Counter(beta).items()),
+        "vanishing_finite": [(params.special_drop, 0, 1)],
+    }
+    for n, profile in parsed["profiles"].items():
+        for slot, classes in held.items():
+            table = getattr(profile, slot)
+            scale, rest = divmod(params.den, table.den)
+            found = [(r * scale, lv, m) for (r, lv, _p), m in table.int_entries.items()]
+            if rest or sorted(found) != classes:
+                name = f"document.profiles.{n}.{slot}"
+                raise ValueError(f"{name} does not hold the classes of document.params")
     return parsed
 
 

@@ -449,3 +449,37 @@ def test_criterion_11_unknown_slot_semantics():
     )
     ok = ok and out2.unknown == frozenset({(F(2, 3), 0)})
     _report(11, "unknown-slot semantics", ok)
+
+
+def _moved(table: LocalHodgeTable, c: Fraction) -> dict:
+    """The entries of ``table`` with every residue moved by ``c``."""
+    return {(frac(r + c), lv, p): m for (r, lv, p), m in table.entries.items()}
+
+
+def test_criterion_12_kummer_twist(c1_profiles):
+    # The Kummer twist x^c (x) H(alpha, beta) = H(alpha + c, beta + c) tensors
+    # with a rank-one unitary local system: each engine alone must move both
+    # nearby tables' residues by c and keep the vanishing table and hodge.
+    rng = random.Random(SEED + 12)
+    engines = {"closed": profile_closed, "recursive": profile_recursive}
+    bad = dict.fromkeys(engines, 0)
+    for params, closed, recursive in c1_profiles:
+        c = F(rng.randrange(1, 12), 12)
+        twisted = HypergeometricParams(
+            [a + c for a in params.alpha], [b + c for b in params.beta]
+        )
+        for (name, engine), prof in zip(engines.items(), (closed, recursive)):
+            moved = engine(twisted)
+            if (
+                moved.nearby_zero.entries != _moved(prof.nearby_zero, c)
+                or moved.nearby_infinity.entries != _moved(prof.nearby_infinity, c)
+                or moved.vanishing_finite != prof.vanishing_finite
+                or moved.hodge != prof.hodge
+            ):
+                bad[name] += 1
+    _report(
+        12,
+        "Kummer twist, each engine alone",
+        not any(bad.values()),
+        f"{len(c1_profiles)} instances, one c in twelfths each; failures {bad}",
+    )

@@ -483,6 +483,12 @@ class TestLocale:
             assert (proc.returncode, proc.stdout) == (2, b"")
             assert proc.stderr == b"error: --alpha: argument is not UTF-8\n"
 
+    def test_compute_takes_an_argument_the_locale_cannot_encode_as_it_is(self, capsys):
+        # A lone surrogate has no bytes to read as UTF-8: the text is parsed
+        # as given, and refused as no rational.
+        assert main(["compute", "--alpha", "\ud800", "--beta", "0"]) == 2
+        assert capsys.readouterr().err == "error: not a rational in a/b form: '\\ud800'\n"
+
 
 class TestBatch:
     def test_two_valid_lines(self, monkeypatch):

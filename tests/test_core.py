@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -24,7 +24,10 @@ from hyphodge import (
     UnknownData,
     equal_up_to_shift,
     frac,
+    hodge_numbers,
     parse_rational,
+    profile_closed,
+    profile_recursive,
     table_shift,
 )
 from hyphodge.combinatorics import class_totals
@@ -573,7 +576,6 @@ def small_profile():
         nearby_zero=nearby({(F(0), 1, 2): 1}),
         nearby_infinity=nearby({(F(1, 2), 1, 2): 1}, point=INFINITY),
         vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(0), 0, 2): 1}),
-        hodge={1: 1, 2: 1},
     )
 
 
@@ -594,7 +596,6 @@ class TestEqualUpToShift:
             nearby_zero=nearby({(F(0), 0, 2): 1, (F(1, 4), 0, 1): 1}),
             nearby_infinity=p.nearby_infinity,
             vanishing_finite=p.vanishing_finite,
-            hodge={1: 1, 2: 1},
         )
         assert equal_up_to_shift(p, q) is None
 
@@ -605,19 +606,17 @@ class TestEqualUpToShift:
             nearby_zero=nearby({(F(0), 0, 1): 1}),
             nearby_infinity=nearby({(F(1, 2), 0, 1): 1}, point=INFINITY),
             vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(1, 2), 0, 1): 1}),
-            hodge={1: 1},
         )
         assert equal_up_to_shift(p, q) is None
         assert equal_up_to_shift(q, p) is None
 
     def test_profile_invariants_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nearby_zero has dimension 1, expected 2"):
             HodgeProfile(
                 rank=2,
                 nearby_zero=nearby({(F(0), 0, 1): 1}),
                 nearby_infinity=nearby({(F(1, 2), 1, 2): 1}, point=INFINITY),
                 vanishing_finite=small_profile().vanishing_finite,
-                hodge={1: 2},
             )
 
 
@@ -654,21 +653,47 @@ class TestProfileSlots:
                     replace(p, **{slot: table})
 
     def test_profiles_whose_document_is_refused_cannot_be_built(self):
-        """No vanishing table, two of them, or the nearby tables swapped:
-        each would write a document that ``parse_document`` refuses."""
+        """No vanishing table, two of them, the nearby tables swapped, a table
+        with an undetermined slot, or a vanishing table of dimension other
+        than 1: each would write a document that ``parse_document`` refuses,
+        and the message names the slot."""
         p = small_profile()
         with pytest.raises(TypeError):
-            HodgeProfile(2, p.nearby_zero, p.nearby_infinity, hodge=p.hodge)
-        for text, changes in [
+            HodgeProfile(2, p.nearby_zero, p.nearby_infinity)
+        cases = [
             (SLOTS[2][3], {"vanishing_finite": ()}),
             (SLOTS[2][3], {"vanishing_finite": (p.vanishing_finite,) * 2}),
             (
                 SLOTS[0][3],
                 {"nearby_zero": p.nearby_infinity, "nearby_infinity": p.nearby_zero},
             ),
-        ]:
+        ]
+        for slot, point, kind, _text in SLOTS:
+            # The table keeps its dimension; only the undetermined slot is new.
+            entries = getattr(p, slot).entries
+            undetermined = LocalHodgeTable(point, kind, entries, {(F(1, 3), 0)})
+            cases.append((f"{slot} has undetermined slots", {slot: undetermined}))
+        for entries, dim in [({}, 0), ({(F(0), 1, 2): 1}, 2), ({(F(0), 0, 2): 2}, 2)]:
+            table = LocalHodgeTable(AT_ONE, TableKind.VANISHING, entries)
+            text = f"vanishing_finite has dimension {dim}, expected 1"
+            cases.append((text, {"vanishing_finite": table}))
+        for text, changes in cases:
             with pytest.raises(ValueError, match=text):
                 replace(p, **changes)
+
+    def test_hodge_is_read_from_nearby_zero(self, rng):
+        p = small_profile()
+        assert "hodge" not in {f.name for f in fields(HodgeProfile)}
+        with pytest.raises(TypeError):
+            HodgeProfile(hodge=p.hodge, **{f.name: getattr(p, f.name) for f in fields(p)})
+        for _ in range(30):
+            params = random_irreducible(rng, rng.randint(1, 5), 8)
+            for prof in (profile_closed(params), profile_recursive(params)):
+                for s in (0, -2, 3):
+                    shifted = prof.shifted(s)
+                    assert shifted.hodge == hodge_numbers(shifted.nearby_zero)
+                    assert shifted.hodge == {p + s: v for p, v in prof.hodge.items()}
+                    assert sum(shifted.hodge.values()) == params.n
 
 
 class TestSingularPoint:

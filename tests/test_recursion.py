@@ -67,7 +67,6 @@ def rank_one_base(a: Fraction, b: Fraction) -> HodgeProfile:
         nearby_zero=LocalHodgeTable(ZERO, TableKind.NEARBY, {(a, 0, 1): 1}),
         nearby_infinity=LocalHodgeTable(INFINITY, TableKind.NEARBY, {(b, 0, 1): 1}),
         vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(frac(b - a), 0, 0): 1}),
-        hodge={1: 1},
         degrees={1: rank_one_degree_oracle(a, b)},
         note="rank-one base",
     )

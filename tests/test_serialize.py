@@ -205,6 +205,34 @@ NEVER_EMITTED = [
         ),
         "document.report.mismatches contradict tables",
     ),
+    # A profile holds only tables an engine writes, and its own ``hodge``.
+    (
+        lambda d: d["profiles"]["closed"].update(hodge={"7": 2}),
+        "document.profiles.closed.hodge contradicts its nearby_zero",
+    ),
+    (
+        lambda d: recursive_profile(d)["vanishing_finite"][0]["entries"].append(
+            {"residue": "1/2", "level": 1, "p": 5, "mult": 3}
+        ),
+        "document.profiles.recursive: vanishing_finite has dimension 7, expected 1",
+    ),
+    (
+        lambda d: recursive_profile(d)["vanishing_finite"][0].update(entries=[]),
+        "document.profiles.recursive: vanishing_finite has dimension 0, expected 1",
+    ),
+    (
+        lambda d: closed_table(d).update(unknown=[{"residue": "1/3", "level": 0}]),
+        "document.profiles.closed: nearby_zero has undetermined slots",
+    ),
+    # Each profile holds the classes of the document's params.
+    (
+        lambda d: (
+            d.update(engine="closed", report=None),
+            d["profiles"].pop("recursive"),
+            d["params"].update(alpha=["1/3", "1/2"]),
+        ),
+        "document.profiles.closed.nearby_zero does not hold the classes of document.params",
+    ),
 ]
 
 
