@@ -9,15 +9,18 @@ these formulas are held to live in :mod:`hyphodge.combinatorics`.
 
 Every formula reads the exponents as integer numerators over the instance's
 common denominator (:attr:`HypergeometricParams.numerators`) and hands its
-tables integer classes over that denominator; the only ``Fraction`` built
-here is the value :func:`special_exponent` returns to library callers.
+tables integer classes divided down to their own least denominator, so each
+table arrives reduced.  A nearby table's classes and multiplicities are read
+off the sorted numerators in one run-length sweep, with no ``Counter``; the
+only ``Fraction`` built here is the value :func:`special_exponent` returns
+to library callers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
+from math import gcd
 from operator import lt
 
 from .core import (
@@ -49,11 +52,14 @@ def nearby_closed(
 
         nonseparated(g) = #{k : a_k < b_k} + #{k : b_k <= g} - #{k : a_k < g},
 
-    so every index is read off the sorted tuples by bisection.  The residues
-    are read as numerators over their common denominator
+    so every index is read off the sorted tuples by bisection.  The sorted
+    side is walked in runs of equal values: a run is one class, its length
+    the multiplicity, and its start (at 0) or end (at infinity) the class's
+    count on its own side, so each class takes one bisection of the other
+    side.  The residues are read as numerators over their common denominator
     (:attr:`HypergeometricParams.numerators`), so the sort and the
     bisections compare integers, and the table is built from those integer
-    classes.  The cost is O(n log n) per table.
+    classes over their least denominator.  The cost is O(n log n) per table.
     """
     params.require_irreducible()
     if point not in (ZERO, INFINITY):
@@ -74,12 +80,24 @@ def _nearby_table(
     params: HypergeometricParams, point: SingularPoint, sweep: Sweep
 ) -> LocalHodgeTable:
     ascending, alpha_sorted, beta_sorted = sweep
-    # Counted in sorted order, the classes come out in table order.
+    at_zero = point == ZERO
+    values = alpha_sorted if at_zero else beta_sorted
+    # Over the classes' least denominator, so the table needs no reduction.
+    g = gcd(params.den, *values)
+    # Walked in runs of equal values, the classes come out in table order;
+    # a run's start (at 0) or end (at infinity) is its count on its own side.
     entries = {}
-    for g, mult in Counter(alpha_sorted if point == ZERO else beta_sorted).items():
-        p = ascending + bisect_right(beta_sorted, g) - bisect_left(alpha_sorted, g)
-        entries[(g, mult - 1, p)] = 1
-    return LocalHodgeTable(point, TableKind.NEARBY, entries, den=params.den)
+    i = 0
+    while i < len(values):
+        c = values[i]
+        j = bisect_right(values, c, i)
+        if at_zero:
+            p = ascending + bisect_right(beta_sorted, c) - i
+        else:
+            p = ascending + j - bisect_left(alpha_sorted, c)
+        entries[(c // g, j - i - 1, p)] = 1
+        i = j
+    return LocalHodgeTable(point, TableKind.NEARBY, entries, den=params.den // g)
 
 
 def special_exponent(params: HypergeometricParams) -> Fraction:
@@ -126,7 +144,10 @@ def vanishing_at_one_closed(params: HypergeometricParams) -> LocalHodgeTable:
     params.require_irreducible()
     drop = params.special_drop
     p = _tail_no_wrap_count(params) + (0 if drop else 1)
-    return LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(drop, 0, p): 1}, den=params.den)
+    g = gcd(params.den, drop)
+    return LocalHodgeTable(
+        AT_ONE, TableKind.VANISHING, {(drop // g, 0, p): 1}, den=params.den // g
+    )
 
 
 def counts_at_one(params: HypergeometricParams) -> tuple[int, int]:

@@ -197,8 +197,10 @@ class LocalHodgeTable:
     non-integral one raises :class:`TypeError`; with ``den=`` the residues
     are numerators over ``den``, as the engines and documents hand them
     over.  Either way ``__post_init__`` runs once and checks the integers.
-    ``entries`` and ``unknown`` are the same contents keyed by ``Fraction``
-    residues, built on first read.
+    Both engines hand their tables over already on the least denominator of
+    their residues; ``__post_init__`` still checks every table and reduces
+    any other caller's.  ``entries`` and ``unknown`` are the same contents
+    keyed by ``Fraction`` residues, built on first read.
     """
 
     point: SingularPoint
@@ -226,11 +228,10 @@ class LocalHodgeTable:
                 for r, ((_r, lv, p), m) in zip(nums, items)
             }
             unknown = [(r, index(lv)) for r, (_r, lv) in zip(nums[len(items) :], slots)]
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_entries", entries or {})
-        object.__setattr__(self, "int_unknown", unknown)
+        # Frozen: the fields go straight into the instance dict, once.
+        self.__dict__.update(
+            point=point, kind=kind, den=den, int_entries=entries or {}, int_unknown=unknown
+        )
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -263,9 +264,7 @@ class LocalHodgeTable:
             unknown = frozenset((r // g, lv) for r, lv in unknown)
         else:
             entries = dict(entries)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_entries", entries)
-        object.__setattr__(self, "int_unknown", unknown)
+        self.__dict__.update(den=den, int_entries=entries, int_unknown=unknown)
 
     @cached_property
     def entries(self) -> dict[Entry, int]:
@@ -438,9 +437,10 @@ _SLOTS = (
 class HodgeProfile:
     """The full local Hodge package of one module, as a schema v1 profile.
 
-    The nearby tables at 0 and at infinity, each of dimension ``rank``, and
-    the one vanishing table at 1, of dimension 1, each in its slot with no
-    undetermined slot, or :class:`ValueError` names the slot.  There is no
+    The nearby tables at 0 and at infinity, each of dimension ``rank``, at
+    least 1, and the one vanishing table at 1, of dimension 1, each in its
+    slot with no undetermined slot, or :class:`ValueError` names the rank or
+    the slot.  There is no
     nearby table at 1: the theory pins only the eigenvalue counts there, not
     their grading (see :func:`hyphodge.closed_form.counts_at_one`).
     ``degrees`` (optional) gives the graded degrees of the natural extension.
@@ -454,6 +454,8 @@ class HodgeProfile:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.degrees is not None:
             object.__setattr__(self, "degrees", _prune(dict(self.degrees)))
         for name, point, kind in _SLOTS:
@@ -540,23 +542,20 @@ def count_identities_hold(params: HypergeometricParams) -> bool:
 
     The same literal counts, pair by pair: the three separation chains, the
     strict (at 0) or weak (at infinity) interlacing count, and the ascending
-    count.  Each distinct reference value is checked once.  No count is read
-    from a sorted tuple, so the check stays independent of the closed
-    engine's sweep.  A rank-``n`` instance costs O(n**2) comparisons.
+    count.  Each distinct reference value is checked once, in one pass over
+    the pairs that accumulates both its counts.  No count is read from a
+    sorted tuple, so the check stays independent of the closed engine's
+    sweep.  A rank-``n`` instance costs O(n**2) comparisons.
     """
     _den, alpha, beta = params.numerators
     pairs = tuple(zip(alpha, beta))
     ascending = sum(a < b for a, b in pairs)
-    for point, refs in ((ZERO, alpha), (INFINITY, beta)):
+    for at_zero, refs in ((True, alpha), (False, beta)):
         for g in set(refs):
-            nonseparated = sum(
-                not (a < g < b or g < b < a or b < a < g) for a, b in pairs
-            )
-            if point == ZERO:
-                below = sum(b < g for b in beta)
-            else:
-                below = sum(b <= g for b in beta)
-            interlacing = below - sum(a < g for a in alpha)
+            nonseparated = interlacing = 0
+            for a, b in pairs:
+                nonseparated += not (a < g < b or g < b < a or b < a < g)
+                interlacing += (b < g if at_zero else b <= g) - (a < g)
             if nonseparated - interlacing != ascending:
                 return False
     return True

@@ -34,8 +34,9 @@ kernel drop is an integer numerator in ``[0, den)``.  The rows
 transports :func:`~hyphodge.convolution.degree_step`, ``twist_step`` and
 ``vanishing_step`` read those integers, so no link of the chain builds a
 table.  The returned profile's two nearby tables and its vanishing table are
-built once, from the integer classes over the same ``den``; no ``Fraction``
-is built anywhere in the engine.
+built once, from the integer classes divided down to each table's least
+denominator, so they arrive reduced; no ``Fraction`` is built anywhere in
+the engine.
 
 The memo interns each factor list ``pairs``, the sorted tuple of integer
 factors, once as a state; one profile computation creates and drops it.  A
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from typing import Callable
 
 from .closed_form import profile_closed
@@ -242,9 +244,11 @@ def _items(
 def _nearby_table(
     point: SingularPoint, classes: Classes, den: int
 ) -> LocalHodgeTable:
-    """The nearby table of ``classes``, each residue a numerator over ``den``."""
+    """The nearby table of ``classes``, each residue a numerator over ``den``,
+    built over the classes' least denominator."""
+    g = gcd(den, *[r for r, _lv, _p in classes])
     return LocalHodgeTable(
-        point, TableKind.NEARBY, {(r, lv, p): 1 for r, lv, p in classes}, den=den
+        point, TableKind.NEARBY, {(r // g, lv, p): 1 for r, lv, p in classes}, den=den // g
     )
 
 
@@ -307,12 +311,15 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     if infinity_classes is None:
         infinity_classes = _nearby_classes(top, den, 1, memo)
     r, lv, p = vanishing
-    regraded = {(r, lv, p + 1 if r == 0 else p): 1}
+    g = gcd(den, r)
+    regraded = {(r // g, lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
         rank=len(pairs),
         nearby_zero=_nearby_table(ZERO, zero_classes, den),
         nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
-        vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, regraded, den=den),
+        vanishing_finite=LocalHodgeTable(
+            AT_ONE, TableKind.VANISHING, regraded, den=den // g
+        ),
         degrees=degrees,
         note="rank-one base"
         if len(pairs) == 1

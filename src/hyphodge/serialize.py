@@ -17,6 +17,9 @@ text.  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
 :func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
 writer's text back with ``json.loads``, so they spell no key of their own.
+A table equal to the same slot's table of the profile written just before
+it is written once and its text reused, so a ``both`` document whose
+engines agree formats the recursive profile's tables not at all.
 A profile's ``vanishing_finite`` lists its one table, its ``hodge`` is the
 one :class:`~hyphodge.core.HodgeProfile` derives, and a ``both`` report
 compares the document's own two profiles: it repeats the document's params
@@ -184,21 +187,49 @@ def _int_map_from_dict(data: Any, name: str) -> dict[int, int]:
     }
 
 
-def _profile_text(profile: HodgeProfile, texts: _Texts) -> str:
+Written = tuple[HodgeProfile, list[str]]
+"""A profile already written, and the texts of its three tables and its ``hodge``."""
+
+
+def _slot_texts(
+    profile: HodgeProfile, texts: _Texts, before: Written | None = None
+) -> list[str]:
+    """The texts of the profile's three tables, in slot order, then its ``hodge``.
+
+    A table equal to the same slot's table of the profile ``before`` reuses
+    that text, and so does ``hodge`` when ``nearby_zero`` is equal, as it is
+    derived from it.  The tables themselves are compared, so the text is
+    right whatever a report says of them.
+    """
+    tables = profile.tables
+    if before is None:
+        return [*[_table_text(t, texts) for t in tables], _int_map_text(profile.hodge)]
+    written, written_texts = before
+    same = [table == old for table, old in zip(tables, written.tables)]
+    out = [
+        text if reuse else _table_text(table, texts)
+        for table, reuse, text in zip(tables, same, written_texts)
+    ]
+    out.append(written_texts[3] if same[0] else _int_map_text(profile.hodge))
+    return out
+
+
+def _profile_text(profile: HodgeProfile, slots: list[str]) -> str:
+    """The profile, ``slots`` being what :func:`_slot_texts` gives for it."""
+    nearby_zero, nearby_infinity, vanishing, hodge = slots
     degrees = "null" if profile.degrees is None else _int_map_text(profile.degrees)
     return (
         f'{{"rank":{profile.rank},'
-        f'"nearby_zero":{_table_text(profile.nearby_zero, texts)},'
-        f'"nearby_infinity":{_table_text(profile.nearby_infinity, texts)},'
-        f'"nearby_finite":[],"vanishing_finite":[{_table_text(profile.vanishing_finite, texts)}],'
-        f'"hodge":{_int_map_text(profile.hodge)},"degrees":{degrees},'
+        f'"nearby_zero":{nearby_zero},"nearby_infinity":{nearby_infinity},'
+        f'"nearby_finite":[],"vanishing_finite":[{vanishing}],'
+        f'"hodge":{hodge},"degrees":{degrees},'
         f'"note":{_quote(profile.note)}}}'
     )
 
 
 def profile_to_dict(profile: HodgeProfile) -> dict[str, Any]:
     den = lcm(*[t.den for t in profile.tables])
-    return json.loads(_profile_text(profile, _Texts(den, {})))
+    return json.loads(_profile_text(profile, _slot_texts(profile, _Texts(den, {}))))
 
 
 def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
@@ -324,9 +355,13 @@ def compute_document_text(
     :func:`build_compute_document` returns."""
     texts = _exponent_texts(params)
     params_text = _params_text(params, texts)
-    named = ",".join(
-        [f"{_quote(name)}:{_profile_text(p, texts)}" for name, p in profiles.items()]
-    )
+    written = []
+    before = None
+    for name, profile in profiles.items():
+        slots = _slot_texts(profile, texts, before)
+        before = profile, slots
+        written.append(f"{_quote(name)}:{_profile_text(profile, slots)}")
+    named = ",".join(written)
     report_text = "null" if report is None else _report_text(report, params_text)
     return (
         f'{{"schema_version":{_quote(SCHEMA_VERSION)},"command":"compute",'
@@ -440,7 +475,7 @@ def tsv_lines(
         f"# normalization {normalization}",
     ]
     for name, profile in profiles.items():
-        doc = json.loads(_profile_text(profile, texts))
+        doc = json.loads(_profile_text(profile, _slot_texts(profile, texts)))
         lines.append(f"# engine {name}")
         for key in ("hodge", "degrees"):
             if doc[key] is not None:

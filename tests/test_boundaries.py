@@ -5,11 +5,14 @@ import importlib.util
 import json
 import random
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import hyphodge
 from conftest import random_irreducible
-from hyphodge.core import LocalHodgeTable
+from hyphodge.closed_form import profile_closed
+from hyphodge.core import HypergeometricParams, LocalHodgeTable
 from hyphodge.recursion import _profile_of_pairs
 
 PACKAGE = Path(hyphodge.__file__).resolve().parent
@@ -165,6 +168,37 @@ def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
         builds.clear()
         _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta))))
         assert len(builds) == 3, (n, builds)
+
+
+def test_engine_tables_arrive_reduced(monkeypatch):
+    # Each engine divides its classes down to their least denominator, so
+    # the constructor's check finds nothing left to reduce.
+    shared = []
+    validate = LocalHodgeTable.__post_init__
+
+    def recorded(table):
+        residues = [r for r, _lv, _p in table.int_entries] + [r for r, _lv in table.int_unknown]
+        shared.append(gcd(table.den, *residues))
+        validate(table)
+
+    monkeypatch.setattr(LocalHodgeTable, "__post_init__", recorded)
+    sixths = [Fraction(k, 6) for k in (1, 3, 2, 2)]
+    transvection = HypergeometricParams(sixths[:2], sixths[2:])
+    assert transvection.special_drop == 0
+    rng = random.Random(20261019)
+    instances = [transvection]
+    instances += [random_irreducible(rng, rng.randint(1, 9), 24) for _ in range(200)]
+    for params in instances:
+        den, alpha, beta = params.numerators
+        shared.clear()
+        profiles = (
+            profile_closed(params),
+            _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta)))),
+        )
+        assert shared == [1] * 6, (params, shared)
+        if params is transvection:
+            # Special drop 0: the vanishing entry's residue is 0, over 1.
+            assert [p.vanishing_finite.den for p in profiles] == [1, 1]
 
 
 BATCH_LINES = [

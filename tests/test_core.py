@@ -31,6 +31,7 @@ from hyphodge import (
     table_shift,
 )
 from hyphodge.combinatorics import class_totals
+from hyphodge.serialize import profile_from_dict, profile_to_dict
 
 F = Fraction
 
@@ -654,9 +655,10 @@ class TestProfileSlots:
 
     def test_profiles_whose_document_is_refused_cannot_be_built(self):
         """No vanishing table, two of them, the nearby tables swapped, a table
-        with an undetermined slot, or a vanishing table of dimension other
-        than 1: each would write a document that ``parse_document`` refuses,
-        and the message names the slot."""
+        with an undetermined slot, a vanishing table of dimension other than
+        1, or a rank below 1: each would write a document that
+        ``parse_document`` refuses, and the message names the slot or the
+        rank."""
         p = small_profile()
         with pytest.raises(TypeError):
             HodgeProfile(2, p.nearby_zero, p.nearby_infinity)
@@ -677,9 +679,18 @@ class TestProfileSlots:
             table = LocalHodgeTable(AT_ONE, TableKind.VANISHING, entries)
             text = f"vanishing_finite has dimension {dim}, expected 1"
             cases.append((text, {"vanishing_finite": table}))
+        # Two empty nearby tables have the dimension of rank 0.
+        empty = {"nearby_zero": nearby({}), "nearby_infinity": nearby({}, point=INFINITY)}
+        for rank in (0, -1):
+            cases.append((f"rank must be at least 1, got {rank}", {"rank": rank, **empty}))
         for text, changes in cases:
             with pytest.raises(ValueError, match=text):
                 replace(p, **changes)
+        data = profile_to_dict(p)
+        data.update(rank=0, hodge={})
+        data["nearby_zero"]["entries"] = data["nearby_infinity"]["entries"] = []
+        with pytest.raises(ValueError, match=r"^profile: rank must be at least 1, got 0$"):
+            profile_from_dict(data)
 
     def test_hodge_is_read_from_nearby_zero(self, rng):
         p = small_profile()

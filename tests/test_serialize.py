@@ -9,8 +9,10 @@ import pytest
 from hyphodge import (
     HypergeometricParams,
     SingularPoint,
+    compare_profiles,
     profile_closed,
     profile_recursive,
+    table_shift,
     verify_cross_engine,
 )
 from hyphodge.cli import _compute, _compute_text
@@ -23,6 +25,7 @@ from hyphodge.serialize import (
     emit_document,
     parse_document,
     params_from_dict,
+    params_to_dict,
     profile_from_dict,
     profile_to_dict,
     table_from_dict,
@@ -418,6 +421,61 @@ class TestWriter:
             assert literal in text, literal
         residues = {e["residue"] for e in doc["profiles"]["closed"]["nearby_zero"]["entries"]}
         assert residues == {'a"b', "c\\d"}
+
+
+def assembled(params, engine, profiles, report):
+    """The compute document put together from the dict builders, each
+    profile written alone, and the report's fields."""
+    if report is not None:
+        report = {
+            "params": params_to_dict(params),
+            "agree": report.agree,
+            "shift": report.shift,
+            "tables": report.table_equal,
+            "identities_ok": report.identities_ok,
+            "mismatches": list(report.mismatches),
+            "error": None,
+        }
+    return {
+        "schema_version": "1",
+        "command": "compute",
+        "params": params_to_dict(params),
+        "engine": engine,
+        "profiles": {name: profile_to_dict(p) for name, p in profiles.items()},
+        "report": report,
+        "normalization": 0,
+    }
+
+
+class TestTableReuse:
+    """The writer reuses the text of a table equal to the same slot's table
+    of the profile written before it, and only then."""
+
+    @pytest.mark.parametrize("slot", ["nearby_zero", "nearby_infinity", "vanishing_finite", None])
+    def test_a_both_document_borrows_only_equal_tables(self, slot):
+        rng = random.Random(f"reuse:{slot}")
+        for _ in range(12):
+            params = disjoint_pool_instance(rng, rng.randint(1, 6), 12)
+            closed, recursive = profile_closed(params), profile_recursive(params)
+            if slot is not None:
+                # Shifted, the table keeps its dimension; only its indices differ.
+                recursive = replace(recursive, **{slot: table_shift(getattr(recursive, slot), 1)})
+            profiles = {"closed": closed, "recursive": recursive}
+            report = compare_profiles(params, closed, recursive)
+            mismatched = {slot, "hodge"} if slot == "nearby_zero" else {slot} - {None}
+            assert set(report.mismatches) == mismatched
+            text = compute_document_text(params, "both", profiles, report, 0)
+            assert text == compact(assembled(params, "both", profiles, report))
+
+    @pytest.mark.parametrize("engine", ["closed", "recursive"])
+    def test_a_single_engine_document_is_its_one_profile(self, engine):
+        rng = random.Random(f"reuse:{engine}")
+        make = {"closed": profile_closed, "recursive": profile_recursive}[engine]
+        for _ in range(12):
+            params = disjoint_pool_instance(rng, rng.randint(1, 6), 12)
+            profiles = {engine: make(params)}
+            text = compute_document_text(params, engine, profiles, None, 0)
+            assert text == compact(assembled(params, engine, profiles, None))
 
 
 class TestTsv:
