@@ -12,8 +12,8 @@ factor per step), and neither calls itself:
 
 * Nearby classes.  Every transform maps an output eigenvalue class from the
   same input class only, so each class at 0 or infinity walks down its own
-  peel chain to rank one or a memo hit, then back up, reading one transform
-  row per step.  Each step picks its peel so that the row is determined:
+  peel chain to rank one or a state that knows it, then back up, reading one
+  transform row per step.  Each step picks its peel so that the row is determined:
   peel a factor from a different class when possible, otherwise a factor
   inside the target class of multiplicity at least two.  :func:`choose_peel`
   makes that choice and returns a plain ``(index, kernel)`` tuple.  The
@@ -28,27 +28,33 @@ Rank one has no path of its own: a one-factor list is its own chain end, and
 only the profile's note tells it apart.
 
 Integer kernel.  An instance is put on the common denominator ``den`` of its
-exponents once, on entry; from there every residue, peeled factor list and
-kernel drop is an integer numerator in ``[0, den)``.  The rows
-:func:`~hyphodge.convolution.zero_row` / ``infinity_row`` and the degree
-transports :func:`~hyphodge.convolution.degree_step`, ``twist_step`` and
-``vanishing_step`` read those integers, so no link of the chain builds a
-table.  The returned profile's two nearby tables and its vanishing table are
-built once, from the integer classes divided down to each table's least
-denominator, so they arrive reduced; no ``Fraction`` is built anywhere in
-the engine.
+exponents once, on entry; from there every residue and kernel drop is an
+integer numerator in ``[0, den)``, and the rows and degree transports of
+:mod:`hyphodge.convolution` read those integers.  Only the profile's three
+tables are built, each over its classes' least denominator; no ``Fraction``
+is built anywhere in the engine.
 
-The memo interns each factor list ``pairs``, the sorted tuple of integer
-factors, once as a state; one profile computation creates and drops it.  A
-state keeps one class map per side, ``classes[0]`` at 0 and ``classes[1]``
-at infinity, each from a residue numerator to the class's ``(level, p)``, so
-no memo key hashes a point.  It also records where each of its peels leads,
-so a peel shared by many classes is computed once.  A rank-``n`` profile
-visits about ``1.8 * n**2`` class states but only about ``0.5 * n**2``
-distinct peels, and each peel re-sorts a shifted factor list, so a profile
-costs O(n**3) integer operations.  Finished profiles are kept in one bounded
-least-recently-used cache, so memory stays flat across batch lines while
-repeated instances are still answered from it.
+A peel only drops a factor.  Katz's step twists the rest by the peeled
+alpha, but a Kummer twist moves every class by the same amount and keeps its
+``(level, p)``, every transform row reads only differences (a class less
+the peeled alpha, and the kernel ``beta - alpha``), and the peel rule reads
+only which factors share a class.  So every state keys its classes by the
+instance's own residues, and its factor list is a subsequence of the
+canonically sorted list, made of the same pair objects: no residue is
+shifted, nothing is sorted and no pair is built.
+
+A state keeps one class map per side (``classes[0]`` at 0, ``classes[1]``
+at infinity), each from a residue numerator to the class's ``(level, p)``,
+and where each of its peels leads, so a peel shared by many classes is
+computed once.  No memo over factor lists is needed: the peel rule drops
+factor 0, or factor 1 while factor 0 is alone in the target class, which
+then stays in front down to rank one.  So a state is a suffix ``pairs[k:]``
+or one factor followed by a suffix, reached by one route only.  A rank-``n``
+profile visits about ``1.8 * n**2`` class states but only about
+``0.5 * n**2`` peels; a peel slices one tuple of at most ``n`` references
+and does no arithmetic, so memory is O(n**3) references.  Finished profiles
+are kept in one bounded least-recently-used cache, so memory stays flat
+across batch lines while repeated instances are still answered from it.
 
 :func:`verify_cross_engine`, at the bottom, is not engine code: it runs
 both engines and hands their profiles to the check,
@@ -96,7 +102,8 @@ Classes = list[tuple[int, int, int]]
 
 @dataclass(eq=False, slots=True)
 class _State:
-    """One peel state: a sorted factor list and what is known about it.
+    """One peel state: a subsequence of the canonical factor list, and what
+    is known about it.
 
     ``peels`` maps a factor index to the state its peel leads to;
     ``classes[side]`` maps a residue numerator to that class's ``(level, p)``,
@@ -108,15 +115,6 @@ class _State:
     classes: tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]] = field(
         default_factory=lambda: ({}, {})
     )
-
-
-Memo = dict[Pairs, _State]
-"""Per-profile memo: every state reached, interned by its factor list.
-
-A class's ``(level, p)`` is thus keyed by ``(side, pairs, residue)``.  Routes
-that reach the same factor list share one state, and each peel of a state is
-computed once, however many of its classes take it.
-"""
 
 
 def _rank_one_degree(a: int, b: int, den: int) -> int:
@@ -168,35 +166,27 @@ def choose_peel(pairs: Pairs, side: int, residue: int, den: int) -> tuple[int, i
     return j, (b - a) % den
 
 
-def _peel(state: _State, j: int, den: int, memo: Memo) -> _State:
+def _peel(state: _State, j: int) -> _State:
     """The state left by peeling factor ``j`` of ``state``, recorded in it.
 
-    Drops the factor and shifts the rest by its alpha, sorted again.  Callers
-    look in ``state.peels`` first.
+    Drops the factor and keeps the rest as they stand, so no residue moves
+    and the sub-state's list is again a subsequence of the canonical one.
+    Callers look in ``state.peels`` first.
     """
     pairs = state.pairs
-    a0 = pairs[j][0]
-    rest = [((a - a0) % den, (b - a0) % den) for a, b in pairs[:j] + pairs[j + 1 :]]
-    rest.sort()
-    key = tuple(rest)
-    sub = memo.get(key)
-    if sub is None:
-        sub = memo[key] = _State(key)
-    state.peels[j] = sub
+    sub = state.peels[j] = _State(pairs[:j] + pairs[j + 1 :])
     return sub
 
 
-def _nearby_class(
-    state: _State, den: int, side: int, residue: int, memo: Memo
-) -> tuple[int, int]:
+def _nearby_class(state: _State, den: int, side: int, residue: int) -> tuple[int, int]:
     """The (level, p) of one nearby class, at 0 (``side`` 0) or infinity (1).
 
     Walks down the peel chain to rank one, whose class (alpha at 0, beta at
-    infinity) is ``(0, 1)``, or to a state that knows the class.  The peeled
-    sub-module carries the class shifted by the peeled alpha; walking back
-    up, each step applies the one transform row of that sub-class.  Rows at
-    infinity are keyed in the transforms' orientation, so the profile
-    residue is negated.
+    infinity) is ``(0, 1)``, or to a state that knows the class; the residue
+    stays fixed, as every state keys its classes by the instance's residues.
+    Walking back up, each step applies the one transform row of the class
+    less the peeled alpha.  Rows at infinity are keyed in the transforms'
+    orientation, so that difference is negated.
     """
     steps = []
     known = None
@@ -206,13 +196,11 @@ def _nearby_class(
         if known is not None:
             break
         j, kernel = choose_peel(state.pairs, side, residue, den)
-        sub_residue = (residue - state.pairs[j][0]) % den
-        steps.append((classes, residue, sub_residue, kernel))
+        steps.append((classes, (residue - state.pairs[j][0]) % den, kernel))
         sub = state.peels.get(j)
-        state = _peel(state, j, den, memo) if sub is None else sub
-        residue = sub_residue
+        state = _peel(state, j) if sub is None else sub
     level, p = known or (0, 1)
-    for classes, residue, sub_residue, kernel in reversed(steps):
+    for classes, sub_residue, kernel in reversed(steps):
         if side:
             row = infinity_row(-sub_residue % den, level, kernel, den)
         else:
@@ -226,15 +214,15 @@ def _nearby_class(
     return level, p
 
 
-def _nearby_classes(state: _State, den: int, side: int, memo: Memo) -> Classes:
+def _nearby_classes(state: _State, den: int, side: int) -> Classes:
     return [
-        (r, *_nearby_class(state, den, side, r, memo))
+        (r, *_nearby_class(state, den, side, r))
         for r in sorted({pair[side] for pair in state.pairs})
     ]
 
 
 def _items(
-    classes: Classes, den: int, relabel: Callable[[int], int] = lambda r: r
+    classes: Classes, den: int, relabel: Callable[[int], int]
 ) -> list[tuple[tuple[int, int, int], int]]:
     """The classes as transport items, each residue ``r`` relabelled to
     ``relabel(r) mod den``."""
@@ -254,62 +242,53 @@ def _nearby_table(
 
 @lru_cache(maxsize=1024)
 def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
-    """The profile of a canonically sorted factor list.
-
-    ``pairs`` lists the factors as integer numerators over their common
-    denominator ``den``; every peel, memo key, transform row and degree step
-    below works on those integers, and so do the three tables of the
-    returned profile.
+    """The profile of a canonically sorted list of factor numerators over ``den``.
 
     Degrees and the vanishing entry ride up the canonical chain (peel factor
-    0 down to rank one) from its rank-one end ``(a, b)``: nearby classes
-    ``(a, 0, 1)`` at 0 and ``(b, 0, 1)`` at infinity, vanishing entry
-    ``({b - a}, 0, 0)`` and degree :func:`_rank_one_degree` at index 1.  The
-    nearby classes at 0 of the link below ride along, as the degree step
-    reads them.  The vanishing entry is carried in the pipeline grading: the
-    kernel never moves finite-point residues under the twist, and the degree
-    step reads it one step up (the fibre-consistent grading).  In the
-    profile grading only the unipotent entry moves one step up, as it is
-    graded through the image of the nilpotent operator.  A rank-one list is
-    its own chain end and is returned as it stands.
+    0 down to rank one).  Link ``i`` is the slice ``pairs[i:]``, twisted in
+    Katz's recursion by ``offset``, the alpha peeled to reach it (``a_{i-1}``,
+    and 0 at the top); each step reads classes less ``a_i``, the alpha of
+    ``pairs[i]``.  The rank-one end ``(a, b)`` has nearby classes ``(a, 0,
+    1)`` at 0 and ``(b, 0, 1)`` at infinity, vanishing entry ``({b - a}, 0,
+    0)`` and, less its offset, degree :func:`_rank_one_degree` at index 1.
+    The vanishing entry is carried in the pipeline grading: the kernel never
+    moves finite-point residues under the twist, and the degree step reads it
+    one step up (the fibre-consistent grading).  In the profile grading only
+    the unipotent entry moves one step up, as it is graded through the image
+    of the nilpotent operator.  A rank-one list is returned as it stands.
 
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
     top = _State(pairs)
-    memo: Memo = {pairs: top}
     chain = [top]
     while len(chain[-1].pairs) > 1:
-        chain.append(_peel(chain[-1], 0, den, memo))
-    ((a1, b1),) = chain.pop().pairs
-    degrees = {1: _rank_one_degree(a1, b1, den)}
-    vanishing = ((b1 - a1) % den, 0, 0)
-    zero_classes = [(a1, 0, 1)]
-    zero_items = _items(zero_classes, den)
-    infinity_classes = None
-    for link in reversed(chain):
-        a0, b0 = link.pairs[0]
-        kernel = (b0 - a0) % den
+        chain.append(_peel(chain[-1], 0))
+    alphas = [0, *[a for a, _b in pairs]]
+    a, b = pairs[-1]
+    degrees = {1: _rank_one_degree(a - alphas[-2], (b - alphas[-2]) % den, den)}
+    vanishing = ((b - a) % den, 0, 0)
+    zero_classes = [(a, 0, 1)]
+    for link, (a, b), offset in reversed(list(zip(chain[:-1], pairs, alphas))):
+        kernel = (b - a) % den
         r, lv, p = vanishing
-        degrees = degree_step(degrees, zero_items, [((r, lv, p + 1), 1)], kernel, den)
+        below = _items(zero_classes, den, lambda r: r - a)
+        degrees = degree_step(degrees, below, [((r, lv, p + 1), 1)], kernel, den)
         (vanishing,) = vanishing_step([(vanishing, 1)], kernel, den)
-        zero_classes = _nearby_classes(link, den, 0, memo)
-        zero_items = _items(zero_classes, den)
-        infinity_classes = None
-        if a0 != 0:
-            # Twisting by the conjugate of the peeled alpha relabels every
-            # class by ``{r - a0}``; classes at infinity are read conjugated.
-            infinity_classes = _nearby_classes(link, den, 1, memo)
+        zero_classes = _nearby_classes(link, den, 0)
+        if a != offset:
+            # Twisting by the conjugate of ``a - offset`` relabels every
+            # class by ``{r - a}``; classes at infinity are read conjugated.
+            zero_items = _items(zero_classes, den, lambda r: r - a)
             degrees = twist_step(
                 degrees,
                 _spread_sum(zero_items),
-                _items(zero_classes, den, lambda r: r - a0),
-                _items(infinity_classes, den, lambda r: a0 - r),
-                -a0 % den,
+                zero_items,
+                _items(_nearby_classes(link, den, 1), den, lambda r: a - r),
+                (offset - a) % den,
                 den,
             )
-    if infinity_classes is None:
-        infinity_classes = _nearby_classes(top, den, 1, memo)
+    infinity_classes = _nearby_classes(top, den, 1)
     r, lv, p = vanishing
     g = gcd(den, r)
     regraded = {(r // g, lv, p + 1 if r == 0 else p): 1}
@@ -330,8 +309,9 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
 def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
     """Full profile from the inductive engine, degrees included.
 
-    The factor list is sorted canonically first; every invariant computed
-    here is independent of the order, so this only normalizes memoization.
+    The factor list is sorted canonically first, as the canonical chain
+    reads it in alpha order; every invariant computed here is independent of
+    the order, so the profile cache also sees one key per instance.
     Degrees are marked experimental: they rely on the fibre-consistent
     regrading of the vanishing data.
     """

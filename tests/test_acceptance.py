@@ -483,3 +483,34 @@ def test_criterion_12_kummer_twist(c1_profiles):
         not any(bad.values()),
         f"{len(c1_profiles)} instances, one c in twelfths each; failures {bad}",
     )
+
+
+def test_criterion_13_repairing_recursive_degrees():
+    # A re-pairing of beta keeps the multisets, so the local system, and
+    # changes only the decomposition into rank-one factors: the recursive
+    # engine's canonical chain, peel routes and degree transport.  Its
+    # profile, degrees included, must move by one grading shift, and that
+    # shift must be the closed engine's for the same re-pairing.
+    rng = random.Random(SEED + 13)
+    bad = 0
+    pairings = 0
+    for _ in range(250):
+        params = random_irreducible(rng, rng.randint(1, 5), 8)
+        orders = list(itertools.permutations(range(params.n)))
+        if params.n > 3:
+            orders = rng.sample(orders, 6)
+        closed, recursive = profile_closed(params), profile_recursive(params)
+        for order in orders:
+            repaired = HypergeometricParams(
+                params.alpha, tuple(params.beta[i] for i in order)
+            )
+            pairings += 1
+            shift = equal_up_to_shift(recursive, profile_recursive(repaired))
+            if shift is None or shift != equal_up_to_shift(closed, profile_closed(repaired)):
+                bad += 1
+    _report(
+        13,
+        "re-pairing moves the recursive profile, degrees included, by the closed shift",
+        bad == 0,
+        f"{pairings} pairings",
+    )

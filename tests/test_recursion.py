@@ -228,6 +228,35 @@ class TestProfileRecursive:
         with pytest.raises(InternalEngineError, match=r"^class 3/4 at 0 reached a dropped row$"):
             profile_recursive(p)
 
+    def test_a_peel_only_drops_a_factor(self, monkeypatch):
+        # Every state's factor list is a subsequence of the canonical list,
+        # made of its very pair objects: a peel drops a factor and neither
+        # shifts, sorts nor builds a pair.  And no state is built twice, so
+        # the engine needs no memo over factor lists.
+        from hyphodge import recursion
+
+        lists = []
+        new_state = recursion._State
+
+        def recorded(pairs, *args):
+            lists.append(pairs)
+            return new_state(pairs, *args)
+
+        monkeypatch.setattr(recursion, "_State", recorded)
+        rng = random.Random(20261019)
+        for n in range(3, 15):
+            recursion._profile_of_pairs.cache_clear()
+            lists.clear()
+            profile_recursive(disjoint_pool_instance(rng, n, 16))
+            where = {id(pair): k for k, pair in enumerate(lists[0])}
+            assert len(where) == n and len(lists) > n
+            seen = set()
+            for pairs in lists:
+                at = [where.get(id(pair)) for pair in pairs]
+                assert None not in at and at == sorted(set(at)), pairs
+                seen.add(tuple(at))
+            assert len(seen) == len(lists)
+
     def test_reducible_raises_as_the_engines_do(self):
         with pytest.raises(ReducibleInput):
             verify_cross_engine(HypergeometricParams((F(0),), (F(0),)))
@@ -316,6 +345,30 @@ class TestDegrees:
                     )
                 assert got == prof.degrees, (p, j)
 
+
+    def test_twist_never_meets_a_zero_class_at_its_kernel(self, rng, monkeypatch):
+        # Why ``>= kernel`` and ``> kernel`` read the same in ``twist_step``
+        # here.  Link ``i`` of the canonical chain is ``pairs[i:]``, sorted by
+        # alpha, and its zero classes reach the twist as ``r - a_i`` against
+        # the kernel ``a_{i-1} - a_i``.  A class equal to the kernel has alpha
+        # ``a_{i-1}``; it is then the link's first alpha, so ``a_i == a_{i-1}``
+        # and the twist is skipped.
+        from hyphodge import recursion
+
+        calls = []
+        step = recursion.twist_step
+
+        def checked(delta, h, zero_items, infinity_items, kernel, den):
+            zero_items = list(zero_items)
+            calls.append(kernel)
+            assert all(r != kernel for (r, _lv, _p), _m in zero_items), (zero_items, kernel)
+            return step(delta, h, zero_items, infinity_items, kernel, den)
+
+        monkeypatch.setattr(recursion, "twist_step", checked)
+        recursion._profile_of_pairs.cache_clear()
+        for _ in range(300):
+            profile_recursive(random_irreducible(rng, rng.randint(2, 9), 10))
+        assert len(calls) > 300
 
     def test_degrees_and_vanishing_digest(self):
         # Degrees have no second engine: pin them, with the vanishing tables
