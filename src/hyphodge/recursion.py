@@ -7,22 +7,28 @@ code reads only :mod:`hyphodge.core` and :mod:`hyphodge.convolution`; it
 shares only the data model with the closed engine, which makes exact
 agreement of the two engines' tables a real cross-check.
 
-It runs as two loops (Katz's middle-convolution algorithm, one rank-one
-factor per step), and neither calls itself:
+It runs as one loop up the canonical chain (Katz's middle-convolution
+algorithm, one rank-one factor per step), and nothing calls itself.  Link
+``i`` of the chain is the slice ``pairs[i:]`` of the canonically sorted
+factor list; the loop starts at the rank-one end and climbs to the whole
+list, carrying two class maps, the nearby classes of the link below at 0 and
+at infinity, each from a residue numerator to the class's ``(level, p)``.
 
 * Nearby classes.  Every transform maps an output eigenvalue class from the
-  same input class only, so each class at 0 or infinity walks down its own
-  peel chain to rank one or a state that knows it, then back up, reading one
-  transform row per step.  Each step picks its peel so that the row is determined:
-  peel a factor from a different class when possible, otherwise a factor
-  inside the target class of multiplicity at least two.  :func:`choose_peel`
-  makes that choice and returns a plain ``(index, kernel)`` tuple.  The
-  engine thus reads only determined rows; no class it follows lands in the
-  level-0 unipotent slot at 0 or the level-0 conjugate-kernel slot at
-  infinity.
-* Degrees and the vanishing entry.  Both ride up one canonical chain
-  (always peel factor 0) from its rank-one end, together with the nearby
-  classes at 0 of the link below, which the degree step consumes.
+  same input class only, so a class takes one transform row per peeled
+  factor.  The row must be determined: :func:`choose_peel` peels a factor
+  from a different class when possible, otherwise a factor inside the target
+  class of multiplicity at least two, and returns a plain ``(index,
+  kernel)`` tuple.  On a link it peels factor 0, so every class of the link
+  below takes one row past factor ``i``, except factor ``i``'s own class
+  when factor ``i`` holds it alone: the rule then peels factor 1, and again
+  factor 1 of every state after, as factor ``i`` stays alone in front down
+  to rank one, so that class folds the rows of the whole suffix.  The engine
+  thus reads only determined rows; no class it follows lands in the level-0
+  unipotent slot at 0 or the level-0 conjugate-kernel slot at infinity.
+* Degrees and the vanishing entry ride up the same chain: the degree step
+  reads the classes at 0 of the link below, and the twist both maps of the
+  link.
 
 Rank one has no path of its own: a one-factor list is its own chain end, and
 only the profile's note tells it apart.
@@ -38,23 +44,18 @@ A peel only drops a factor.  Katz's step twists the rest by the peeled
 alpha, but a Kummer twist moves every class by the same amount and keeps its
 ``(level, p)``, every transform row reads only differences (a class less
 the peeled alpha, and the kernel ``beta - alpha``), and the peel rule reads
-only which factors share a class.  So every state keys its classes by the
-instance's own residues, and its factor list is a subsequence of the
-canonically sorted list, made of the same pair objects: no residue is
-shifted, nothing is sorted and no pair is built.
+only which factors share a class.  So both maps key their classes by the
+instance's own residues: no residue is shifted, nothing is sorted and no
+pair is built.
 
-A state keeps one class map per side (``classes[0]`` at 0, ``classes[1]``
-at infinity), each from a residue numerator to the class's ``(level, p)``,
-and where each of its peels leads, so a peel shared by many classes is
-computed once.  No memo over factor lists is needed: the peel rule drops
-factor 0, or factor 1 while factor 0 is alone in the target class, which
-then stays in front down to rank one.  So a state is a suffix ``pairs[k:]``
-or one factor followed by a suffix, reached by one route only.  A rank-``n``
-profile visits about ``1.8 * n**2`` class states but only about
-``0.5 * n**2`` peels; a peel slices one tuple of at most ``n`` references
-and does no arithmetic, so memory is O(n**3) references.  Finished profiles
-are kept in one bounded least-recently-used cache, so memory stays flat
-across batch lines while repeated instances are still answered from it.
+Cost.  A rank-``n`` profile reads O(n**2) rows, each once: at link ``i``,
+one per class of ``pairs[i + 1:]`` on each side, and ``n - 1 - i`` more on a
+side where factor ``i`` is alone in its class.  It asks the peel rule at most
+twice per link.  It keeps no peel states and no memo over factor lists, only
+the two live class maps of at most ``n`` classes each, so its memory is
+O(n).  Finished profiles are kept in one bounded least-recently-used cache,
+so memory stays flat across batch lines while repeated instances are still
+answered from it.
 
 :func:`verify_cross_engine`, at the bottom, is not engine code: it runs
 both engines and hands their profiles to the check,
@@ -64,10 +65,8 @@ and it stays here because ``bench/run.py`` looks its name up in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Callable
 
 from .closed_form import profile_closed
 from .convolution import (
@@ -96,25 +95,10 @@ from .core import (
 
 Pairs = tuple[tuple[int, int], ...]
 """Factors ``(alpha_k, beta_k)`` as numerators over the profile's common denominator."""
-Classes = list[tuple[int, int, int]]
-"""A nearby table as ``(residue numerator, level, p)`` triples, one per class."""
-
-
-@dataclass(eq=False, slots=True)
-class _State:
-    """One peel state: a subsequence of the canonical factor list, and what
-    is known about it.
-
-    ``peels`` maps a factor index to the state its peel leads to;
-    ``classes[side]`` maps a residue numerator to that class's ``(level, p)``,
-    side 0 for classes at 0 and side 1 at infinity.
-    """
-
-    pairs: Pairs
-    peels: dict[int, _State] = field(default_factory=dict)
-    classes: tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]] = field(
-        default_factory=lambda: ({}, {})
-    )
+ClassMap = dict[int, tuple[int, int]]
+"""A side's nearby classes: each residue numerator maps to its ``(level, p)``."""
+ClassMaps = tuple[ClassMap, ClassMap]
+"""A link's class maps, at 0 and at infinity."""
 
 
 def _rank_one_degree(a: int, b: int, den: int) -> int:
@@ -166,77 +150,64 @@ def choose_peel(pairs: Pairs, side: int, residue: int, den: int) -> tuple[int, i
     return j, (b - a) % den
 
 
-def _peel(state: _State, j: int) -> _State:
-    """The state left by peeling factor ``j`` of ``state``, recorded in it.
+def _row(
+    side: int, residue: int, level: int, p: int, kernel: int, den: int
+) -> tuple[int, int]:
+    """One class taken one row up: ``residue`` is the class less the peeled
+    alpha, at 0 (``side`` 0) or infinity (1), and ``(level, p)`` its data
+    below.  Rows at infinity are keyed in the transforms' orientation, so the
+    residue is negated for them."""
+    if side:
+        row = infinity_row(-residue % den, level, kernel, den)
+    else:
+        row = zero_row(residue, level, kernel, den)
+    if row is None:
+        raise InternalEngineError(
+            f"class {format_residue(residue, den)} at {(ZERO, INFINITY)[side]}"
+            " reached a dropped row"
+        )
+    return row[0], p + row[1]
 
-    Drops the factor and keeps the rest as they stand, so no residue moves
-    and the sub-state's list is again a subsequence of the canonical one.
-    Callers look in ``state.peels`` first.
+
+def _link(pairs: Pairs, i: int, below: ClassMaps, den: int) -> ClassMaps:
+    """The class maps of link ``i``, ``pairs[i:]``, from ``below``, those of
+    link ``i + 1``.
+
+    Factor ``i``'s own class (alpha at 0, beta at infinity) is read first.
+    When the peel rule finds it alone in the link, the rule would peel factor
+    1 of each state down to rank one, where the class is ``(0, 1)``: so fold
+    the rows of ``pairs[i + 1:]``, last factor first.  Then every class of
+    ``below`` takes one row past factor ``i``.
     """
-    pairs = state.pairs
-    sub = state.peels[j] = _State(pairs[:j] + pairs[j + 1 :])
-    return sub
-
-
-def _nearby_class(state: _State, den: int, side: int, residue: int) -> tuple[int, int]:
-    """The (level, p) of one nearby class, at 0 (``side`` 0) or infinity (1).
-
-    Walks down the peel chain to rank one, whose class (alpha at 0, beta at
-    infinity) is ``(0, 1)``, or to a state that knows the class; the residue
-    stays fixed, as every state keys its classes by the instance's residues.
-    Walking back up, each step applies the one transform row of the class
-    less the peeled alpha.  Rows at infinity are keyed in the transforms'
-    orientation, so that difference is negated.
-    """
-    steps = []
-    known = None
-    while len(state.pairs) > 1:
-        classes = state.classes[side]
-        known = classes.get(residue)
-        if known is not None:
-            break
-        j, kernel = choose_peel(state.pairs, side, residue, den)
-        steps.append((classes, (residue - state.pairs[j][0]) % den, kernel))
-        sub = state.peels.get(j)
-        state = _peel(state, j) if sub is None else sub
-    level, p = known or (0, 1)
-    for classes, sub_residue, kernel in reversed(steps):
-        if side:
-            row = infinity_row(-sub_residue % den, level, kernel, den)
-        else:
-            row = zero_row(sub_residue, level, kernel, den)
-        if row is None:
-            raise InternalEngineError(
-                f"class {format_residue(sub_residue, den)} at {(ZERO, INFINITY)[side]}"
-                " reached a dropped row"
-            )
-        level, p = classes[residue] = row[0], p + row[1]
-    return level, p
-
-
-def _nearby_classes(state: _State, den: int, side: int) -> Classes:
-    return [
-        (r, *_nearby_class(state, den, side, r))
-        for r in sorted({pair[side] for pair in state.pairs})
-    ]
-
-
-def _items(
-    classes: Classes, den: int, relabel: Callable[[int], int]
-) -> list[tuple[tuple[int, int, int], int]]:
-    """The classes as transport items, each residue ``r`` relabelled to
-    ``relabel(r) mod den``."""
-    return [((relabel(r) % den, lv, p), 1) for r, lv, p in classes]
+    a, b = pairs[i]
+    link = pairs[i:]
+    maps: ClassMaps = ({}, {})
+    for side, residue in enumerate(link[0]):
+        if choose_peel(link, side, residue, den)[0]:
+            level, p = 0, 1
+            for a_k, b_k in reversed(link[1:]):
+                kernel = (b_k - a_k) % den
+                level, p = _row(side, (residue - a_k) % den, level, p, kernel, den)
+            maps[side][residue] = level, p
+    kernel = (b - a) % den
+    for side, classes in enumerate(below):
+        out = maps[side]
+        for r, (level, p) in classes.items():
+            out[r] = _row(side, (r - a) % den, level, p, kernel, den)
+    return maps
 
 
 def _nearby_table(
-    point: SingularPoint, classes: Classes, den: int
+    point: SingularPoint, classes: ClassMap, den: int
 ) -> LocalHodgeTable:
     """The nearby table of ``classes``, each residue a numerator over ``den``,
     built over the classes' least denominator."""
-    g = gcd(den, *[r for r, _lv, _p in classes])
+    g = gcd(den, *classes)
     return LocalHodgeTable(
-        point, TableKind.NEARBY, {(r // g, lv, p): 1 for r, lv, p in classes}, den=den // g
+        point,
+        TableKind.NEARBY,
+        {(r // g, lv, p): 1 for r, (lv, p) in sorted(classes.items())},
+        den=den // g,
     )
 
 
@@ -244,13 +215,15 @@ def _nearby_table(
 def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     """The profile of a canonically sorted list of factor numerators over ``den``.
 
-    Degrees and the vanishing entry ride up the canonical chain (peel factor
-    0 down to rank one).  Link ``i`` is the slice ``pairs[i:]``, twisted in
-    Katz's recursion by ``offset``, the alpha peeled to reach it (``a_{i-1}``,
-    and 0 at the top); each step reads classes less ``a_i``, the alpha of
-    ``pairs[i]``.  The rank-one end ``(a, b)`` has nearby classes ``(a, 0,
-    1)`` at 0 and ``(b, 0, 1)`` at infinity, vanishing entry ``({b - a}, 0,
-    0)`` and, less its offset, degree :func:`_rank_one_degree` at index 1.
+    Walks the canonical chain from its rank-one end up, link ``i`` being the
+    slice ``pairs[i:]``, with the class maps of the link below and the
+    profile's degrees and vanishing entry so far; :func:`_link` takes the maps
+    one link up.  Link ``i`` is twisted in Katz's recursion by ``offset``,
+    the alpha peeled to reach it (``a_{i-1}``, and 0 at the top); each step
+    reads classes less ``a_i``, the alpha of ``pairs[i]``.  The rank-one end
+    ``(a, b)`` has nearby classes ``(a, 0, 1)`` at 0 and ``(b, 0, 1)`` at
+    infinity, vanishing entry ``({b - a}, 0, 0)`` and, less its offset,
+    degree :func:`_rank_one_degree` at index 1.
     The vanishing entry is carried in the pipeline grading: the kernel never
     moves finite-point residues under the twist, and the degree step reads it
     one step up (the fibre-consistent grading).  In the profile grading only
@@ -260,42 +233,41 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     Cached across calls with a fixed bound; callers share the returned
     profile and must not mutate it.
     """
-    top = _State(pairs)
-    chain = [top]
-    while len(chain[-1].pairs) > 1:
-        chain.append(_peel(chain[-1], 0))
-    alphas = [0, *[a for a, _b in pairs]]
     a, b = pairs[-1]
-    degrees = {1: _rank_one_degree(a - alphas[-2], (b - alphas[-2]) % den, den)}
+    offset = pairs[-2][0] if len(pairs) > 1 else 0
+    degrees = {1: _rank_one_degree(a - offset, (b - offset) % den, den)}
     vanishing = ((b - a) % den, 0, 0)
-    zero_classes = [(a, 0, 1)]
-    for link, (a, b), offset in reversed(list(zip(chain[:-1], pairs, alphas))):
+    zero, infinity = {a: (0, 1)}, {b: (0, 1)}
+    for i in range(len(pairs) - 2, -1, -1):
+        a, b = pairs[i]
         kernel = (b - a) % den
         r, lv, p = vanishing
-        below = _items(zero_classes, den, lambda r: r - a)
+        below = [(((c - a) % den, level, q), 1) for c, (level, q) in zero.items()]
         degrees = degree_step(degrees, below, [((r, lv, p + 1), 1)], kernel, den)
         (vanishing,) = vanishing_step([(vanishing, 1)], kernel, den)
-        zero_classes = _nearby_classes(link, den, 0)
+        zero, infinity = _link(pairs, i, (zero, infinity), den)
+        offset = pairs[i - 1][0] if i else 0
         if a != offset:
             # Twisting by the conjugate of ``a - offset`` relabels every
             # class by ``{r - a}``; classes at infinity are read conjugated.
-            zero_items = _items(zero_classes, den, lambda r: r - a)
+            zero_items = [
+                (((c - a) % den, level, q), 1) for c, (level, q) in zero.items()
+            ]
             degrees = twist_step(
                 degrees,
                 _spread_sum(zero_items),
                 zero_items,
-                _items(_nearby_classes(link, den, 1), den, lambda r: a - r),
+                [(((a - c) % den, level, q), 1) for c, (level, q) in infinity.items()],
                 (offset - a) % den,
                 den,
             )
-    infinity_classes = _nearby_classes(top, den, 1)
     r, lv, p = vanishing
     g = gcd(den, r)
     regraded = {(r // g, lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
         rank=len(pairs),
-        nearby_zero=_nearby_table(ZERO, zero_classes, den),
-        nearby_infinity=_nearby_table(INFINITY, infinity_classes, den),
+        nearby_zero=_nearby_table(ZERO, zero, den),
+        nearby_infinity=_nearby_table(INFINITY, infinity, den),
         vanishing_finite=LocalHodgeTable(
             AT_ONE, TableKind.VANISHING, regraded, den=den // g
         ),

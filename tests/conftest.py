@@ -7,12 +7,21 @@ from hyphodge.cli import _residue_grid as residue_grid
 
 
 def random_irreducible(rng: random.Random, n: int, den_max: int) -> HypergeometricParams:
+    """A rank-``n`` instance drawn from the residue grid, alpha and beta
+    alike, redrawn until the two share no residue.
+
+    Raises ``ValueError`` after 10,000 rejected draws: on a small grid at a
+    moderate rank almost every draw overlaps.
+    """
     grid = residue_grid(den_max)
-    while True:
+    for _ in range(10_000):
         alpha = tuple(rng.choice(grid) for _ in range(n))
         beta = tuple(rng.choice(grid) for _ in range(n))
         if not set(alpha) & set(beta):
             return HypergeometricParams(alpha, beta)
+    raise ValueError(
+        f"no irreducible draw of rank {n} with den_max {den_max} in 10,000 tries"
+    )
 
 
 def disjoint_pool_instance(

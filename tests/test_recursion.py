@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,13 @@ def rank_one_base(a: Fraction, b: Fraction) -> HodgeProfile:
         degrees={1: rank_one_degree_oracle(a, b)},
         note="rank-one base",
     )
+
+
+def test_random_irreducible_gives_up_on_a_crowded_grid():
+    # On the grid {0, 1/2} only all 0 against all 1/2 (or the reverse) is
+    # irreducible at rank 12: about 2 in 4**12 draws.
+    with pytest.raises(ValueError, match=r"rank 12 with den_max 2"):
+        random_irreducible(random.Random(0), 12, 2)
 
 
 class TestBaseProfile:
@@ -229,33 +237,46 @@ class TestProfileRecursive:
             profile_recursive(p)
 
     def test_a_peel_only_drops_a_factor(self, monkeypatch):
-        # Every state's factor list is a subsequence of the canonical list,
-        # made of its very pair objects: a peel drops a factor and neither
-        # shifts, sorts nor builds a pair.  And no state is built twice, so
-        # the engine needs no memo over factor lists.
+        # Every row the engine reads takes a class of the instance past one
+        # canonical factor: its kernel is that factor's ``b - a`` and its
+        # residue the class less that factor's alpha (negated at infinity,
+        # the rows' orientation), so no residue is ever shifted.  And each
+        # row is read once: link ``i``, ``pairs[i:]``, takes every class of
+        # ``pairs[i + 1:]`` one row up on each side, and folds the rows of
+        # the whole suffix into a class that factor ``i`` holds alone.
         from hyphodge import recursion
 
-        lists = []
-        new_state = recursion._State
+        calls = []
+        for name, side in (("zero_row", 0), ("infinity_row", 1)):
+            row = getattr(recursion, name)
 
-        def recorded(pairs, *args):
-            lists.append(pairs)
-            return new_state(pairs, *args)
+            def recorded(r, lv, kernel, den, row=row, side=side):
+                calls.append((side, r, kernel, den))
+                return row(r, lv, kernel, den)
 
-        monkeypatch.setattr(recursion, "_State", recorded)
+            monkeypatch.setattr(recursion, name, recorded)
         rng = random.Random(20261019)
         for n in range(3, 15):
             recursion._profile_of_pairs.cache_clear()
-            lists.clear()
-            profile_recursive(disjoint_pool_instance(rng, n, 16))
-            where = {id(pair): k for k, pair in enumerate(lists[0])}
-            assert len(where) == n and len(lists) > n
-            seen = set()
-            for pairs in lists:
-                at = [where.get(id(pair)) for pair in pairs]
-                assert None not in at and at == sorted(set(at)), pairs
-                seen.add(tuple(at))
-            assert len(seen) == len(lists)
+            calls.clear()
+            params = disjoint_pool_instance(rng, n, 16)
+            profile_recursive(params)
+            den, alpha, beta = params.numerators
+            pairs = sorted(zip(alpha, beta))
+            expected = 0
+            for i in range(n - 1):
+                for side in (0, 1):
+                    rest = {pair[side] for pair in pairs[i + 1 :]}
+                    expected += len(rest) + (n - 1 - i) * (pairs[i][side] not in rest)
+            assert len(calls) == expected
+            classes = (set(alpha), set(beta))
+            for side, r, kernel, row_den in calls:
+                assert row_den == den
+                assert any(
+                    kernel == (b - a) % den
+                    and ((a - r) if side else (r + a)) % den in classes[side]
+                    for a, b in pairs
+                ), (side, r, kernel)
 
     def test_reducible_raises_as_the_engines_do(self):
         with pytest.raises(ReducibleInput):
@@ -450,6 +471,14 @@ class TestCrossEngine:
         rep = verify_cross_engine(p)
         assert rep.agree and rep.shift == 0 and rep.identities_ok, p
 
+    @pytest.mark.parametrize("den_max", [16, 64])
+    def test_rank_600(self, rng, den_max):
+        # The recursive engine reads O(n**2) rows, so rank 600 takes well
+        # under a second.
+        p = disjoint_pool_instance(rng, 600, den_max)
+        rep = verify_cross_engine(p)
+        assert rep.agree and rep.shift == 0 and rep.identities_ok, p
+
     def test_transvections(self, rng):
         # Inputs whose drops sum to an integer exercise the unipotent
         # regrade of the vanishing entry.
@@ -493,7 +522,7 @@ class TestRecursionInternals:
         assert sum(prof.hodge.values()) == 5
 
     def test_needs_no_python_recursion(self, rng):
-        # Both engine loops walk their peel chains iteratively, so a rank-40
+        # The engine walks the canonical chain in one loop, so a rank-40
         # profile fits in a few frames above the caller's depth.
         from hyphodge.recursion import _profile_of_pairs
 
@@ -512,3 +541,20 @@ class TestRecursionInternals:
         assert recursive.nearby_zero == closed.nearby_zero
         assert recursive.nearby_infinity == closed.nearby_infinity
         assert recursive.vanishing_finite == closed.vanishing_finite
+
+    def test_profile_memory_is_flat(self):
+        # A profile holds two class maps of at most ``n`` classes at a time,
+        # and no state per peel: a cold rank-150 profile peaks far below the
+        # megabytes that O(n**3) references would take.
+        from hyphodge.recursion import _profile_of_pairs
+
+        p = disjoint_pool_instance(random.Random(150), 150, 64)
+        p.require_irreducible()
+        _profile_of_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            profile_recursive(p)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
