@@ -13,18 +13,16 @@ eigenvalue at infinity, and the level-0 unipotent output at 0, which instead
 takes the graded middle cohomology of the input as an extra argument.  These
 are recorded as unknown slots rather than silently set to zero.
 
-Integer forms.  Each transport the recursive engine runs is spelled once, on
-residues written as integer numerators over a common denominator ``den``:
-the rows :func:`zero_row` and :func:`infinity_row`, and the entry-level
-steps :func:`degree_step`, :func:`twist_step` and :func:`vanishing_step`,
-which read ``((r, level, p), multiplicity)`` items with ``r`` in
-``[0, den)`` and the kernel drop as a numerator ``kernel`` in ``(0, den)``.
-On these, ``r >= kernel`` is the class kept at 0, ``0 < r < den - kernel``
-the inside of ``(0, 1 - g0)``, and ``r or den`` the ``(0, 1]``
-representative.  The table-level transforms keep their checks (table kind,
-undetermined slots in a class they read), put their tables' integer
-residues on a common denominator with the kernel, call the integer forms,
-and build their output tables from integers over that denominator.
+Integer forms.  The recursive engine reads only the rows :func:`zero_row`
+and :func:`infinity_row`, on residues written as integer numerators over a
+common denominator ``den``: the class ``r`` in ``[0, den)`` and the kernel
+drop as a numerator ``kernel`` in ``(0, den)``.  On these, ``r >= kernel`` is
+the class kept at 0, ``0 < r < den - kernel`` the inside of ``(0, 1 - g0)``,
+and ``r or den`` the ``(0, 1]`` representative.  The table-level transforms
+keep their checks (table kind, undetermined slots in a class they read), put
+their tables' integer residues on a common denominator with the kernel, and
+build their output tables from integers over it.  Their degree and vanishing
+transports are not the engine's: tests hold the engine to them.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     LocalHodgeTable,
@@ -75,23 +73,6 @@ def _add(acc: dict[int, int], inc: Mapping[int, int], sign: int = 1, shift: int 
         acc[p + shift] = acc.get(p + shift, 0) + sign * v
 
 
-def vanishing_step(
-    items: Iterable[tuple[NumeratorEntry, int]], kernel: int, den: int
-) -> dict[NumeratorEntry, int]:
-    """Vanishing entries at a finite point after one convolution step.
-
-    The integer form of :func:`convolve_vanishing_finite`: residues are
-    numerators over ``den`` and the kernel drop is ``kernel`` in ``(0, den)``.
-    """
-    _check_kernel(kernel, den)
-    entries: dict[NumeratorEntry, int] = {}
-    for (r, lv, p), m in items:
-        out_r = (r + kernel) % den
-        key = (out_r, lv, p if (out_r or den) <= kernel else p + 1)
-        entries[key] = entries.get(key, 0) + m
-    return entries
-
-
 def convolve_vanishing_finite(
     table: LocalHodgeTable, ctx: ConvolutionContext
 ) -> LocalHodgeTable:
@@ -105,15 +86,14 @@ def convolve_vanishing_finite(
     if table.kind is not TableKind.VANISHING:
         raise ValueError("expected a vanishing table")
     den, kernel = _row_numerators(ctx, table)
-    entries = vanishing_step(_numerator_items(table, den), kernel, den)
+    entries: dict[NumeratorEntry, int] = {}
+    for (r, lv, p), m in _numerator_items(table, den):
+        out_r = (r + kernel) % den
+        key = (out_r, lv, p if (out_r or den) <= kernel else p + 1)
+        entries[key] = entries.get(key, 0) + m
     scale = den // table.den
     unknown = frozenset(((r * scale + kernel) % den, lv) for r, lv in table.int_unknown)
     return LocalHodgeTable(table.point, table.kind, entries, unknown, den=den)
-
-
-def _check_kernel(kernel: int, den: int) -> None:
-    if not 0 < kernel < den:
-        raise ValueError(f"kernel needs 0 < kernel < den, got {kernel}, {den}")
 
 
 def _check_row_args(r: int, kernel: int, den: int) -> None:
@@ -290,36 +270,6 @@ def convolve_hodge_numbers(
     return _prune(acc)
 
 
-def degree_step(
-    delta: Mapping[int, int],
-    zero_items: Iterable[tuple[NumeratorEntry, int]],
-    vanishing_items: Iterable[tuple[NumeratorEntry, int]],
-    kernel: int,
-    den: int,
-) -> dict[int, int]:
-    """Graded degrees after one convolution step, on numerators over ``den``.
-
-    The integer form of :func:`convolve_degrees`; ``kernel`` is the kernel
-    drop in ``(0, den)`` and every entry is read, so the caller has checked
-    that the kept classes are determined.
-    """
-    _check_kernel(kernel, den)
-    zero_items = list(zero_items)
-    vanishing_items = list(vanishing_items)
-    acc: dict[int, int] = dict(delta)
-    totals = _spread_sum(e for e in zero_items if e[0][0] >= kernel)
-    _add(acc, totals, +1)
-    _add(acc, totals, -1, shift=1)
-    for (r, _lv, q), m in zero_items:
-        if r == kernel:
-            acc[q + 1] = acc.get(q + 1, 0) + m
-    _add(acc, _spread_sum(e for e in vanishing_items if e[0][0] == 0), -1)
-    conjugate = den - kernel
-    inside = _spread_sum(e for e in vanishing_items if 0 < e[0][0] < conjugate)
-    _add(acc, inside, -1, shift=1)
-    return _prune(acc)
-
-
 def convolve_degrees(
     delta: Mapping[int, int],
     nearby_zero: LocalHodgeTable,
@@ -339,34 +289,20 @@ def convolve_degrees(
     _require_known(nearby_zero, den, lambda r: r >= kernel)
     for table in vanishing_finite:
         _require_known(table, den, lambda r: r < den - kernel)
-    return degree_step(
-        delta,
-        _numerator_items(nearby_zero, den),
-        [item for table in vanishing_finite for item in _numerator_items(table, den)],
-        kernel,
-        den,
-    )
-
-
-def twist_step(
-    delta: Mapping[int, int],
-    h: Mapping[int, int],
-    zero_items: Iterable[tuple[NumeratorEntry, int]],
-    infinity_items: Iterable[tuple[NumeratorEntry, int]],
-    kernel: int,
-    den: int,
-) -> dict[int, int]:
-    """Graded degrees after the twist, on numerators over ``den``.
-
-    The integer form of :func:`twist_degrees`, with the same orientation at
-    infinity; ``kernel`` is in ``(0, den)`` and every entry is read.
-    """
-    _check_kernel(kernel, den)
+    zero_items = _numerator_items(nearby_zero, den)
+    vanishing_items = [
+        item for table in vanishing_finite for item in _numerator_items(table, den)
+    ]
     acc: dict[int, int] = dict(delta)
-    _add(acc, h, -1)
-    _add(acc, _spread_sum(e for e in zero_items if e[0][0] >= kernel))
-    conjugate = den - kernel
-    _add(acc, _spread_sum(e for e in infinity_items if e[0][0] >= conjugate))
+    totals = _spread_sum(e for e in zero_items if e[0][0] >= kernel)
+    _add(acc, totals, +1)
+    _add(acc, totals, -1, shift=1)
+    for (r, _lv, q), m in zero_items:
+        if r == kernel:
+            acc[q + 1] = acc.get(q + 1, 0) + m
+    _add(acc, _spread_sum(e for e in vanishing_items if e[0][0] == 0), -1)
+    inside = _spread_sum(e for e in vanishing_items if 0 < e[0][0] < den - kernel)
+    _add(acc, inside, -1, shift=1)
     return _prune(acc)
 
 
@@ -388,11 +324,10 @@ def twist_degrees(
     den, kernel = _row_numerators(ctx, nearby_zero, nearby_infinity)
     _require_known(nearby_zero, den, lambda r: r >= kernel)
     _require_known(nearby_infinity, den, lambda r: r >= den - kernel)
-    return twist_step(
-        delta,
-        h,
-        _numerator_items(nearby_zero, den),
-        _numerator_items(nearby_infinity, den),
-        kernel,
-        den,
-    )
+    zero_items = _numerator_items(nearby_zero, den)
+    infinity_items = _numerator_items(nearby_infinity, den)
+    acc: dict[int, int] = dict(delta)
+    _add(acc, h, -1)
+    _add(acc, _spread_sum(e for e in zero_items if e[0][0] >= kernel))
+    _add(acc, _spread_sum(e for e in infinity_items if e[0][0] >= den - kernel))
+    return _prune(acc)

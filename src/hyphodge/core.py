@@ -293,16 +293,19 @@ def table_shift(table: LocalHodgeTable, s: int) -> LocalHodgeTable:
     )
 
 
-def _spread_sum(items: Iterable[tuple[Entry, int]]) -> dict[int, int]:
-    """Total graded dimensions of primitive entries, in one pass.
+def _spread(acc: dict[int, int], lv: int, q: int, m: int) -> None:
+    """Add ``m`` to ``acc`` at each index an entry of level ``lv`` at index
+    ``q`` spreads over: the ``lv + 1`` consecutive indices ``q - lv .. q``."""
+    for p in range(q - lv, q + 1):
+        acc[p] = acc.get(p, 0) + m
 
-    An entry of level ``l`` at index ``q`` spreads over the ``l + 1``
-    consecutive indices ``q - l .. q``.
-    """
+
+def _spread_sum(items: Iterable[tuple[Entry, int]]) -> dict[int, int]:
+    """Total graded dimensions of primitive entries, in one pass (see
+    :func:`_spread`)."""
     out: dict[int, int] = {}
     for (_r, lv, q), m in items:
-        for p in range(q - lv, q + 1):
-            out[p] = out.get(p, 0) + m
+        _spread(out, lv, q, m)
     return out
 
 

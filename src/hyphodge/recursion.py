@@ -1,11 +1,13 @@
 """Recursive engine: peel a rank-one factor, twist, convolve, untwist.
 
 The engine rebuilds every local invariant of a hypergeometric module by
-induction on the number of factors, using only the forward convolution
-transforms and the rank-one data at the end of each peel chain.  The engine
-code reads only :mod:`hyphodge.core` and :mod:`hyphodge.convolution`; it
-shares only the data model with the closed engine, which makes exact
-agreement of the two engines' tables a real cross-check.
+induction on the number of factors, using only the two forward convolution
+rows and the rank-one data at the end of each peel chain.  It reads only
+:mod:`hyphodge.core` and the rows of :mod:`hyphodge.convolution`, and
+carries degrees and the vanishing entry with its own arithmetic: it shares
+only the data model with the closed engine and no degree code with the
+table-level transforms, so exact agreement with either is a real
+cross-check.
 
 It runs as one loop up the canonical chain (Katz's middle-convolution
 algorithm, one rank-one factor per step), and nothing calls itself.  Link
@@ -13,32 +15,32 @@ algorithm, one rank-one factor per step), and nothing calls itself.  Link
 factor list; the loop starts at the rank-one end and climbs to the whole
 list, carrying two class maps, the nearby classes of the link below at 0 and
 at infinity, each from a residue numerator to the class's ``(level, p)``.
+Each link reads every class of the link below once, and in that read applies
+the class's degree term, its transform row and its twist term.
 
-* Nearby classes.  Every transform maps an output eigenvalue class from the
-  same input class only, so a class takes one transform row per peeled
-  factor.  The row must be determined: :func:`choose_peel` peels a factor
-  from a different class when possible, otherwise a factor inside the target
-  class of multiplicity at least two, and returns a plain ``(index,
-  kernel)`` tuple.  On a link it peels factor 0, so every class of the link
-  below takes one row past factor ``i``, except factor ``i``'s own class
-  when factor ``i`` holds it alone: the rule then peels factor 1, and again
-  factor 1 of every state after, as factor ``i`` stays alone in front down
-  to rank one, so that class folds the rows of the whole suffix.  The engine
-  thus reads only determined rows; no class it follows lands in the level-0
-  unipotent slot at 0 or the level-0 conjugate-kernel slot at infinity.
-* Degrees and the vanishing entry ride up the same chain: the degree step
-  reads the classes at 0 of the link below, and the twist both maps of the
-  link.
+Every transform maps an output eigenvalue class from the same input class
+only, so a class takes one transform row per peeled factor.  The row must be
+determined: the peel rule, :func:`choose_peel`, peels a factor from a
+different class when possible, otherwise a factor inside the target class
+of multiplicity at least two.  On a link it peels factor 0, so every class
+of the link below takes one row past factor ``i``, except factor ``i``'s own
+class when factor ``i`` holds it alone: the rule then peels factor 1, and
+again factor 1 of every state after, as factor ``i`` stays alone in front
+down to rank one, so that class folds the rows of the whole suffix.  Each
+map's keys are exactly the classes of ``pairs[i + 1:]``, so "alone" is a key
+lookup and the engine never asks the rule, which stays as the tests'
+reference.  The engine thus reads only determined rows; no class it follows
+lands in the level-0 unipotent slot at 0 or the level-0 conjugate-kernel
+slot at infinity.
 
 Rank one has no path of its own: a one-factor list is its own chain end, and
 only the profile's note tells it apart.
 
 Integer kernel.  An instance is put on the common denominator ``den`` of its
 exponents once, on entry; from there every residue and kernel drop is an
-integer numerator in ``[0, den)``, and the rows and degree transports of
-:mod:`hyphodge.convolution` read those integers.  Only the profile's three
-tables are built, each over its classes' least denominator; no ``Fraction``
-is built anywhere in the engine.
+integer numerator in ``[0, den)``.  Only the profile's three tables are
+built, each over its classes' least denominator; no ``Fraction`` is built
+anywhere in the engine.
 
 A peel only drops a factor.  Katz's step twists the rest by the peeled
 alpha, but a Kummer twist moves every class by the same amount and keeps its
@@ -50,12 +52,10 @@ pair is built.
 
 Cost.  A rank-``n`` profile reads O(n**2) rows, each once: at link ``i``,
 one per class of ``pairs[i + 1:]`` on each side, and ``n - 1 - i`` more on a
-side where factor ``i`` is alone in its class.  It asks the peel rule at most
-twice per link.  It keeps no peel states and no memo over factor lists, only
-the two live class maps of at most ``n`` classes each, so its memory is
-O(n).  Finished profiles are kept in one bounded least-recently-used cache,
-so memory stays flat across batch lines while repeated instances are still
-answered from it.
+side where factor ``i`` is alone in its class.  It keeps only the two live
+class maps of at most ``n`` classes each, so its memory is O(n).  Finished
+profiles are kept in one bounded least-recently-used cache, so memory stays
+flat across batch lines while repeated instances are still answered from it.
 
 :func:`verify_cross_engine`, at the bottom, is not engine code: it runs
 both engines and hands their profiles to the check,
@@ -69,13 +69,7 @@ from functools import lru_cache
 from math import gcd
 
 from .closed_form import profile_closed
-from .convolution import (
-    degree_step,
-    infinity_row,
-    twist_step,
-    vanishing_step,
-    zero_row,
-)
+from .convolution import infinity_row, zero_row
 from .core import (
     AT_ONE,
     INFINITY,
@@ -88,7 +82,8 @@ from .core import (
     NoValidPeel,
     SingularPoint,
     TableKind,
-    _spread_sum,
+    _prune,
+    _spread,
     compare_profiles,
     format_residue,
 )
@@ -97,8 +92,6 @@ Pairs = tuple[tuple[int, int], ...]
 """Factors ``(alpha_k, beta_k)`` as numerators over the profile's common denominator."""
 ClassMap = dict[int, tuple[int, int]]
 """A side's nearby classes: each residue numerator maps to its ``(level, p)``."""
-ClassMaps = tuple[ClassMap, ClassMap]
-"""A link's class maps, at 0 and at infinity."""
 
 
 def _rank_one_degree(a: int, b: int, den: int) -> int:
@@ -169,32 +162,16 @@ def _row(
     return row[0], p + row[1]
 
 
-def _link(pairs: Pairs, i: int, below: ClassMaps, den: int) -> ClassMaps:
-    """The class maps of link ``i``, ``pairs[i:]``, from ``below``, those of
-    link ``i + 1``.
-
-    Factor ``i``'s own class (alpha at 0, beta at infinity) is read first.
-    When the peel rule finds it alone in the link, the rule would peel factor
-    1 of each state down to rank one, where the class is ``(0, 1)``: so fold
-    the rows of ``pairs[i + 1:]``, last factor first.  Then every class of
-    ``below`` takes one row past factor ``i``.
-    """
-    a, b = pairs[i]
-    link = pairs[i:]
-    maps: ClassMaps = ({}, {})
-    for side, residue in enumerate(link[0]):
-        if choose_peel(link, side, residue, den)[0]:
-            level, p = 0, 1
-            for a_k, b_k in reversed(link[1:]):
-                kernel = (b_k - a_k) % den
-                level, p = _row(side, (residue - a_k) % den, level, p, kernel, den)
-            maps[side][residue] = level, p
-    kernel = (b - a) % den
-    for side, classes in enumerate(below):
-        out = maps[side]
-        for r, (level, p) in classes.items():
-            out[r] = _row(side, (r - a) % den, level, p, kernel, den)
-    return maps
+def _fold(pairs: Pairs, i: int, side: int, den: int) -> tuple[int, int]:
+    """Factor ``i``'s own class on ``side``, which it holds alone in
+    ``pairs[i:]``: the peel rule would peel factor 1 of each state down to
+    rank one, where the class is ``(0, 1)``, so fold the rows of
+    ``pairs[i + 1:]``, last factor first."""
+    residue = pairs[i][side]
+    level, p = 0, 1
+    for a, b in reversed(pairs[i + 1 :]):
+        level, p = _row(side, (residue - a) % den, level, p, (b - a) % den, den)
+    return level, p
 
 
 def _nearby_table(
@@ -215,53 +192,73 @@ def _nearby_table(
 def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     """The profile of a canonically sorted list of factor numerators over ``den``.
 
-    Walks the canonical chain from its rank-one end up, link ``i`` being the
-    slice ``pairs[i:]``, with the class maps of the link below and the
-    profile's degrees and vanishing entry so far; :func:`_link` takes the maps
-    one link up.  Link ``i`` is twisted in Katz's recursion by ``offset``,
-    the alpha peeled to reach it (``a_{i-1}``, and 0 at the top); each step
-    reads classes less ``a_i``, the alpha of ``pairs[i]``.  The rank-one end
-    ``(a, b)`` has nearby classes ``(a, 0, 1)`` at 0 and ``(b, 0, 1)`` at
-    infinity, vanishing entry ``({b - a}, 0, 0)`` and, less its offset,
-    degree :func:`_rank_one_degree` at index 1.
-    The vanishing entry is carried in the pipeline grading: the kernel never
-    moves finite-point residues under the twist, and the degree step reads it
-    one step up (the fibre-consistent grading).  In the profile grading only
-    the unipotent entry moves one step up, as it is graded through the image
-    of the nilpotent operator.  A rank-one list is returned as it stands.
+    Walks the canonical chain from its rank-one end ``(a, b)`` up: nearby
+    classes ``(a, 0, 1)`` at 0 and ``(b, 0, 1)`` at infinity, vanishing
+    entry ``({b - a}, 0, 0)`` and, less its offset, degree
+    :func:`_rank_one_degree` at index 1.  Link ``i``, with ``(a, b)`` the
+    factor ``pairs[i]``, convolves with ``kernel = b - a`` and is then
+    twisted, in Katz's recursion, by ``twist = a_{i-1} - a`` (``a_{-1}`` is
+    0), both mod ``den``; it reads each class ``c`` as ``s = c - a``.
 
-    Cached across calls with a fixed bound; callers share the returned
-    profile and must not mutate it.
+    * The vanishing entry ``(r, lv, p)`` is carried in the pipeline grading:
+      the kernel never moves finite-point residues under the twist.  The
+      degree step reads it one step up (the fibre-consistent grading): the
+      spread of ``(lv, p + 1)`` leaves the degrees when ``r`` is 0, and that
+      of ``(lv, p + 2)`` when ``r`` is inside ``(0, den - kernel)``.  In the
+      profile grading only the unipotent entry moves one step up, as it is
+      graded through the image of the nilpotent operator.
+    * A class at 0 with ``s >= kernel`` is kept by the convolution: its
+      spread enters the degrees and leaves them one index up, which
+      telescopes to +1 at ``q - level`` and -1 at ``q + 1``, and at
+      ``s == kernel`` its primitive part comes back one index up.  After its
+      row, the twist takes out the spread of a class with ``s < twist``
+      (the fibre less the classes the twist keeps) and adds that of a class
+      at infinity with ``-s >= den - twist``.  Factor ``i``'s own class,
+      alone in the link, comes from :func:`_fold` and takes only the twist.
+
+    Side 0's rows are read before side 1's.  Cached across calls with a
+    fixed bound; callers share the returned profile and must not mutate it.
     """
     a, b = pairs[-1]
     offset = pairs[-2][0] if len(pairs) > 1 else 0
     degrees = {1: _rank_one_degree(a - offset, (b - offset) % den, den)}
-    vanishing = ((b - a) % den, 0, 0)
+    r, lv, p = (b - a) % den, 0, 0
     zero, infinity = {a: (0, 1)}, {b: (0, 1)}
     for i in range(len(pairs) - 2, -1, -1):
         a, b = pairs[i]
         kernel = (b - a) % den
-        r, lv, p = vanishing
-        below = [(((c - a) % den, level, q), 1) for c, (level, q) in zero.items()]
-        degrees = degree_step(degrees, below, [((r, lv, p + 1), 1)], kernel, den)
-        (vanishing,) = vanishing_step([(vanishing, 1)], kernel, den)
-        zero, infinity = _link(pairs, i, (zero, infinity), den)
-        offset = pairs[i - 1][0] if i else 0
-        if a != offset:
-            # Twisting by the conjugate of ``a - offset`` relabels every
-            # class by ``{r - a}``; classes at infinity are read conjugated.
-            zero_items = [
-                (((c - a) % den, level, q), 1) for c, (level, q) in zero.items()
-            ]
-            degrees = twist_step(
-                degrees,
-                _spread_sum(zero_items),
-                zero_items,
-                [(((a - c) % den, level, q), 1) for c, (level, q) in infinity.items()],
-                (offset - a) % den,
-                den,
-            )
-    r, lv, p = vanishing
+        twist = ((pairs[i - 1][0] if i else 0) - a) % den
+        if r == 0:
+            _spread(degrees, lv, p + 1, -1)
+        elif r < den - kernel:
+            _spread(degrees, lv, p + 2, -1)
+        r = (r + kernel) % den
+        if (r or den) > kernel:
+            p += 1
+        up: ClassMap = {}
+        if a not in zero:
+            up[a] = level, q = _fold(pairs, i, 0, den)
+            if twist:
+                _spread(degrees, level, q, -1)
+        for c, (level, q) in zero.items():
+            s = (c - a) % den
+            if s >= kernel:
+                degrees[q - level] = degrees.get(q - level, 0) + 1
+                if s != kernel:
+                    degrees[q + 1] = degrees.get(q + 1, 0) - 1
+            up[c] = level, q = _row(0, s, level, q, kernel, den)
+            if twist and s < twist:
+                _spread(degrees, level, q, -1)
+        zero, up = up, {}
+        if b not in infinity:
+            up[b] = level, q = _fold(pairs, i, 1, den)
+            if twist and (a - b) % den >= den - twist:
+                _spread(degrees, level, q, 1)
+        for c, (level, q) in infinity.items():
+            up[c] = level, q = _row(1, (c - a) % den, level, q, kernel, den)
+            if twist and (a - c) % den >= den - twist:
+                _spread(degrees, level, q, 1)
+        infinity = up
     g = gcd(den, r)
     regraded = {(r // g, lv, p + 1 if r == 0 else p): 1}
     return HodgeProfile(
@@ -271,7 +268,7 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
         vanishing_finite=LocalHodgeTable(
             AT_ONE, TableKind.VANISHING, regraded, den=den // g
         ),
-        degrees=degrees,
+        degrees=_prune(degrees),
         note="rank-one base"
         if len(pairs) == 1
         else "recursive engine; pairs canonically sorted; degrees experimental",

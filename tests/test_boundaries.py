@@ -77,6 +77,12 @@ def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     assert "count_identities_hold" not in imports.get("core", set())
 
 
+def test_recursive_engine_reads_only_the_rows():
+    # The engine carries degrees and the vanishing entry itself; from the
+    # transforms it reads the two rows and nothing else.
+    assert package_imports("recursion")["convolution"] == {"zero_row", "infinity_row"}
+
+
 def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:
     """``(top-level definition, name)`` for each use of ``names`` in ``module``
     outside its import lines."""

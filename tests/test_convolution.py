@@ -23,11 +23,8 @@ from hyphodge.convolution import (
     convolve_nearby_infinity,
     convolve_nearby_zero,
     convolve_vanishing_finite,
-    degree_step,
     infinity_row,
     twist_degrees,
-    twist_step,
-    vanishing_step,
     zero_row,
 )
 from conftest import random_irreducible, residue_grid
@@ -192,20 +189,6 @@ class TestRowReads:
                 zero_row(*args)
             with pytest.raises(ValueError):
                 infinity_row(*args)
-
-    @pytest.mark.parametrize("kernel", [0, 6])
-    @pytest.mark.parametrize(
-        "step",
-        [
-            lambda kernel: vanishing_step([((1, 0, 0), 1)], kernel, 6),
-            lambda kernel: degree_step({}, [((1, 0, 0), 1)], [], kernel, 6),
-            lambda kernel: twist_step({}, {}, [((1, 0, 0), 1)], [], kernel, 6),
-        ],
-        ids=["vanishing_step", "degree_step", "twist_step"],
-    )
-    def test_steps_reject_kernels_out_of_range(self, step, kernel):
-        with pytest.raises(ValueError, match=f"0 < kernel < den, got {kernel}, 6$"):
-            step(kernel)
 
 
 class TestHodgeTransport:

@@ -206,23 +206,49 @@ class TestProfileRecursive:
         )
 
     def test_walk_calls_the_module_peel_rule(self, rng, monkeypatch):
-        # The walk reaches the peel rule through the module global, so a
-        # wrapper installed there (as the benchmark's step counter is) sees
-        # every peel step.
+        # The walk never asks the peel rule: it folds a class when factor
+        # ``i`` holds it alone, a key lookup.  The module's rule is the
+        # reference.  Link ``i`` reads side 0's rows, then side 1's; on each
+        # side it folds the rows of ``pairs[i + 1:]`` exactly where the rule
+        # re-targets away from factor 0, then takes every class of
+        # ``pairs[i + 1:]`` one row past factor ``i``.
         from hyphodge import recursion
 
         calls = []
-        rule = recursion.choose_peel
+        for name, side in (("zero_row", 0), ("infinity_row", 1)):
+            row = getattr(recursion, name)
 
-        def counted(*args):
-            calls.append(args)
-            return rule(*args)
+            def recorded(r, lv, kernel, den, row=row, side=side):
+                calls.append((side, r, kernel))
+                return row(r, lv, kernel, den)
 
-        monkeypatch.setattr(recursion, "choose_peel", counted)
+            monkeypatch.setattr(recursion, name, recorded)
         p = disjoint_pool_instance(rng, 5, 12)
         recursion._profile_of_pairs.cache_clear()
         profile_recursive(p)
-        assert calls
+        den, alpha, beta = p.numerators
+        pairs = tuple(sorted(zip(alpha, beta)))
+        folds = []
+        for i in range(len(pairs) - 2, -1, -1):
+            a, b = pairs[i]
+            for side in (0, 1):
+                fold = choose_peel(pairs[i:], side, pairs[i][side], den)[0] != 0
+                folds.append(fold)
+                sign = -1 if side else 1
+                folded = [
+                    (side, sign * (pairs[i][side] - a_k) % den, (b_k - a_k) % den)
+                    for a_k, b_k in reversed(pairs[i + 1 :])
+                ] * fold
+                stepped = [
+                    (side, sign * (c - a) % den, (b - a) % den)
+                    for c in {pair[side] for pair in pairs[i + 1 :]}
+                ]
+                read = calls[: len(folded) + len(stepped)]
+                del calls[: len(read)]
+                assert read[: len(folded)] == folded, (i, side)
+                assert sorted(read[len(folded) :]) == sorted(stepped), (i, side)
+        assert calls == []
+        assert any(folds) and not all(folds)
 
     def test_dropped_row_message_writes_the_reduced_residue(self, monkeypatch):
         # The walk's class is 9 over the instance's denominator 12; the
@@ -331,9 +357,13 @@ class TestDegrees:
 
     def test_peel_choice_does_not_matter(self, rng):
         # Recompute the degrees peeling each factor first; the transport
-        # formulas must give the same answer along every route.
-        for _ in range(40):
-            p = random_irreducible(rng, rng.randint(2, 3), 6)
+        # formulas must give the same answer along every route.  The engine
+        # carries degrees with its own arithmetic and the table-level
+        # transforms spell the transport apart from it, so every route is a
+        # cross-check between the two.
+        instances = [random_irreducible(rng, rng.randint(2, 3), 6) for _ in range(40)]
+        instances += [disjoint_pool_instance(rng, rng.randint(4, 7), 8) for _ in range(60)]
+        for p in instances:
             prof = profile_recursive(p)
             for j in range(p.n):
                 aj, bj = p.alpha[j], p.beta[j]
@@ -367,29 +397,25 @@ class TestDegrees:
                 assert got == prof.degrees, (p, j)
 
 
-    def test_twist_never_meets_a_zero_class_at_its_kernel(self, rng, monkeypatch):
-        # Why ``>= kernel`` and ``> kernel`` read the same in ``twist_step``
-        # here.  Link ``i`` of the canonical chain is ``pairs[i:]``, sorted by
-        # alpha, and its zero classes reach the twist as ``r - a_i`` against
-        # the kernel ``a_{i-1} - a_i``.  A class equal to the kernel has alpha
-        # ``a_{i-1}``; it is then the link's first alpha, so ``a_i == a_{i-1}``
-        # and the twist is skipped.
-        from hyphodge import recursion
-
-        calls = []
-        step = recursion.twist_step
-
-        def checked(delta, h, zero_items, infinity_items, kernel, den):
-            zero_items = list(zero_items)
-            calls.append(kernel)
-            assert all(r != kernel for (r, _lv, _p), _m in zero_items), (zero_items, kernel)
-            return step(delta, h, zero_items, infinity_items, kernel, den)
-
-        monkeypatch.setattr(recursion, "twist_step", checked)
-        recursion._profile_of_pairs.cache_clear()
+    def test_twist_never_meets_a_zero_class_at_its_kernel(self, rng):
+        # Why ``s < twist`` and ``s <= twist`` read the same in the engine's
+        # twist term.  Link ``i`` of the canonical chain is ``pairs[i:]``,
+        # sorted by alpha, and its zero classes ``c`` reach the twist as
+        # ``s = c - a_i`` against ``twist = a_{i-1} - a_i`` mod ``den``
+        # (``a_{-1}`` is 0).  Every such ``c`` is at least ``a_i``, so ``s``
+        # is below ``den - a_i``, while a twisted link has ``a_{i-1} < a_i``
+        # and so ``twist = den - a_i + a_{i-1}``: ``s`` never reaches it.
+        twisted = 0
         for _ in range(300):
-            profile_recursive(random_irreducible(rng, rng.randint(2, 9), 10))
-        assert len(calls) > 300
+            den, alpha, beta = random_irreducible(rng, rng.randint(2, 9), 10).numerators
+            pairs = sorted(zip(alpha, beta))
+            for i in range(len(pairs) - 1):
+                a = pairs[i][0]
+                twist = ((pairs[i - 1][0] if i else 0) - a) % den
+                if twist:
+                    twisted += 1
+                    assert all((c - a) % den != twist for c, _b in pairs[i:]), (pairs, i)
+        assert twisted > 300
 
     def test_degrees_and_vanishing_digest(self):
         # Degrees have no second engine: pin them, with the vanishing tables
