@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_irreducible, residue_grid
-from hyphodge.core import _residue, format_residue, parse_residue
+from hyphodge.core import _residue, _spread, _spread_sum, format_residue, parse_residue
 from hyphodge import (
     AT_ONE,
     INFINITY,
@@ -252,6 +252,37 @@ class TestTotals:
             for p in range(-5, 6)
         )
         assert by_totals == t.total_dimension() == 8
+
+
+class TestSpread:
+    """``_spread`` is the one spelling of a spread: both engines' degree
+    arithmetic and every graded total are built on it."""
+
+    @pytest.mark.parametrize(
+        "lv, q, m", [(0, 3, 1), (2, 3, 1), (2, -1, -2), (4, 0, 5)]
+    )
+    def test_adds_over_the_level_and_the_indices_below(self, lv, q, m):
+        acc = {q + 1: 7, q - lv - 1: 7}
+        _spread(acc, lv, q, m)
+        assert acc == {q + 1: 7, q - lv - 1: 7, **{p: m for p in range(q - lv, q + 1)}}
+
+    def test_adds_onto_what_is_there_and_leaves_zeros_for_the_caller(self):
+        acc = {1: 2}
+        _spread(acc, 1, 2, 3)
+        assert acc == {1: 5, 2: 3}
+        _spread(acc, 1, 2, -3)
+        assert acc == {1: 2, 2: 0}
+
+    def test_sum_is_one_spread_per_entry(self, rng):
+        for _ in range(50):
+            items = [
+                ((rng.randrange(6), rng.randrange(4), rng.randint(-3, 5)), rng.randint(-2, 3))
+                for _ in range(rng.randint(0, 6))
+            ]
+            acc: dict[int, int] = {}
+            for (_r, lv, q), m in items:
+                _spread(acc, lv, q, m)
+            assert _spread_sum(items) == acc
 
 
 class TestTableShift:
