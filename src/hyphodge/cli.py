@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from .closed_form import profile_closed
@@ -35,9 +36,11 @@ from .serialize import (
     ENGINES,
     SCHEMA_VERSION,
     build_compute_document,
+    compute_document_parts,
     compute_document_text,
     document_to_json,
     params_from_dict,
+    params_text,
     params_to_dict,
     tsv_lines,
 )
@@ -251,7 +254,34 @@ def _error_text(line: int, code: int, message: str) -> str:
     return document_to_json(doc, compact=True)
 
 
+_MEMO_RANK_MAX = 64
+_MEMO_DEN_BITS_MAX = 128
+"""The largest instance the batch memo keeps: its rank, and the bits of its
+denominator, which bound its texts.  Larger instances skip the memo, so its
+bytes stay bounded whatever the input."""
+
+
+@lru_cache(maxsize=64)
+def _memo(key: tuple[Any, ...]) -> list[str]:
+    """The slot for the compute document of ``key``'s instance, kept as
+    :func:`~hyphodge.serialize.compute_document_parts` cuts it; empty until
+    a line of the instance has been answered."""
+    return []
+
+
 def _batch_answer(line: str, args: argparse.Namespace) -> str:
+    """The answer to one batch line, through the memo of recent instances.
+
+    An instance's document is fixed by its factors, whatever their order,
+    except for the params text it echoes: the main theorem makes every
+    invariant a function of the factors, the recursive engine reads them
+    sorted and the closed one reads sorted exponents.  So the memo keys an
+    instance by ``(den, sorted pairs, engine, normalize)``; a hit writes
+    only the line's params and joins the kept parts around them.  A miss
+    runs the engines and the writer on the line itself.  A line whose
+    engines fail leaves its slot empty, so the instance is computed again
+    next time.
+    """
     try:
         data = json.loads(line)
     except RecursionError:
@@ -261,7 +291,17 @@ def _batch_answer(line: str, args: argparse.Namespace) -> str:
     engine = data.get("engine", args.engine)
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    return _compute_text(params, engine, args.normalize)
+    den, alpha, beta = params.numerators
+    if len(alpha) > _MEMO_RANK_MAX or den.bit_length() > _MEMO_DEN_BITS_MAX:
+        return _compute_text(params, engine, args.normalize)
+    kept = _memo((den, tuple(sorted(zip(alpha, beta))), engine, args.normalize))
+    if kept:
+        return params_text(params).join(kept)
+    text, parts = compute_document_parts(
+        params, engine, *_compute(params, engine, args.normalize)
+    )
+    kept.extend(parts)
+    return text.join(parts)
 
 
 def _run_batch(args: argparse.Namespace) -> int:

@@ -53,9 +53,7 @@ pair is built.
 Cost.  A rank-``n`` profile reads O(n**2) rows, each once: at link ``i``,
 one per class of ``pairs[i + 1:]`` on each side, and ``n - 1 - i`` more on a
 side where factor ``i`` is alone in its class.  It keeps only the two live
-class maps of at most ``n`` classes each, so its memory is O(n).  Finished
-profiles are kept in one bounded least-recently-used cache, so memory stays
-flat across batch lines while repeated instances are still answered from it.
+class maps of at most ``n`` classes each, so its memory is O(n).
 
 :func:`verify_cross_engine`, at the bottom, is not engine code: it runs
 both engines and hands their profiles to the check,
@@ -65,7 +63,6 @@ and it stays here because ``bench/run.py`` looks its name up in this module.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .closed_form import profile_closed
@@ -188,7 +185,6 @@ def _nearby_table(
     )
 
 
-@lru_cache(maxsize=1024)
 def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
     """The profile of a canonically sorted list of factor numerators over ``den``.
 
@@ -216,8 +212,7 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
       at infinity with ``-s >= den - twist``.  Factor ``i``'s own class,
       alone in the link, comes from :func:`_fold` and takes only the twist.
 
-    Side 0's rows are read before side 1's.  Cached across calls with a
-    fixed bound; callers share the returned profile and must not mutate it.
+    Side 0's rows are read before side 1's.
     """
     a, b = pairs[-1]
     offset = pairs[-2][0] if len(pairs) > 1 else 0
@@ -280,9 +275,8 @@ def profile_recursive(params: HypergeometricParams) -> HodgeProfile:
 
     The factor list is sorted canonically first, as the canonical chain
     reads it in alpha order; every invariant computed here is independent of
-    the order, so the profile cache also sees one key per instance.
-    Degrees are marked experimental: they rely on the fibre-consistent
-    regrading of the vanishing data.
+    the order.  Degrees are marked experimental: they rely on the
+    fibre-consistent regrading of the vanishing data.
     """
     params.require_irreducible()
     den, alpha, beta = params.numerators

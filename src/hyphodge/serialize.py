@@ -8,12 +8,16 @@ back the input, and each profile holds the classes of the document's params;
 else :class:`ValueError` names the first field that differs, such as
 ``document.profiles.closed.nearby_zero.entries[0].residue``.
 
-One writer spells the compute document: :func:`compute_document_text`
+One writer spells the compute document: :func:`compute_document_parts`
 writes it as compact JSON text, byte for byte what
 ``json.dumps(doc, separators=(",", ":"))`` writes, with the keys as
 literals, integers through f-strings and every other string through
-``json.encoder.encode_basestring_ascii``.  The batch stream writes that
-text.  The dict builders (:func:`build_compute_document`,
+``json.encoder.encode_basestring_ascii``.  It hands the text over cut
+where the params go, as the params text and the parts around it, and
+:func:`compute_document_text` joins them.  The batch stream writes that
+text, and keeps the parts of recent instances to answer the same instance
+again in any order of its pairs (:func:`params_text` writes the params of
+such an answer).  The dict builders (:func:`build_compute_document`,
 :func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
 :func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
 writer's text back with ``json.loads``, so they spell no key of their own.
@@ -270,8 +274,13 @@ def _exponent_texts(params: HypergeometricParams) -> _Texts:
     return _Texts(params.den, params.texts)
 
 
+def params_text(params: HypergeometricParams) -> str:
+    """The exponents as compact JSON text, as a compute document writes them."""
+    return _params_text(params, _exponent_texts(params))
+
+
 def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
-    return json.loads(_params_text(params, _exponent_texts(params)))
+    return json.loads(params_text(params))
 
 
 def params_from_dict(data: Any) -> HypergeometricParams:
@@ -308,13 +317,12 @@ def params_from_dict(data: Any) -> HypergeometricParams:
     return HypergeometricParams(nums[:n], nums[n:], den=den, texts=texts)
 
 
-def _report_text(report: EngineReport, params_text: str) -> str:
-    """The report on the instance whose exponents ``params_text`` writes."""
+def _report_rest(report: EngineReport) -> str:
+    """The report's text after its ``params``, which repeat the document's."""
     tables = ",".join([f"{_quote(k)}:{_BOOLS[v]}" for k, v in report.table_equal.items()])
     shift = "null" if report.shift is None else report.shift
     return (
-        f'{{"params":{params_text},'
-        f'"agree":{_BOOLS[report.agree]},"shift":{shift},"tables":{{{tables}}},'
+        f',"agree":{_BOOLS[report.agree]},"shift":{shift},"tables":{{{tables}}},'
         f'"identities_ok":{_BOOLS[report.identities_ok]},'
         f'"mismatches":[{",".join(map(_quote, report.mismatches))}],"error":null}}'
     )
@@ -343,18 +351,30 @@ def report_from_dict(data: Any, name: str = "report") -> EngineReport:
     return report
 
 
-def compute_document_text(
+_HEAD = f'{{"schema_version":{_quote(SCHEMA_VERSION)},"command":"compute","params":'
+"""A compute document's text up to its params."""
+
+
+def compute_document_parts(
     params: HypergeometricParams,
     engine: str,
     profiles: Mapping[str, HodgeProfile],
     report: EngineReport | None,
     normalization: int,
-) -> str:
-    """The compute document as compact JSON text: byte for byte what
+) -> tuple[str, tuple[str, ...]]:
+    """The compute document as compact JSON text, cut where it writes its
+    params: the params text, and the parts it goes between.
+
+    ``text.join(parts)`` is the document, byte for byte what
     ``json.dumps(doc, separators=(",", ":"))`` writes for the document
-    :func:`build_compute_document` returns."""
+    :func:`build_compute_document` returns.  The params go in once, or
+    twice under ``both``, whose report repeats them.  The parts read the
+    params only for their exponents' texts, keyed by numerator, and write
+    each table in sorted order.  So for profiles and a report that do not
+    depend on the order of the pairs, as the engines' do not, the parts are
+    the same for every order, and only the params text differs.
+    """
     texts = _exponent_texts(params)
-    params_text = _params_text(params, texts)
     written = []
     before = None
     for name, profile in profiles.items():
@@ -362,12 +382,26 @@ def compute_document_text(
         before = profile, slots
         written.append(f"{_quote(name)}:{_profile_text(profile, slots)}")
     named = ",".join(written)
-    report_text = "null" if report is None else _report_text(report, params_text)
-    return (
-        f'{{"schema_version":{_quote(SCHEMA_VERSION)},"command":"compute",'
-        f'"params":{params_text},"engine":{_quote(engine)},'
-        f'"profiles":{{{named}}},"report":{report_text},"normalization":{normalization}}}'
-    )
+    middle = f',"engine":{_quote(engine)},"profiles":{{{named}}},"report":'
+    end = f',"normalization":{normalization}}}'
+    if report is None:
+        parts = _HEAD, f"{middle}null{end}"
+    else:
+        parts = _HEAD, f'{middle}{{"params":', f"{_report_rest(report)}{end}"
+    return _params_text(params, texts), parts
+
+
+def compute_document_text(
+    params: HypergeometricParams,
+    engine: str,
+    profiles: Mapping[str, HodgeProfile],
+    report: EngineReport | None,
+    normalization: int,
+) -> str:
+    """The compute document as compact JSON text: the parts of
+    :func:`compute_document_parts` joined around their params text."""
+    text, parts = compute_document_parts(params, engine, profiles, report, normalization)
+    return text.join(parts)
 
 
 def build_compute_document(

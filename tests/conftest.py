@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hyphodge import HypergeometricParams
+from hyphodge.cli import _memo
 from hyphodge.cli import _residue_grid as residue_grid
 
 
@@ -43,3 +44,11 @@ def disjoint_pool_instance(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture(autouse=True)
+def cold_batch_memo():
+    """Each test starts with an empty batch memo: an instance an earlier
+    test answered would otherwise be a hit, and an engine a test patches in
+    would never run for it."""
+    _memo.cache_clear()

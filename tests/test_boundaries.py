@@ -1,5 +1,6 @@
 """The engines share only the data model: package imports read with ``ast``."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import hyphodge
 from conftest import random_irreducible
+from hyphodge.cli import _memo
 from hyphodge.closed_form import profile_closed
 from hyphodge.core import HypergeometricParams, LocalHodgeTable
 from hyphodge.recursion import _profile_of_pairs
@@ -172,7 +174,7 @@ def test_recursive_profile_builds_only_its_own_three_tables(monkeypatch):
     for n in (2, 3, 5, 9):
         den, alpha, beta = random_irreducible(rng, n, 8).numerators
         builds.clear()
-        _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta))))
+        _profile_of_pairs(den, tuple(sorted(zip(alpha, beta))))
         assert len(builds) == 3, (n, builds)
 
 
@@ -199,7 +201,7 @@ def test_engine_tables_arrive_reduced(monkeypatch):
         shared.clear()
         profiles = (
             profile_closed(params),
-            _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta)))),
+            _profile_of_pairs(den, tuple(sorted(zip(alpha, beta)))),
         )
         assert shared == [1] * 6, (params, shared)
         if params is transvection:
@@ -254,9 +256,23 @@ def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
 
     cases = [(line, engine, normalize) for line, engine in BATCH_LINES for normalize in (False, True)]
     warm = [answer(*case) for case in cases]
+    for case in cases:
+        remembered(*case)
+    hits = _memo.cache_info().hits
     counts = count_fractions(monkeypatch)
     assert [answer(*case) for case in cases] == warm
     assert counts == {"__new__": 0, "__hash__": 0}
+    # A memo hit writes only the line's params around the kept parts.
+    assert [remembered(*case) for case in cases] == warm
+    assert counts == {"__new__": 0, "__hash__": 0}
+    assert _memo.cache_info().hits == hits + len(cases)
+
+
+def remembered(line: str, engine: str, normalize: bool) -> str:
+    """The batch stream's answer to ``line``, through the memo."""
+    from hyphodge.cli import _batch_answer
+
+    return _batch_answer(line, argparse.Namespace(engine=engine, normalize=normalize))
 
 
 def test_document_read_builds_and_hashes_no_fraction(monkeypatch):
@@ -302,6 +318,8 @@ def test_closed_line_formats_no_exponent(monkeypatch):
         return _compute_text(params, engine, normalize)
 
     warm = [answer(normalize) for normalize in (False, True)]
+    for normalize in (False, True):
+        remembered(line, engine, normalize)
     calls = []
     for module in (core, serialize):
 
@@ -314,6 +332,13 @@ def test_closed_line_formats_no_exponent(monkeypatch):
         calls.clear()
         assert answer(normalize) == expected
         assert len(calls) <= 1, calls
+    # A memo hit formats nothing: the kept parts hold every table class.
+    hits = _memo.cache_info().hits
+    for normalize, expected in zip((False, True), warm):
+        calls.clear()
+        assert remembered(line, engine, normalize) == expected
+        assert calls == []
+    assert _memo.cache_info().hits == hits + 2
 
 
 def bounded_caches() -> set[str]:
@@ -357,7 +382,7 @@ def _names_lru_cache(node: ast.AST) -> bool:
 
 def test_every_cache_is_bounded():
     # Exactly these: a lost cache and a new one both show here.
-    assert bounded_caches() == {"core._residue", "recursion._profile_of_pairs"}
+    assert bounded_caches() == {"core._residue", "cli._memo"}
 
 
 def test_no_check_vanishes_under_optimize():

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -7,6 +8,7 @@ import random
 import select
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 import hyphodge
 from hyphodge import InternalEngineError, NoValidPeel, UnknownData
-from hyphodge.cli import main
-from conftest import residue_grid
+from hyphodge.cli import _batch_answer, _compute, _memo, main
+from hyphodge.serialize import compute_document_text, params_from_dict, params_to_dict
+from conftest import disjoint_pool_instance, residue_grid
 
 SRC = str(Path(hyphodge.__file__).resolve().parent.parent)
 ENGINE_ERRORS = [InternalEngineError, NoValidPeel, UnknownData]
@@ -669,6 +672,127 @@ class TestBatch:
             proc.stderr.close()
         assert (proc.returncode, stderr) == (141, b"")
 
+
+
+def memo_args(engine="both", normalize=False):
+    return argparse.Namespace(engine=engine, normalize=normalize)
+
+
+def cold_text(line, engine, normalize):
+    """The compute document of ``line`` from the engines and the writer,
+    bypassing the batch memo."""
+    params = params_from_dict(json.loads(line))
+    return compute_document_text(params, engine, *_compute(params, engine, normalize))
+
+
+def distinct_residue_line(rng, n, den):
+    """A rank-``n`` line of ``2 * n`` distinct residues ``k/den``, each
+    ``k`` of as many digits as ``den``."""
+    ks = set()
+    while len(ks) < 2 * n:
+        ks.add(rng.randrange(den // 2, den))
+    ks = [f"{k}/{den}" for k in ks]
+    return json.dumps({"alpha": ks[:n], "beta": ks[n:]})
+
+
+MERSENNE_127 = (1 << 127) - 1
+"""A prime of 127 bits: exponents over it have the longest texts the memo keeps."""
+
+MEMO_BYTES_MAX = 3 << 20
+"""The memo's worst case, as the README states it: 3 MiB."""
+
+
+class TestBatchMemo:
+    # The batch memo answers an instance it has seen from the kept document,
+    # whatever the order of the pairs.  The premise is that the engines'
+    # answer depends on the factors alone; these tests pin it on the batch
+    # path, the closed engine included.
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("engine", ["closed", "recursive", "both"])
+    def test_permuted_line_is_the_cold_document(self, engine, normalize):
+        rng = random.Random(20261020)
+        instances = [
+            disjoint_pool_instance(rng, rng.randint(1, 8), rng.randint(6, 30)) for _ in range(40)
+        ]
+        keys = {(p.den, tuple(sorted(zip(*p.numerators[1:])))) for p in instances}
+        for params in instances:
+            _batch_answer(json.dumps(params_to_dict(params)), memo_args(engine, normalize))
+            for _ in range(3):
+                order = list(range(params.n))
+                rng.shuffle(order)
+                line = json.dumps(
+                    {
+                        "alpha": [spell(rng, params.alpha[i]) for i in order],
+                        "beta": [spell(rng, params.beta[i]) for i in order],
+                    }
+                )
+                hits = _memo.cache_info().hits
+                answer = _batch_answer(line, memo_args(engine, normalize))
+                assert _memo.cache_info().hits == hits + 1
+                assert answer == cold_text(line, engine, normalize)
+        assert _memo.cache_info().currsize == len(keys) == len(instances)
+
+    @pytest.mark.parametrize("error", ENGINE_ERRORS)
+    def test_engine_error_is_never_memoized(self, monkeypatch, error):
+        line = '{"alpha": ["0", "0"], "beta": ["1/2", "1/2"]}'
+        with monkeypatch.context() as patch:
+            fail_on_rank(patch, 2, error)
+            with pytest.raises(error):
+                _batch_answer(line, memo_args())
+        assert _batch_answer(line, memo_args()) == cold_text(line, "both", False)
+        assert json.loads(_batch_answer(line, memo_args()))["report"]["agree"] is True
+        assert _memo.cache_info().currsize == 1
+
+    def test_line_above_the_gate_skips_the_memo(self):
+        rng = random.Random(20261021)
+        den = MERSENNE_127
+        at_gate = [distinct_residue_line(rng, 64, den), distinct_residue_line(rng, 2, den)]
+        above = [
+            distinct_residue_line(rng, 65, den),
+            distinct_residue_line(rng, 2, (1 << 129) - 1),
+        ]
+        assert [params_from_dict(json.loads(line)).den.bit_length() for line in above] == [127, 129]
+        for line in above:
+            size = _memo.cache_info().currsize
+            assert _batch_answer(line, memo_args("closed")) == cold_text(line, "closed", False)
+            assert _memo.cache_info().currsize == size
+        for line in at_gate:
+            size = _memo.cache_info().currsize
+            _batch_answer(line, memo_args("closed"))
+            assert _memo.cache_info().currsize == size + 1
+
+    def test_batch_memo_memory_is_flat(self, monkeypatch):
+        # Twice the memo's size of distinct lines at the gate, rank 64 with
+        # 128 distinct residues of 39-digit texts: a full memo of closed
+        # answers, then as many ``both`` answers, the longest document kept,
+        # which evict them all.  Every entry left was made under tracing, and
+        # the memo stays under the README's bound.  The engines answer each
+        # ``both`` line before tracing starts, as tracemalloc slows their
+        # bigint arithmetic many times over; the traced pass parses, keys
+        # and writes.
+        from hyphodge import cli
+
+        size = _memo.cache_info().maxsize
+        rng = random.Random(20261022)
+        lines = [distinct_residue_line(rng, 64, MERSENNE_127) for _ in range(2 * size)]
+        for line in lines[:size]:
+            _batch_answer(line, memo_args("closed"))
+        assert _memo.cache_info().currsize == size
+        computed = {}
+        for line in lines[size:]:
+            params = params_from_dict(json.loads(line))
+            computed[params.numerators] = _compute(params, "both", False)
+        monkeypatch.setattr(cli, "_compute", lambda params, *_args: computed[params.numerators])
+        tracemalloc.start()
+        try:
+            for line in lines[size:]:
+                _batch_answer(line, memo_args())
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _memo.cache_info().misses == 2 * size
+        assert _memo.cache_info().currsize == size
+        assert held < MEMO_BYTES_MAX, held
 
 
 def spell(rng, r):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -37,7 +38,7 @@ from hyphodge.convolution import (
     twist_degrees,
 )
 from hyphodge.core import profile_min_p
-from hyphodge.serialize import profile_to_dict
+from hyphodge.serialize import params_to_dict, profile_to_dict
 from conftest import disjoint_pool_instance, random_irreducible, residue_grid
 
 F = Fraction
@@ -149,13 +150,13 @@ class TestChoosePeel:
 
 class TestProfileRecursive:
     def test_rank_one_is_base(self):
-        # Rank one takes the path every rank takes: the cached chain.
+        # Rank one takes the path every rank takes: the canonical chain.
         from hyphodge.recursion import _profile_of_pairs
 
         p = HypergeometricParams((F(1, 3),), (F(0),))
         den, alpha, beta = p.numerators
         prof = profile_recursive(p)
-        assert prof is _profile_of_pairs(den, tuple(zip(alpha, beta)))
+        assert prof == _profile_of_pairs(den, tuple(zip(alpha, beta)))
         assert prof == rank_one_base(F(1, 3), F(0))
 
     def test_legendre_matches_closed(self):
@@ -173,18 +174,25 @@ class TestProfileRecursive:
         assert profile_recursive(p) == profile_recursive(p)
 
     def test_profile_cache_is_bounded_and_order_blind(self, rng):
-        from hyphodge.recursion import _profile_of_pairs
+        # The engine keeps nothing; the one result cache is the batch memo,
+        # keyed up to pair order.  A permuted line is a hit, and its answer
+        # echoes its own order around the profile computed for the first.
+        from hyphodge.cli import _batch_answer, _memo
 
-        assert _profile_of_pairs.cache_info().maxsize is not None
+        assert _memo.cache_info().maxsize is not None
         p = disjoint_pool_instance(rng, 6, 8)
         order = list(range(p.n))
         rng.shuffle(order)
-        first = profile_recursive(p)
-        hits = _profile_of_pairs.cache_info().hits
-        assert profile_recursive(p.permuted(order)) == first
-        assert _profile_of_pairs.cache_info().hits == hits + 1
-        den, alpha, beta = p.numerators
-        assert _profile_of_pairs.__wrapped__(den, tuple(sorted(zip(alpha, beta)))) == first
+        permuted = p.permuted(order)
+        assert permuted.numerators != p.numerators
+        args = argparse.Namespace(engine="recursive", normalize=False)
+        first = json.loads(_batch_answer(json.dumps(params_to_dict(p)), args))
+        hits = _memo.cache_info().hits
+        again = json.loads(_batch_answer(json.dumps(params_to_dict(permuted)), args))
+        assert _memo.cache_info().hits == hits + 1
+        assert again["params"] == params_to_dict(permuted)
+        assert again["profiles"] == first["profiles"]
+        assert first["profiles"]["recursive"] == profile_to_dict(profile_recursive(permuted))
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleInput):
@@ -224,7 +232,6 @@ class TestProfileRecursive:
 
             monkeypatch.setattr(recursion, name, recorded)
         p = disjoint_pool_instance(rng, 5, 12)
-        recursion._profile_of_pairs.cache_clear()
         profile_recursive(p)
         den, alpha, beta = p.numerators
         pairs = tuple(sorted(zip(alpha, beta)))
@@ -256,7 +263,6 @@ class TestProfileRecursive:
         from hyphodge import recursion
 
         monkeypatch.setattr(recursion, "zero_row", lambda *args: None)
-        recursion._profile_of_pairs.cache_clear()
         p = HypergeometricParams((F(0), F(1, 4)), (F(1, 2), F(1, 3)))
         assert p.den == 12
         with pytest.raises(InternalEngineError, match=r"^class 3/4 at 0 reached a dropped row$"):
@@ -283,7 +289,6 @@ class TestProfileRecursive:
             monkeypatch.setattr(recursion, name, recorded)
         rng = random.Random(20261019)
         for n in range(3, 15):
-            recursion._profile_of_pairs.cache_clear()
             calls.clear()
             params = disjoint_pool_instance(rng, n, 16)
             profile_recursive(params)
@@ -550,11 +555,8 @@ class TestRecursionInternals:
     def test_needs_no_python_recursion(self, rng):
         # The engine walks the canonical chain in one loop, so a rank-40
         # profile fits in a few frames above the caller's depth.
-        from hyphodge.recursion import _profile_of_pairs
-
         p = disjoint_pool_instance(rng, 40, 64)
         closed = profile_closed(p)
-        _profile_of_pairs.cache_clear()
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -572,11 +574,8 @@ class TestRecursionInternals:
         # A profile holds two class maps of at most ``n`` classes at a time,
         # and no state per peel: a cold rank-150 profile peaks far below the
         # megabytes that O(n**3) references would take.
-        from hyphodge.recursion import _profile_of_pairs
-
         p = disjoint_pool_instance(random.Random(150), 150, 64)
         p.require_irreducible()
-        _profile_of_pairs.cache_clear()
         tracemalloc.start()
         try:
             profile_recursive(p)
