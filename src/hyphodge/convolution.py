@@ -13,13 +13,15 @@ eigenvalue at infinity, and the level-0 unipotent output at 0, which instead
 takes the graded middle cohomology of the input as an extra argument.  These
 are recorded as unknown slots rather than silently set to zero.
 
-Integer forms.  The recursive engine reads only the rows :func:`zero_row`
-and :func:`infinity_row`, on residues written as integer numerators over a
-common denominator ``den``: the class ``r`` in ``[0, den)`` and the kernel
-drop as a numerator ``kernel`` in ``(0, den)``.  On these, ``r >= kernel`` is
-the class kept at 0, ``0 < r < den - kernel`` the inside of ``(0, 1 - g0)``,
-and ``r or den`` the ``(0, 1]`` representative.  The table-level transforms
-keep their checks (table kind, undetermined slots in a class they read), put
+Integer forms.  This module is reference code: no product path imports it.
+The rows :func:`zero_row` and :func:`infinity_row` read residues written as
+integer numerators over a common denominator ``den``: the class ``r`` in
+``[0, den)`` and the kernel drop as a numerator ``kernel`` in ``(0, den)``.
+On these, ``r >= kernel`` is the class kept at 0, ``0 < r < den - kernel``
+the inside of ``(0, 1 - g0)``, and ``r or den`` the ``(0, 1]``
+representative.  They are the reference that acceptance criterion 15 holds
+the recursive engine's class steps to.  The table-level transforms keep
+their checks (table kind, undetermined slots in a class they read), put
 their tables' integer residues on a common denominator with the kernel, and
 build their output tables from integers over it.  Their degree and vanishing
 transports are not the engine's: tests hold the engine to them.

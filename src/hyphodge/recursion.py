@@ -1,12 +1,12 @@
 """Recursive engine: peel a rank-one factor, twist, convolve, untwist.
 
 The engine rebuilds every local invariant of a hypergeometric module by
-induction on the number of factors, using only the two forward convolution
-rows and the rank-one data at the end of each peel chain.  It reads only
-:mod:`hyphodge.core` and the rows of :mod:`hyphodge.convolution`, and
-carries degrees and the vanishing entry with its own arithmetic: it shares
-only the data model with the closed engine and no degree code with the
-table-level transforms, so exact agreement with either is a real
+induction on the number of factors, stepping each class past one peeled
+factor at a time from the rank-one data at the end of each peel chain.  It
+reads only :mod:`hyphodge.core`, and carries the class steps, degrees and
+the vanishing entry with its own arithmetic: it shares only the data model
+with the closed engine and no code with the reference transforms of
+:mod:`hyphodge.convolution`, so exact agreement with either is a real
 cross-check.
 
 It runs as one loop up the canonical chain (Katz's middle-convolution
@@ -16,22 +16,24 @@ factor list; the loop starts at the rank-one end and climbs to the whole
 list, carrying two class maps, the nearby classes of the link below at 0 and
 at infinity, each from a residue numerator to the class's ``(level, p)``.
 Each link reads every class of the link below once, and in that read applies
-the class's degree term, its transform row and its twist term.
+the class's degree term, its step and its twist term.
 
 Every transform maps an output eigenvalue class from the same input class
-only, so a class takes one transform row per peeled factor.  The row must be
-determined: the peel rule, :func:`choose_peel`, peels a factor from a
-different class when possible, otherwise a factor inside the target class
-of multiplicity at least two.  On a link it peels factor 0, so every class
-of the link below takes one row past factor ``i``, except factor ``i``'s own
-class when factor ``i`` holds it alone: the rule then peels factor 1, and
-again factor 1 of every state after, as factor ``i`` stays alone in front
-down to rank one, so that class folds the rows of the whole suffix.  Each
-map's keys are exactly the classes of ``pairs[i + 1:]``, so "alone" is a key
-lookup and the engine never asks the rule, which stays as the tests'
-reference.  The engine thus reads only determined rows; no class it follows
-lands in the level-0 unipotent slot at 0 or the level-0 conjugate-kernel
-slot at infinity.
+only, so a class takes one step per peeled factor ``(a, b)``: its row read
+as arithmetic, the same at 0 and at infinity.  Where the class is the
+factor's own exponent (``a`` at 0, ``b`` at infinity), level and ``p`` rise
+by 1.  Where the factor does not separate it,
+``(c - a) % den > (b - a) % den``, ``p`` rises by 1.  Otherwise nothing
+moves.  A row's level drop needs an alpha equal to a beta, which
+:func:`profile_recursive` rejects as reducible first.  Acceptance criterion
+15 holds the steps to the rows of :mod:`hyphodge.convolution`.  On a link
+the peel rule, :func:`choose_peel`, peels factor 0, so every class of the
+link below steps past factor ``i``, except factor ``i``'s own class when
+factor ``i`` holds it alone: the rule then peels factor 1 of every state
+down to rank one, so that class steps past the whole suffix
+(:func:`_fold`).  Each map's keys are exactly the classes of
+``pairs[i + 1:]``, so "alone" is a key lookup and the engine never asks the
+rule, which stays as the tests' reference.
 
 Rank one has no path of its own: a one-factor list is its own chain end, and
 only the profile's note tells it apart.
@@ -44,16 +46,15 @@ anywhere in the engine.
 
 A peel only drops a factor.  Katz's step twists the rest by the peeled
 alpha, but a Kummer twist moves every class by the same amount and keeps its
-``(level, p)``, every transform row reads only differences (a class less
-the peeled alpha, and the kernel ``beta - alpha``), and the peel rule reads
-only which factors share a class.  So both maps key their classes by the
-instance's own residues: no residue is shifted, nothing is sorted and no
-pair is built.
+``(level, p)``, every step reads only differences (a class less the peeled
+alpha, and the kernel ``beta - alpha``), and the peel rule reads only which
+factors share a class.  So both maps key their classes by the instance's
+own residues: no residue is shifted, nothing is sorted and no pair is built.
 
-Cost.  A rank-``n`` profile reads O(n**2) rows, each once: at link ``i``,
-one per class of ``pairs[i + 1:]`` on each side, and ``n - 1 - i`` more on a
-side where factor ``i`` is alone in its class.  It keeps only the two live
-class maps of at most ``n`` classes each, so its memory is O(n).
+Cost.  A rank-``n`` profile takes O(n**2) class steps, each once: at link
+``i``, one per class of ``pairs[i + 1:]`` on each side, and ``n - 1 - i``
+more on a side where factor ``i`` is alone in its class.  It keeps only the
+two live class maps of at most ``n`` classes each, so its memory is O(n).
 
 :func:`verify_cross_engine`, at the bottom, is not engine code: it runs
 both engines and hands their profiles to the check,
@@ -66,7 +67,6 @@ from __future__ import annotations
 from math import gcd
 
 from .closed_form import profile_closed
-from .convolution import infinity_row, zero_row
 from .core import (
     AT_ONE,
     INFINITY,
@@ -82,7 +82,6 @@ from .core import (
     _prune,
     _spread,
     compare_profiles,
-    format_residue,
 )
 
 Pairs = tuple[tuple[int, int], ...]
@@ -140,35 +139,15 @@ def choose_peel(pairs: Pairs, side: int, residue: int, den: int) -> tuple[int, i
     return j, (b - a) % den
 
 
-def _row(
-    side: int, residue: int, level: int, p: int, kernel: int, den: int
-) -> tuple[int, int]:
-    """One class taken one row up: ``residue`` is the class less the peeled
-    alpha, at 0 (``side`` 0) or infinity (1), and ``(level, p)`` its data
-    below.  Rows at infinity are keyed in the transforms' orientation, so the
-    residue is negated for them."""
-    if side:
-        row = infinity_row(-residue % den, level, kernel, den)
-    else:
-        row = zero_row(residue, level, kernel, den)
-    if row is None:
-        raise InternalEngineError(
-            f"class {format_residue(residue, den)} at {(ZERO, INFINITY)[side]}"
-            " reached a dropped row"
-        )
-    return row[0], p + row[1]
-
-
 def _fold(pairs: Pairs, i: int, side: int, den: int) -> tuple[int, int]:
     """Factor ``i``'s own class on ``side``, which it holds alone in
     ``pairs[i:]``: the peel rule would peel factor 1 of each state down to
-    rank one, where the class is ``(0, 1)``, so fold the rows of
-    ``pairs[i + 1:]``, last factor first."""
-    residue = pairs[i][side]
-    level, p = 0, 1
-    for a, b in reversed(pairs[i + 1 :]):
-        level, p = _row(side, (residue - a) % den, level, p, (b - a) % den, den)
-    return level, p
+    rank one, where the class is ``(0, 1)``, so step it past every factor of
+    ``pairs[i + 1:]``.  None of them has the class as its own exponent, so
+    its level stays 0 and its ``p`` rises once per factor that does not
+    separate it."""
+    c = pairs[i][side]
+    return 0, 1 + sum((c - a) % den > (b - a) % den for a, b in pairs[i + 1 :])
 
 
 def _nearby_table(
@@ -205,14 +184,16 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
       graded through the image of the nilpotent operator.
     * A class at 0 with ``s >= kernel`` is kept by the convolution: its
       spread enters the degrees and leaves them one index up, which
-      telescopes to +1 at ``q - level`` and -1 at ``q + 1``, and at
-      ``s == kernel`` its primitive part comes back one index up.  After its
-      row, the twist takes out the spread of a class with ``s < twist``
-      (the fibre less the classes the twist keeps) and adds that of a class
-      at infinity with ``-s >= den - twist``.  Factor ``i``'s own class,
-      alone in the link, comes from :func:`_fold` and takes only the twist.
+      telescopes to +1 at ``q - level`` and -1 at ``q + 1``.  Here
+      ``s == kernel`` would be ``c == b``, reducible input that
+      :func:`profile_recursive` rejects, so the kept classes are the ones
+      whose ``p`` steps.  After its step, the twist takes out the spread of
+      a class with ``s < twist`` (the fibre less the classes the twist
+      keeps) and adds that of a class at infinity with ``-s >= den -
+      twist``.  Factor ``i``'s own class, alone in the link, comes from
+      :func:`_fold` and takes only the twist.
 
-    Side 0's rows are read before side 1's.
+    Side 0's classes are stepped before side 1's.
     """
     a, b = pairs[-1]
     offset = pairs[-2][0] if len(pairs) > 1 else 0
@@ -237,11 +218,13 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
                 _spread(degrees, level, q, -1)
         for c, (level, q) in zero.items():
             s = (c - a) % den
-            if s >= kernel:
+            if c == a:
+                level, q = level + 1, q + 1
+            elif s > kernel:
                 degrees[q - level] = degrees.get(q - level, 0) + 1
-                if s != kernel:
-                    degrees[q + 1] = degrees.get(q + 1, 0) - 1
-            up[c] = level, q = _row(0, s, level, q, kernel, den)
+                degrees[q + 1] = degrees.get(q + 1, 0) - 1
+                q += 1
+            up[c] = level, q
             if twist and s < twist:
                 _spread(degrees, level, q, -1)
         zero, up = up, {}
@@ -250,7 +233,11 @@ def _profile_of_pairs(den: int, pairs: Pairs) -> HodgeProfile:
             if twist and (a - b) % den >= den - twist:
                 _spread(degrees, level, q, 1)
         for c, (level, q) in infinity.items():
-            up[c] = level, q = _row(1, (c - a) % den, level, q, kernel, den)
+            if c == b:
+                level, q = level + 1, q + 1
+            elif (c - a) % den > kernel:
+                q += 1
+            up[c] = level, q
             if twist and (a - c) % den >= den - twist:
                 _spread(degrees, level, q, 1)
         infinity = up

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hyphodge import (
+    AT_ONE,
     INFINITY,
     ZERO,
     HypergeometricParams,
@@ -29,7 +30,14 @@ from hyphodge.combinatorics import (
     contribution_pair,
     dualize_table,
 )
-from hyphodge.convolution import ConvolutionContext, convolve_nearby_infinity
+from hyphodge.closed_form import _tail_no_wrap_count
+from hyphodge.convolution import (
+    ConvolutionContext,
+    convolve_nearby_infinity,
+    convolve_vanishing_finite,
+    infinity_row,
+    zero_row,
+)
 from conftest import random_irreducible, residue_grid
 
 F = Fraction
@@ -513,4 +521,95 @@ def test_criterion_13_repairing_recursive_degrees():
         "re-pairing moves the recursive profile, degrees included, by the closed shift",
         bad == 0,
         f"{pairings} pairings",
+    )
+
+
+def test_criterion_15_table_agreement_as_a_finite_theorem():
+    """The recursive tables are the closed engine's per-pair count.
+
+    Phase 1 is exhaustive over order types.  A row reads only where the
+    class ``c`` and the peeled factor's ``a`` and ``b`` sit on the circle,
+    and which of them coincide, and every such configuration occurs with a
+    denominator of at most 12.  So at every denominator, a row never drops a
+    class of an irreducible instance, raises its level exactly at a merge,
+    and raises its ``p`` exactly when the closed per-pair indicator is 1:
+    ``c`` is the factor's own exponent, or the factor does not separate
+    ``c`` (``(c - a) % den > (b - a) % den``).  The vanishing transport's
+    step is likewise the per-factor step of the closed tail count.
+
+    Phase 2 checks that each class of the recursive engine takes one such
+    step per factor and nothing else: its ``p`` is the sum of the
+    indicators over all factors, and its level is its multiplicity less one.
+    That sum is what the closed engine counts pair by pair.
+
+    Together the two phases give table agreement at every rank and
+    denominator.  They do not cover the degrees, which only the recursion
+    derives, the regrade of the vanishing entry, or the closed engine's
+    independence of pair order, which ``verify`` checks.
+    """
+    # Phase 1a: every triple (c, a, b) with a != b over denominators <= 12,
+    # at 0 with c != b and at infinity with c != a (the other triples are
+    # reducible).  Rows at infinity read the class in the transforms'
+    # orientation, so the residue is negated for them.
+    checked = 0
+    for den in range(2, 13):
+        for a, b in itertools.permutations(range(den), 2):
+            kernel = (b - a) % den
+            for c in range(den):
+                s = (c - a) % den
+                for side, own, row in (
+                    (0, a, zero_row(s, 0, kernel, den)),
+                    (1, b, infinity_row(-s % den, 0, kernel, den)),
+                ):
+                    if c == (b, a)[side]:
+                        continue
+                    assert row is not None, (den, c, a, b, side)
+                    expected = (int(c == own), int(c == own or s > kernel))
+                    assert row == expected, (den, c, a, b, side, row)
+                    checked += 1
+    # Phase 1b: the vanishing transport's step on every (tail, d), against
+    # the closed tail count of a two-factor list whose last drop is ``tail``.
+    for den in range(2, 13):
+        for tail in range(den):
+            for d in range(1, den):
+                table = LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(tail, den), 0, 0): 1})
+                moved = convolve_vanishing_finite(table, ConvolutionContext(F(d, den)))
+                ((_r, _lv, step),) = moved.int_entries
+                pair = HypergeometricParams((F(0), F(0)), (F(d, den), F(tail, den)))
+                assert step == _tail_no_wrap_count(pair), (den, tail, d)
+                checked += 1
+    # Phase 2: on seeded instances, every recursive class is the plain count.
+    # Each instance draws its alphas and betas from two disjoint pools of
+    # numerators over one denominator <= 12, so classes repeat often.
+    rng = random.Random(SEED + 15)
+    instances = 0
+    for _ in range(3000):
+        n, size = rng.randint(1, 8), rng.randint(2, 12)
+        pool, cut = rng.sample(range(size), size), rng.randint(1, size - 1)
+        params = HypergeometricParams(
+            [F(rng.choice(pool[:cut]), size) for _ in range(n)],
+            [F(rng.choice(pool[cut:]), size) for _ in range(n)],
+        )
+        den, alpha, beta = params.numerators
+        profile = profile_recursive(params)
+        for side, table in ((0, profile.nearby_zero), (1, profile.nearby_infinity)):
+            exponents = (alpha, beta)[side]
+            scale = den // table.den
+            classes = set()
+            for (r, level, p), mult in table.int_entries.items():
+                c = r * scale
+                count = sum(
+                    c == (a, b)[side] or (c - a) % den > (b - a) % den
+                    for a, b in zip(alpha, beta)
+                )
+                assert (mult, level, p) == (1, exponents.count(c) - 1, count), (params, side, c)
+                classes.add(c)
+            assert classes == set(exponents), (params, side)
+            checked += len(classes)
+        instances += 1
+    _report(
+        15,
+        "table agreement as a finite theorem",
+        True,
+        f"{checked} exact checks; rows and tail steps at den <= 12, {instances} instances",
     )

@@ -4,7 +4,9 @@ import argparse
 import ast
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
@@ -65,7 +67,7 @@ def test_package_import_graph():
     assert graph["core"] == set()
     for module in ("closed_form", "convolution", "serialize"):
         assert graph[module] == {"core"}, module
-    assert graph["recursion"] == {"core", "convolution", "closed_form"}
+    assert graph["recursion"] == {"core", "closed_form"}
     assert graph["cli"] == {"core", "closed_form", "recursion", "serialize"}
     assert not graph["__init__"] & {"combinatorics", "convolution"}
     for module in PRODUCT:
@@ -79,10 +81,25 @@ def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     assert "count_identities_hold" not in imports.get("core", set())
 
 
-def test_recursive_engine_reads_only_the_rows():
-    # The engine carries degrees and the vanishing entry itself; from the
-    # transforms it reads the two rows and nothing else.
-    assert package_imports("recursion")["convolution"] == {"zero_row", "infinity_row"}
+def test_recursive_engine_imports_nothing_from_convolution():
+    # The engine steps each class, and carries degrees and the vanishing
+    # entry, with its own arithmetic: neither the rows nor the table-level
+    # transforms, nor the table shift of the data model.
+    imports = package_imports("recursion")
+    assert "convolution" not in imports
+    assert "table_shift" not in imports["core"]
+
+
+def test_command_line_loads_no_reference_module():
+    # A fresh interpreter that imports the command line, as every compute
+    # and batch run does, leaves both reference modules unloaded.
+    code = "import sys, hyphodge.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hyphodge.cli" in loaded
+    assert not {"hyphodge.convolution", "hyphodge.combinatorics"} & set(loaded)
 
 
 def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:
@@ -100,8 +117,8 @@ def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:
 
 
 def test_only_the_comparison_reaches_the_closed_engine_and_the_identities():
-    # The engine code of ``recursion`` reads the data model and the rows; the
-    # closed engine is used by the cross-engine run at its bottom only, and
+    # The engine code of ``recursion`` reads only the data model; the closed
+    # engine is used by the cross-engine run at its bottom only, and
     # the identity check by the comparison in ``core`` only.
     borrowed = {"profile_closed", "count_identities_hold"}
     assert users_of("recursion", borrowed) == {("verify_cross_engine", "profile_closed")}
@@ -138,19 +155,6 @@ def test_identity_check_cannot_borrow_the_closed_sweep():
         elif isinstance(node, ast.Import):
             modules.update(a.name for a in node.names)
     assert not modules & {"bisect", "closed_form"}, modules
-
-
-def test_recursive_engine_reads_rows_not_table_transforms():
-    imports = package_imports("recursion")
-    assert not imports.get("convolution", set()) & {
-        "convolve_nearby_zero",
-        "convolve_nearby_infinity",
-        "convolve_degrees",
-        "twist_degrees",
-        "convolve_vanishing_finite",
-        "ConvolutionContext",
-    }
-    assert "table_shift" not in imports.get("core", set())
 
 
 def test_recursive_engine_stays_on_integers():
@@ -442,6 +446,11 @@ def test_benchmark_trace_resolves_its_names_and_uninstalls():
         spec.loader.exec_module(run)
     finally:
         sys.path[:] = saved_path
+    # The tracer imports the reference modules it spans, which no product
+    # module loads; load them first so that ``before`` holds their bindings.
+    import hyphodge.combinatorics
+    import hyphodge.convolution
+
     tracer = run.Tracer()
     before = package_bindings()
     run.install_tracing(tracer)

@@ -16,7 +16,6 @@ from hyphodge import (
     ZERO,
     HodgeProfile,
     HypergeometricParams,
-    InternalEngineError,
     LocalHodgeTable,
     NoValidPeel,
     ReducibleInput,
@@ -216,98 +215,59 @@ class TestProfileRecursive:
     def test_walk_calls_the_module_peel_rule(self, rng, monkeypatch):
         # The walk never asks the peel rule: it folds a class when factor
         # ``i`` holds it alone, a key lookup.  The module's rule is the
-        # reference.  Link ``i`` reads side 0's rows, then side 1's; on each
-        # side it folds the rows of ``pairs[i + 1:]`` exactly where the rule
-        # re-targets away from factor 0, then takes every class of
-        # ``pairs[i + 1:]`` one row past factor ``i``.
+        # reference.  Link ``i`` steps side 0's classes, then side 1's; on
+        # each side it folds factor ``i``'s class exactly where the rule
+        # re-targets away from factor 0.
         from hyphodge import recursion
 
         calls = []
-        for name, side in (("zero_row", 0), ("infinity_row", 1)):
-            row = getattr(recursion, name)
+        fold = recursion._fold
 
-            def recorded(r, lv, kernel, den, row=row, side=side):
-                calls.append((side, r, kernel))
-                return row(r, lv, kernel, den)
+        def recorded(pairs, i, side, den):
+            calls.append((i, side))
+            return fold(pairs, i, side, den)
 
-            monkeypatch.setattr(recursion, name, recorded)
+        monkeypatch.setattr(recursion, "_fold", recorded)
         p = disjoint_pool_instance(rng, 5, 12)
         profile_recursive(p)
         den, alpha, beta = p.numerators
         pairs = tuple(sorted(zip(alpha, beta)))
-        folds = []
-        for i in range(len(pairs) - 2, -1, -1):
-            a, b = pairs[i]
-            for side in (0, 1):
-                fold = choose_peel(pairs[i:], side, pairs[i][side], den)[0] != 0
-                folds.append(fold)
-                sign = -1 if side else 1
-                folded = [
-                    (side, sign * (pairs[i][side] - a_k) % den, (b_k - a_k) % den)
-                    for a_k, b_k in reversed(pairs[i + 1 :])
-                ] * fold
-                stepped = [
-                    (side, sign * (c - a) % den, (b - a) % den)
-                    for c in {pair[side] for pair in pairs[i + 1 :]}
-                ]
-                read = calls[: len(folded) + len(stepped)]
-                del calls[: len(read)]
-                assert read[: len(folded)] == folded, (i, side)
-                assert sorted(read[len(folded) :]) == sorted(stepped), (i, side)
-        assert calls == []
+        links = [(i, side) for i in range(len(pairs) - 2, -1, -1) for side in (0, 1)]
+        folds = [choose_peel(pairs[i:], side, pairs[i][side], den)[0] != 0 for i, side in links]
+        assert calls == [link for link, folded in zip(links, folds) if folded]
         assert any(folds) and not all(folds)
 
-    def test_dropped_row_message_writes_the_reduced_residue(self, monkeypatch):
-        # The walk's class is 9 over the instance's denominator 12; the
-        # message writes it as the documents do, reduced.
-        from hyphodge import recursion
-
-        monkeypatch.setattr(recursion, "zero_row", lambda *args: None)
-        p = HypergeometricParams((F(0), F(1, 4)), (F(1, 2), F(1, 3)))
-        assert p.den == 12
-        with pytest.raises(InternalEngineError, match=r"^class 3/4 at 0 reached a dropped row$"):
-            profile_recursive(p)
-
     def test_a_peel_only_drops_a_factor(self, monkeypatch):
-        # Every row the engine reads takes a class of the instance past one
-        # canonical factor: its kernel is that factor's ``b - a`` and its
-        # residue the class less that factor's alpha (negated at infinity,
-        # the rows' orientation), so no residue is ever shifted.  And each
-        # row is read once: link ``i``, ``pairs[i:]``, takes every class of
-        # ``pairs[i + 1:]`` one row up on each side, and folds the rows of
-        # the whole suffix into a class that factor ``i`` holds alone.
+        # Every fold takes the instance's canonical pairs and folds factor
+        # ``i``'s own residue, unshifted, past the ``n - 1 - i`` factors of
+        # ``pairs[i + 1:]``; it runs once per side where factor ``i`` holds
+        # its class alone.  How many steps each class takes, one per factor,
+        # is pinned by acceptance criterion 15.
         from hyphodge import recursion
 
         calls = []
-        for name, side in (("zero_row", 0), ("infinity_row", 1)):
-            row = getattr(recursion, name)
+        fold = recursion._fold
 
-            def recorded(r, lv, kernel, den, row=row, side=side):
-                calls.append((side, r, kernel, den))
-                return row(r, lv, kernel, den)
+        def recorded(pairs, i, side, den):
+            calls.append((pairs, i, side, den))
+            return fold(pairs, i, side, den)
 
-            monkeypatch.setattr(recursion, name, recorded)
+        monkeypatch.setattr(recursion, "_fold", recorded)
         rng = random.Random(20261019)
         for n in range(3, 15):
             calls.clear()
             params = disjoint_pool_instance(rng, n, 16)
             profile_recursive(params)
             den, alpha, beta = params.numerators
-            pairs = sorted(zip(alpha, beta))
+            pairs = tuple(sorted(zip(alpha, beta)))
             expected = 0
             for i in range(n - 1):
                 for side in (0, 1):
-                    rest = {pair[side] for pair in pairs[i + 1 :]}
-                    expected += len(rest) + (n - 1 - i) * (pairs[i][side] not in rest)
-            assert len(calls) == expected
-            classes = (set(alpha), set(beta))
-            for side, r, kernel, row_den in calls:
-                assert row_den == den
-                assert any(
-                    kernel == (b - a) % den
-                    and ((a - r) if side else (r + a)) % den in classes[side]
-                    for a, b in pairs
-                ), (side, r, kernel)
+                    alone = pairs[i][side] not in {pair[side] for pair in pairs[i + 1 :]}
+                    expected += (n - 1 - i) * alone
+            assert sum(n - 1 - i for _pairs, i, _side, _den in calls) == expected
+            for folded, _i, _side, fold_den in calls:
+                assert (folded, fold_den) == (pairs, den)
 
     def test_reducible_raises_as_the_engines_do(self):
         with pytest.raises(ReducibleInput):
