@@ -4,8 +4,8 @@ Two independent engines compute the complete local numerical package (graded
 nearby tables at 0 and infinity, the vanishing table at 1, fibre dimensions,
 degrees) from exact rational exponents: closed combinatorial formulas and a
 recursive middle-convolution engine.  They are cross-validated against each
-other and against the combinatorial identities relating the two index
-conventions (:func:`compare_profiles`, :func:`verify_cross_engine`).
+other, and each profile against the fibre law (:func:`compare_profiles`,
+:func:`verify_cross_engine`).
 
 The package exports the data model, both engines and the check.  The
 reference counts (:mod:`hyphodge.combinatorics`) and the convolution rows
@@ -34,8 +34,8 @@ from .core import (
     TableKind,
     UnknownData,
     compare_profiles,
-    count_identities_hold,
     equal_up_to_shift,
+    fibre_mismatches,
     frac,
     hodge_numbers,
     parse_rational,

@@ -27,7 +27,7 @@ from .core import (
     ReducibleInput,
     UnknownData,
     compare_profiles,
-    hodge_numbers,
+    fibre_mismatches,
     profile_min_p,
 )
 from .recursion import profile_recursive
@@ -91,7 +91,7 @@ def _compute(
         profiles["recursive"] = profile_recursive(params)
     report = None
     if engine == "both":
-        report = compare_profiles(params, profiles["closed"], profiles["recursive"])
+        report = compare_profiles(profiles["closed"], profiles["recursive"])
     shift = 0
     if normalize:
         shift = -min(profile_min_p(p) for p in profiles.values())
@@ -188,18 +188,14 @@ def _iter_sampled(n_max: int, den_max: int, sample: int, seed: int):
 def _instance_failures(params: HypergeometricParams, rng: random.Random | None) -> list[str]:
     reasons = []
     closed = profile_closed(params)
-    report = compare_profiles(params, closed, profile_recursive(params))
+    report = compare_profiles(closed, profile_recursive(params))
     if not report.agree:
         reasons.append(f"engines disagree on {', '.join(report.mismatches)}")
     if report.shift != 0:
         reasons.append(f"grading shift {report.shift}, expected 0")
     if not report.identities_ok:
         reasons.append("index identity failed")
-    # ``hodge`` is the spread-sum at 0, so only the sum at infinity can differ.
-    at_infinity = hodge_numbers(closed.nearby_infinity)
-    for p in sorted(at_infinity.keys() | closed.hodge.keys()):
-        if at_infinity.get(p, 0) != closed.hodge.get(p, 0):
-            reasons.append(f"fibre-rank consistency failed at p={p}")
+    reasons += (f"fibre-rank consistency failed at p={p}" for p in fibre_mismatches(closed))
     if rng is not None and params.n > 1:
         order = list(range(params.n))
         rng.shuffle(order)

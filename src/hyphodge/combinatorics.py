@@ -6,8 +6,6 @@ works with exact residues in ``[0, 1)`` read as points on the oriented unit
 circle; comparisons are literal inequalities between those representatives.
 
 No product module imports this one, and the tests hold the engines to it.
-A ``both`` report runs the integer spelling of :func:`check_count_identity`,
-:func:`hyphodge.core.count_identities_hold`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ it on a denominator by the same helper, and ``alpha``, ``beta``, ``entries``
 and ``unknown`` are ``Fraction`` views built on first read.
 
 The check of a ``both`` report reads this data model only, so it is spelled
-here too: :func:`compare_profiles` and :func:`count_identities_hold`.
+here too: :func:`compare_profiles` and the fibre law, :func:`fibre_mismatches`.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -539,36 +539,25 @@ def equal_up_to_shift(a: HodgeProfile, b: HodgeProfile) -> int | None:
     return s if _profiles_match(a.shifted(s) if s else a, b) else None
 
 
-def count_identities_hold(params: HypergeometricParams) -> bool:
-    """``check_count_identity`` of :mod:`hyphodge.combinatorics` at every
-    index ``m``, at 0 and at infinity, on the integer numerators.
+def fibre_mismatches(profile: HodgeProfile) -> list[int]:
+    """The indices ``p``, sorted, at which ``profile`` breaks the fibre law.
 
-    The same literal counts, pair by pair: the three separation chains, the
-    strict (at 0) or weak (at infinity) interlacing count, and the ascending
-    count.  Each distinct reference value is checked once, in one pass over
-    the pairs that accumulates both its counts.  No count is read from a
-    sorted tuple, so the check stays independent of the closed engine's
-    sweep.  A rank-``n`` instance costs O(n**2) comparisons.
+    By Schmid the limit Hodge numbers at 0 and at infinity both equal the
+    generic fibre's.  ``hodge`` is the spread-sum at 0 and the constructor
+    pins both totals to ``rank``, so the law is that the spread-sum at
+    infinity equals ``hodge`` index by index.  One pass over the classes.
     """
-    _den, alpha, beta = params.numerators
-    pairs = tuple(zip(alpha, beta))
-    ascending = sum(a < b for a, b in pairs)
-    for at_zero, refs in ((True, alpha), (False, beta)):
-        for g in set(refs):
-            nonseparated = interlacing = 0
-            for a, b in pairs:
-                nonseparated += not (a < g < b or g < b < a or b < a < g)
-                interlacing += (b < g if at_zero else b <= g) - (a < g)
-            if nonseparated - interlacing != ascending:
-                return False
-    return True
+    at_infinity = _spread_sum(profile.nearby_infinity.int_entries.items())
+    fibre = profile.hodge
+    if at_infinity == fibre:
+        return []
+    indices = at_infinity.keys() | fibre.keys()
+    return sorted(p for p in indices if at_infinity.get(p, 0) != fibre.get(p, 0))
 
 
-def compare_profiles(
-    params: HypergeometricParams, closed: HodgeProfile, recursive: HodgeProfile
-) -> EngineReport:
-    """What a ``both`` report checks: the two engines' unshifted profiles of
-    ``params`` compared exactly, and :func:`count_identities_hold`.
+def compare_profiles(closed: HodgeProfile, recursive: HodgeProfile) -> EngineReport:
+    """What a ``both`` report checks: the two engines' unshifted profiles
+    compared exactly, and the fibre law on each (:func:`fibre_mismatches`).
 
     Mismatches are reported as data, not raised.  Each profile reads
     ``hodge`` from its ``nearby_zero``, so the ``"hodge"`` entry is implied
@@ -581,5 +570,5 @@ def compare_profiles(
     return EngineReport(
         shift=0 if all(table_equal.values()) else equal_up_to_shift(closed, recursive),
         table_equal=table_equal,
-        identities_ok=count_identities_hold(params),
+        identities_ok=not fibre_mismatches(closed) and not fibre_mismatches(recursive),
     )

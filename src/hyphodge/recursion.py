@@ -276,4 +276,4 @@ def verify_cross_engine(params: HypergeometricParams) -> EngineReport:
     Mismatches are reported as data, not raised.  Reducible input raises
     :class:`~hyphodge.core.ReducibleInput`, as each engine does.
     """
-    return compare_profiles(params, profile_closed(params), profile_recursive(params))
+    return compare_profiles(profile_closed(params), profile_recursive(params))

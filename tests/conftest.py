@@ -1,10 +1,24 @@
+import dataclasses
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from hyphodge import HypergeometricParams
+from hyphodge import HodgeProfile, HypergeometricParams, LocalHodgeTable
 from hyphodge.cli import _memo
-from hyphodge.cli import _residue_grid as residue_grid
+from hyphodge.cli import _residue_grid
+
+
+@lru_cache(maxsize=None)
+def _grid(den_max: int) -> tuple[Fraction, ...]:
+    return tuple(_residue_grid(den_max))
+
+
+def residue_grid(den_max: int) -> list[Fraction]:
+    """A fresh copy of the command line's sorted residue grid, which is
+    built once per ``den_max``: callers may shuffle their copy in place."""
+    return list(_grid(den_max))
 
 
 def random_irreducible(rng: random.Random, n: int, den_max: int) -> HypergeometricParams:
@@ -14,7 +28,7 @@ def random_irreducible(rng: random.Random, n: int, den_max: int) -> Hypergeometr
     Raises ``ValueError`` after 10,000 rejected draws: on a small grid at a
     moderate rank almost every draw overlaps.
     """
-    grid = residue_grid(den_max)
+    grid = _grid(den_max)
     for _ in range(10_000):
         alpha = tuple(rng.choice(grid) for _ in range(n))
         beta = tuple(rng.choice(grid) for _ in range(n))
@@ -39,6 +53,25 @@ def disjoint_pool_instance(
     alpha = tuple(rng.choice(grid[:cut]) for _ in range(n))
     beta = tuple(rng.choice(grid[cut:]) for _ in range(n))
     return HypergeometricParams(alpha, beta)
+
+
+def raised_at_infinity(
+    profile: HodgeProfile, entry: tuple[int, int, int] | None = None
+) -> HodgeProfile:
+    """``profile`` with one class ``(r, level, p)`` of its nearby table at
+    infinity, by default the first, moved up to index ``p + 1``.
+
+    The spread-sum at infinity then loses the class's multiplicity at
+    ``p - level`` and gains it at ``p + 1``, so the profile breaks the fibre
+    law at exactly those two indices.
+    """
+    table = profile.nearby_infinity
+    entries = dict(table.int_entries)
+    r, level, p = entry = entry or next(iter(entries))
+    m = entries.pop(entry)
+    entries[r, level, p + 1] = entries.get((r, level, p + 1), 0) + m
+    raised = LocalHodgeTable(table.point, table.kind, entries, den=table.den)
+    return dataclasses.replace(profile, nearby_infinity=raised)
 
 
 @pytest.fixture

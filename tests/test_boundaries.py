@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib.util
+import inspect
 import json
 import os
 import random
@@ -56,29 +57,28 @@ def test_serialize_reads_only_the_data_model():
     assert hyphodge.core.EngineReport is hyphodge.recursion.EngineReport is hyphodge.EngineReport
 
 
-PRODUCT = ("cli", "core", "closed_form", "convolution", "recursion", "serialize")
+PRODUCT = ("cli", "core", "closed_form", "recursion", "serialize")
 
 
 def test_package_import_graph():
     # Product code and reference code are apart: the engines share only the
-    # data model, which holds the check, and no product module reads the
-    # reference counts of ``combinatorics``.
+    # data model, which holds the check, and no product module reads either
+    # reference module, ``combinatorics`` or ``convolution``.
     graph = {module: set(package_imports(module)) for module in (*PRODUCT, "__init__")}
     assert graph["core"] == set()
-    for module in ("closed_form", "convolution", "serialize"):
+    for module in ("closed_form", "serialize"):
         assert graph[module] == {"core"}, module
     assert graph["recursion"] == {"core", "closed_form"}
     assert graph["cli"] == {"core", "closed_form", "recursion", "serialize"}
-    assert not graph["__init__"] & {"combinatorics", "convolution"}
-    for module in PRODUCT:
-        assert "combinatorics" not in graph[module], module
+    for module in (*PRODUCT, "__init__"):
+        assert not graph[module] & {"combinatorics", "convolution"}, module
 
 
 def test_recursive_engine_takes_only_the_comparison_from_the_closed_engine():
     imports = package_imports("recursion")
     assert imports.get("closed_form") == {"profile_closed"}
     assert "combinatorics" not in imports
-    assert "count_identities_hold" not in imports.get("core", set())
+    assert "fibre_mismatches" not in imports.get("core", set())
 
 
 def test_recursive_engine_imports_nothing_from_convolution():
@@ -118,19 +118,25 @@ def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:
 
 def test_only_the_comparison_reaches_the_closed_engine_and_the_identities():
     # The engine code of ``recursion`` reads only the data model; the closed
-    # engine is used by the cross-engine run at its bottom only, and
-    # the identity check by the comparison in ``core`` only.
-    borrowed = {"profile_closed", "count_identities_hold"}
+    # engine is used by the cross-engine run at its bottom only.  The fibre
+    # law is spelled once, in ``core``: the comparison reads it there and
+    # ``verify`` reads it from there, and no other module sums a table.
+    borrowed = {"profile_closed", "fibre_mismatches"}
     assert users_of("recursion", borrowed) == {("verify_cross_engine", "profile_closed")}
-    assert users_of("core", borrowed) == {("compare_profiles", "count_identities_hold")}
+    assert users_of("core", borrowed) == {("compare_profiles", "fibre_mismatches")}
+    laws = {"fibre_mismatches", "hodge_numbers"}
+    assert users_of("cli", laws) == {("_instance_failures", "fibre_mismatches")}
 
 
 def test_check_in_core_and_reference_helpers_in_combinatorics():
     from hyphodge import combinatorics, core, serialize
 
-    for name in ("compare_profiles", "count_identities_hold"):
+    for name in ("compare_profiles", "fibre_mismatches"):
         assert getattr(hyphodge, name) is getattr(core, name)
         assert getattr(core, name).__module__ == "hyphodge.core"
+    # The count identity is a reference check: criterion 02 runs it.
+    assert not hasattr(hyphodge, "count_identities_hold")
+    assert not hasattr(core, "count_identities_hold")
     for name in ("conjugate_table", "kept_totals", "class_totals"):
         assert getattr(combinatorics, name).__module__ == "hyphodge.combinatorics"
         assert not hasattr(core, name), name
@@ -141,20 +147,17 @@ def test_check_in_core_and_reference_helpers_in_combinatorics():
         assert not hasattr(hyphodge, name), name
 
 
-def test_identity_check_cannot_borrow_the_closed_sweep():
-    # The index identities count pair by pair; reading them by bisection, or
-    # from the closed engine, would check the closed formula against itself.
-    holder = sys.modules[hyphodge.count_identities_hold.__module__]
-    tree = ast.parse(Path(holder.__file__).read_text(encoding="utf-8"))
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            modules.add(node.module or "")
-            if node.module is None:
-                modules.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            modules.update(a.name for a in node.names)
-    assert not modules & {"bisect", "closed_form"}, modules
+def test_the_check_reads_only_the_profiles():
+    # The report's every flag is read from the two profiles: neither the
+    # comparison nor the fibre law takes or reads the instance.
+    signature = inspect.signature(hyphodge.compare_profiles)
+    assert list(signature.parameters) == ["closed", "recursive"]
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("compare_profiles", "fibre_mismatches"):
+        read = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        read |= {a.arg for a in ast.walk(defs[name]) if isinstance(a, ast.arg)}
+        assert not read & {"params", "HypergeometricParams"}, name
 
 
 def test_recursive_engine_stays_on_integers():

@@ -21,7 +21,7 @@ import hyphodge
 from hyphodge import InternalEngineError, NoValidPeel, UnknownData
 from hyphodge.cli import _batch_answer, _compute, _memo, main
 from hyphodge.serialize import compute_document_text, params_from_dict, params_to_dict
-from conftest import disjoint_pool_instance, residue_grid
+from conftest import disjoint_pool_instance, raised_at_infinity, residue_grid
 
 SRC = str(Path(hyphodge.__file__).resolve().parent.parent)
 ENGINE_ERRORS = [InternalEngineError, NoValidPeel, UnknownData]
@@ -381,28 +381,38 @@ class TestVerifyFails:
             ]
 
     def test_index_identity(self, monkeypatch):
-        # The check reads the identities through its own module's binding.
-        from hyphodge import core
+        # A recursive profile that breaks the fibre law fails the report's
+        # identity flag; the closed profile keeps the law.
+        from hyphodge import cli
 
-        monkeypatch.setattr(core, "count_identities_hold", lambda params: False)
+        real = cli.profile_recursive
+        monkeypatch.setattr(cli, "profile_recursive", lambda p: raised_at_infinity(real(p)))
         code, doc = self.verify("--n-max", "1", "--den-max", "2")
         assert code == 1
+        reasons = [
+            "engines disagree on nearby_infinity",
+            "grading shift None, expected 0",
+            "index identity failed",
+        ]
         assert doc["failures"] == [
-            {"params": {"alpha": ["0"], "beta": ["1/2"]}, "reasons": ["index identity failed"]},
-            {"params": {"alpha": ["1/2"], "beta": ["0"]}, "reasons": ["index identity failed"]},
+            {"params": {"alpha": ["0"], "beta": ["1/2"]}, "reasons": reasons},
+            {"params": {"alpha": ["1/2"], "beta": ["0"]}, "reasons": reasons},
         ]
 
     def test_fibre_rank_consistency(self, monkeypatch):
+        # A closed profile that breaks the fibre law is named at each index.
         from hyphodge import cli
 
-        real = cli.hodge_numbers
-        monkeypatch.setattr(
-            cli, "hodge_numbers", lambda table: {p + 1: v for p, v in real(table).items()}
-        )
+        real = cli.profile_closed
+        monkeypatch.setattr(cli, "profile_closed", lambda p: raised_at_infinity(real(p)))
         code, doc = self.verify("--n-max", "1", "--den-max", "2")
         assert code == 1
+        assert doc["instances"] == 2 and len(doc["failures"]) == 2
         for failure in doc["failures"]:
             assert failure["reasons"] == [
+                "engines disagree on nearby_infinity",
+                "grading shift None, expected 0",
+                "index identity failed",
                 "fibre-rank consistency failed at p=1",
                 "fibre-rank consistency failed at p=2",
             ]

@@ -12,7 +12,6 @@ from hyphodge import (
     HypergeometricParams,
     LocalHodgeTable,
     TableKind,
-    count_identities_hold,
     frac,
     special_exponent,
 )
@@ -217,25 +216,6 @@ class TestCountIdentity:
                 for m in range(2):
                     assert check_count_identity(p, m, ZERO), (a, b, m)
                     assert check_count_identity(p, m, INFINITY), (a, b, m)
-
-    def test_integer_check_equals_the_literal_one(self):
-        # Reducible tuples are swept too, so the literal check also fails
-        # and both verdicts are compared on either side.
-        grid = residue_grid(6)
-        swept = failed = 0
-        for n in (1, 2):
-            for a in itertools.product(grid, repeat=n):
-                for b in itertools.product(grid, repeat=n):
-                    p = HypergeometricParams(a, b)
-                    literal = all(
-                        check_count_identity(p, m, point)
-                        for m in range(n)
-                        for point in (ZERO, INFINITY)
-                    )
-                    assert count_identities_hold(p) == literal, (a, b)
-                    swept += 1
-                    failed += not literal
-        assert (swept, failed) == (20880, 6096)
 
     def test_same_side_coincidences_are_covered(self):
         # Repeats inside one tuple are fine; only cross-tuple coincidences

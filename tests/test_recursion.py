@@ -22,6 +22,7 @@ from hyphodge import (
     TableKind,
     choose_peel,
     compare_profiles,
+    fibre_mismatches,
     frac,
     hodge_numbers,
     profile_closed,
@@ -38,7 +39,7 @@ from hyphodge.convolution import (
 )
 from hyphodge.core import profile_min_p
 from hyphodge.serialize import params_to_dict, profile_to_dict
-from conftest import disjoint_pool_instance, random_irreducible, residue_grid
+from conftest import disjoint_pool_instance, raised_at_infinity, random_irreducible, residue_grid
 
 F = Fraction
 
@@ -410,15 +411,15 @@ class TestCrossEngine:
         p = HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(3, 4)))
         closed = profile_closed(p)
         names = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
-        same = compare_profiles(p, closed, profile_recursive(p))
+        same = compare_profiles(closed, profile_recursive(p))
         assert same.shift == 0 and same.agree and same.mismatches == ()
         assert same.table_equal == dict.fromkeys(names, True)
-        shifted = compare_profiles(p, closed, closed.shifted(1))
+        shifted = compare_profiles(closed, closed.shifted(1))
         assert shifted.shift == 1 and not shifted.agree
         assert shifted.table_equal == dict.fromkeys(names, False)
         assert shifted.mismatches == names
         other = profile_closed(HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(2, 3))))
-        moved = compare_profiles(p, closed, other)
+        moved = compare_profiles(closed, other)
         assert moved.shift is None
         assert moved.table_equal["nearby_zero"] and not moved.table_equal["nearby_infinity"]
         assert moved.mismatches == tuple(n for n, ok in moved.table_equal.items() if not ok)
@@ -430,8 +431,28 @@ class TestCrossEngine:
         closed, recursive = profile_closed(p), profile_recursive(p)
         low = profile_min_p(closed) - 2
         recursive = dataclasses.replace(recursive, degrees={**recursive.degrees, low: 1})
-        rep = compare_profiles(p, closed, recursive)
+        rep = compare_profiles(closed, recursive)
         assert rep.agree and rep.shift == 0
+
+    def test_identities_flag_is_the_fibre_law_on_each_profile(self):
+        # Raising one class at infinity by one index moves its spread: index
+        # ``p - level`` loses the class and ``p + 1`` gains it.  Either
+        # engine's profile so raised fails the flag, and the law names
+        # exactly those two indices.
+        rng = random.Random(20261020)
+        for _ in range(40):
+            params = disjoint_pool_instance(rng, rng.randint(1, 6), 12)
+            closed, recursive = profile_closed(params), profile_recursive(params)
+            assert fibre_mismatches(closed) == fibre_mismatches(recursive) == []
+            assert compare_profiles(closed, recursive).identities_ok
+            for entry in closed.nearby_infinity.int_entries:
+                _r, level, p = entry
+                raised_closed = raised_at_infinity(closed, entry)
+                raised_recursive = raised_at_infinity(recursive, entry)
+                for raised in (raised_closed, raised_recursive):
+                    assert fibre_mismatches(raised) == [p - level, p + 1], (params, entry)
+                assert not compare_profiles(raised_closed, recursive).identities_ok
+                assert not compare_profiles(closed, raised_recursive).identities_ok
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_exhaustive_small(self, n):

@@ -461,7 +461,7 @@ class TestTableReuse:
                 # Shifted, the table keeps its dimension; only its indices differ.
                 recursive = replace(recursive, **{slot: table_shift(getattr(recursive, slot), 1)})
             profiles = {"closed": closed, "recursive": recursive}
-            report = compare_profiles(params, closed, recursive)
+            report = compare_profiles(closed, recursive)
             mismatched = {slot, "hodge"} if slot == "nearby_zero" else {slot} - {None}
             assert set(report.mismatches) == mismatched
             text = compute_document_text(params, "both", profiles, report, 0)
