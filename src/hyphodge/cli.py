@@ -8,14 +8,11 @@ SIGPIPE, what a shell reports for other tools there).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .closed_form import profile_closed
 from .core import (
@@ -44,6 +41,10 @@ from .serialize import (
     params_to_dict,
     tsv_lines,
 )
+
+if TYPE_CHECKING:
+    import random
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -150,6 +151,7 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 def _residue_grid(den_max: int) -> list[Fraction]:
     """All reduced rationals in [0, 1) with denominator at most ``den_max``, sorted."""
+    from fractions import Fraction
     out = {Fraction(0)}
     for d in range(1, den_max + 1):
         for num in range(1, d):
@@ -158,6 +160,7 @@ def _residue_grid(den_max: int) -> list[Fraction]:
 
 
 def _iter_exhaustive(n_max: int, den_max: int):
+    import itertools
     grid = _residue_grid(den_max)
     for n in range(1, n_max + 1):
         for alpha in itertools.product(grid, repeat=n):
@@ -174,6 +177,7 @@ def _iter_sampled(n_max: int, den_max: int, sample: int, seed: int):
     each exponent is drawn from its own pool, repeats allowed; the grid needs
     at least two residues.
     """
+    import random
     grid = _residue_grid(den_max)
     rng = random.Random(seed)
     for _ in range(sample):
@@ -187,15 +191,15 @@ def _iter_sampled(n_max: int, den_max: int, sample: int, seed: int):
 
 def _instance_failures(params: HypergeometricParams, rng: random.Random | None) -> list[str]:
     reasons = []
-    closed = profile_closed(params)
-    report = compare_profiles(closed, profile_recursive(params))
+    closed, recursive = profile_closed(params), profile_recursive(params)
+    report = compare_profiles(closed, recursive)
     if not report.agree:
         reasons.append(f"engines disagree on {', '.join(report.mismatches)}")
     if report.shift != 0:
         reasons.append(f"grading shift {report.shift}, expected 0")
-    if not report.identities_ok:
-        reasons.append("index identity failed")
-    reasons += (f"fibre-rank consistency failed at p={p}" for p in fibre_mismatches(closed))
+    for engine, profile in (("closed", closed), ("recursive", recursive)):
+        failed = f"fibre law failed on the {engine} profile at p="
+        reasons += (f"{failed}{p}" for p in fibre_mismatches(profile))
     if rng is not None and params.n > 1:
         order = list(range(params.n))
         rng.shuffle(order)

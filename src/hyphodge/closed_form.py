@@ -19,9 +19,9 @@ to library callers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from math import gcd
 from operator import lt
+from typing import TYPE_CHECKING
 
 from .core import (
     AT_ONE,
@@ -33,6 +33,9 @@ from .core import (
     SingularPoint,
     TableKind,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def nearby_closed(
@@ -107,6 +110,7 @@ def special_exponent(params: HypergeometricParams) -> Fraction:
     to a unipotent reflection (a transvection).  The sum is taken over the
     integer numerators of :attr:`HypergeometricParams.numerators`.
     """
+    from fractions import Fraction
     drop = params.special_drop
     return Fraction(drop, params.den) if drop else Fraction(1)
 

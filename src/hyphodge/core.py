@@ -14,7 +14,9 @@ residue text is read by the memo of :func:`parse_residue` into a reduced
 ratio of ints, and :func:`common_numerators` puts ratios on their lcm.
 ``Fraction`` is the library's boundary only: constructors take it and put
 it on a denominator by the same helper, and ``alpha``, ``beta``, ``entries``
-and ``unknown`` are ``Fraction`` views built on first read.
+and ``unknown`` are ``Fraction`` views built on first read.  ``fractions``
+is imported only where a ``Fraction`` is built, so the command line never
+loads it.
 
 The check of a ``both`` report reads this data model only, so it is spelled
 here too: :func:`compare_profiles` and the fibre law, :func:`fibre_mismatches`.
@@ -26,13 +28,14 @@ function, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import index
-from typing import Any, Iterable, Mapping, Sequence
+from operator import attrgetter, index
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UnknownData(Exception):
@@ -61,6 +64,7 @@ def frac(value: Fraction | int) -> Fraction:
 
     A ``Fraction`` already in ``[0, 1)`` is returned as it is.
     """
+    from fractions import Fraction
     q = value if isinstance(value, Fraction) else Fraction(value)
     num, den = q.numerator, q.denominator
     return q if 0 <= num < den else Fraction(num % den, den)
@@ -72,22 +76,28 @@ _MEMO_TEXT_MAX = 32
 """Longest text :func:`parse_residue` memoizes; longer ones are read each time."""
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """The reduced ratio of ints a rational text spells (:func:`parse_rational`)."""
+    match = _RATIONAL_RE.fullmatch(text.strip().replace("−", "-"))
+    if match is None:
+        raise ValueError(f"not a rational in a/b form: {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator: {text!r}")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the shared text format ``a/b`` or ``a`` (optional leading minus).
 
     Digits are ASCII only; a Unicode minus sign is accepted.  Anything else
     (floats, whitespace inside the number, other scripts' digits, empty
     strings, a zero denominator) is rejected with :class:`ValueError`.  No
-    memo: :func:`parse_residue` calls this on a miss.
+    memo: :func:`parse_residue` reads a miss as ints, building no ``Fraction``.
     """
-    match = _RATIONAL_RE.fullmatch(text.strip().replace("−", "-"))
-    if match is None:
-        raise ValueError(f"not a rational in a/b form: {text!r}")
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    from fractions import Fraction
+    return Fraction(*_ratio(text))
 
 
 def format_residue(r: int, den: int) -> str:
@@ -105,7 +115,7 @@ def format_residue(r: int, den: int) -> str:
 
 @lru_cache(maxsize=4096)
 def _residue(text: str) -> tuple[int, int, str]:
-    num, den = parse_rational(text).as_integer_ratio()
+    num, den = _ratio(text)
     num %= den
     return num, den, format_residue(num, den)
 
@@ -115,7 +125,7 @@ def parse_residue(text: str) -> tuple[int, int, str]:
 
     ``m/d`` is the residue in ``[0, 1)`` as a reduced ratio of ints and
     ``text`` is what :func:`format_residue` writes for it over any
-    denominator.  A miss is read by :func:`parse_rational`: each distinct
+    denominator.  A miss is read by :func:`_ratio`: each distinct
     ``str`` of at most 32 characters once per process, in a least-recently-
     used memo of at most 4096 entries that never keeps an error.
     """
@@ -159,7 +169,7 @@ ZERO = SingularPoint.ZERO
 INFINITY = SingularPoint.INFINITY
 AT_ONE = SingularPoint.ONE
 
-Entry = tuple[Fraction, int, int]
+Entry = tuple["Fraction", int, int]
 """Table key: (eigenvalue residue, nilpotency level, Hodge index)."""
 IntEntry = tuple[int, int, int]
 """Table key with the residue as its integer numerator over the table's ``den``."""
@@ -177,8 +187,31 @@ def _exact(values: Sequence[Any]) -> Sequence[Any]:
     return values
 
 
-@dataclass(frozen=True, init=False)
-class LocalHodgeTable:
+class _Frozen:
+    """What a frozen dataclass gives, without importing ``dataclasses``: over
+    the fields its class annotates, equality within the class, the dataclass
+    ``repr``, no hash (``__eq__`` alone sets ``__hash__ = None``), and no
+    assignment but through ``__dict__``."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        key = self._key
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class LocalHodgeTable(_Frozen):
     """Multiset of graded primitive dimensions at one singular point.
 
     Stored on integers over the table's own denominator ``den``:
@@ -228,7 +261,6 @@ class LocalHodgeTable:
                 for r, ((_r, lv, p), m) in zip(nums, items)
             }
             unknown = [(r, index(lv)) for r, (_r, lv) in zip(nums[len(items) :], slots)]
-        # Frozen: the fields go straight into the instance dict, once.
         self.__dict__.update(
             point=point, kind=kind, den=den, int_entries=entries or {}, int_unknown=unknown
         )
@@ -241,6 +273,7 @@ class LocalHodgeTable:
         for (r, level, _p), mult in entries.items():
             if not (0 <= r < den and level >= 0 and mult >= 1):
                 if not 0 <= r < den:
+                    from fractions import Fraction
                     raise ValueError(f"residue {Fraction(r, den)} not reduced to [0, 1)")
                 if level < 0:
                     raise ValueError("negative nilpotency level")
@@ -269,12 +302,14 @@ class LocalHodgeTable:
     @cached_property
     def entries(self) -> dict[Entry, int]:
         """``int_entries`` keyed by ``Fraction`` residues."""
+        from fractions import Fraction
         den = self.den
         return {(Fraction(r, den), lv, p): m for (r, lv, p), m in self.int_entries.items()}
 
     @cached_property
     def unknown(self) -> frozenset[tuple[Fraction, int]]:
         """``int_unknown`` with ``Fraction`` residues."""
+        from fractions import Fraction
         return frozenset((Fraction(r, self.den), lv) for r, lv in self.int_unknown)
 
     def total_dimension(self) -> int:
@@ -319,8 +354,7 @@ def hodge_numbers(table: LocalHodgeTable) -> dict[int, int]:
     return dict(sorted(_spread_sum(table.int_entries.items()).items()))
 
 
-@dataclass(frozen=True, init=False)
-class HypergeometricParams:
+class HypergeometricParams(_Frozen):
     """The pair of exponent tuples defining a hypergeometric module.
 
     The order of the list is meaningful: it records the chosen decomposition
@@ -360,9 +394,7 @@ class HypergeometricParams:
             ratios = [frac(v).as_integer_ratio() for v in _exact(alpha + beta)]
             den, nums = common_numerators(ratios)
             alpha, beta = tuple(nums[: len(alpha)]), tuple(nums[len(alpha) :])
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "alpha_numerators", alpha)
-        object.__setattr__(self, "beta_numerators", beta)
+        self.__dict__.update(den=den, alpha_numerators=alpha, beta_numerators=beta)
         self.__post_init__()
         if texts is not None:
             self.__dict__["texts"] = texts
@@ -374,6 +406,9 @@ class HypergeometricParams:
         if min(min(alpha), min(beta)) < 0 or max(max(alpha), max(beta)) >= den:
             raise ValueError(f"exponent numerators must lie in [0, {den})")
 
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     @property
     def numerators(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """``(den, alpha numerators, beta numerators)``, in the given order."""
@@ -381,10 +416,12 @@ class HypergeometricParams:
 
     @cached_property
     def alpha(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(a, self.den) for a in self.alpha_numerators)
 
     @cached_property
     def beta(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(b, self.den) for b in self.beta_numerators)
 
     @cached_property
@@ -436,8 +473,7 @@ _SLOTS = (
 )
 
 
-@dataclass(frozen=True)
-class HodgeProfile:
+class HodgeProfile(_Frozen):
     """The full local Hodge package of one module, as a schema v1 profile.
 
     The nearby tables at 0 and at infinity, each of dimension ``rank``, at
@@ -455,6 +491,11 @@ class HodgeProfile:
     vanishing_finite: LocalHodgeTable
     degrees: dict[int, int] | None = None
     note: str = ""
+
+    def __init__(self, rank, nearby_zero, nearby_infinity, vanishing_finite, degrees=None, note=""):
+        fields = (rank, nearby_zero, nearby_infinity, vanishing_finite, degrees, note)
+        self.__dict__.update(zip(self._fields, fields))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -486,7 +527,11 @@ class HodgeProfile:
         """Translate the whole Hodge grading by ``s``."""
         degrees = None if self.degrees is None else {p + s: v for p, v in self.degrees.items()}
         tables = {name: table_shift(getattr(self, name), s) for name, _point, _kind in _SLOTS}
-        return replace(self, **tables, degrees=degrees)
+        return self.replace(**tables, degrees=degrees)
+
+    def replace(self, **changes: Any) -> HodgeProfile:
+        """This profile with ``changes`` to its fields, built and checked anew."""
+        return type(self)(**dict(zip(self._fields, self._key(self)), **changes))
 
 
 COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
@@ -494,13 +539,15 @@ COMPARED = ("nearby_zero", "nearby_infinity", "vanishing_finite", "hodge")
 ``EngineReport.table_equal``.  Each profile reads ``hodge`` from ``nearby_zero``."""
 
 
-@dataclass(frozen=True)
-class EngineReport:
+class EngineReport(_Frozen):
     """The comparison of one instance's two profiles (:func:`compare_profiles`)."""
 
     shift: int | None
     table_equal: dict[str, bool]
     identities_ok: bool
+
+    def __init__(self, shift, table_equal, identities_ok):
+        self.__dict__.update(shift=shift, table_equal=table_equal, identities_ok=identities_ok)
 
     @property
     def agree(self) -> bool:

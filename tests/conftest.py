@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -71,7 +70,7 @@ def raised_at_infinity(
     m = entries.pop(entry)
     entries[r, level, p + 1] = entries.get((r, level, p + 1), 0) + m
     raised = LocalHodgeTable(table.point, table.kind, entries, den=table.den)
-    return dataclasses.replace(profile, nearby_infinity=raised)
+    return profile.replace(nearby_infinity=raised)
 
 
 @pytest.fixture

@@ -90,16 +90,53 @@ def test_recursive_engine_imports_nothing_from_convolution():
     assert "table_shift" not in imports["core"]
 
 
+HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+"""Standard modules the command line never needs: slow to import, and
+``Fraction`` is only the library's boundary."""
+
+FIRST_ANSWERS = """\
+import json, sys
+from hyphodge import cli
+cli.main(["batch"])
+print(json.dumps(sorted(set(sys.modules))), file=sys.stderr)
+from hyphodge.closed_form import special_exponent
+from hyphodge.core import parse_rational
+params = cli.params_from_dict({"alpha": ["1/3"], "beta": ["1/2"]})
+built = [params.alpha[0], params.beta[0], special_exponent(params), parse_rational("2/4")]
+print(json.dumps([type(value).__module__ for value in built]), file=sys.stderr)
+"""
+"""A child that answers its batch lines, names the modules then loaded, and
+then builds a ``Fraction`` through each library view."""
+
+
 def test_command_line_loads_no_reference_module():
-    # A fresh interpreter that imports the command line, as every compute
-    # and batch run does, leaves both reference modules unloaded.
-    code = "import sys, hyphodge.cli; print(' '.join(sorted(sys.modules)))"
+    # A fresh interpreter that imports the command line and answers one
+    # batch line per engine, each a miss of the parse memo, as every compute
+    # and batch run does, leaves both reference modules and the heavy
+    # standard modules unloaded.  The library's ``Fraction`` views load
+    # ``fractions`` when they are read.
+    lines = [
+        {"alpha": ["0", "1/3"], "beta": ["1/2", "3/4"], "engine": "closed"},
+        {"alpha": ["1/5", "-2/5"], "beta": ["1/7", "002/7"], "engine": "recursive"},
+        {"alpha": ["\u22121/9", "4/9"], "beta": ["5/11", "6/11"], "engine": "both"},
+    ]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", FIRST_ANSWERS],
+        input="".join(json.dumps(line) + "\n" for line in lines),
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    answers = [json.loads(answer) for answer in child.stdout.splitlines()]
+    assert [answer["engine"] for answer in answers] == ["closed", "recursive", "both"]
+    assert answers[2]["report"]["agree"], answers[2]
+    loaded, built = map(json.loads, child.stderr.splitlines())
     assert "hyphodge.cli" in loaded
     assert not {"hyphodge.convolution", "hyphodge.combinatorics"} & set(loaded)
+    assert not set(HEAVY_MODULES) & set(loaded)
+    assert built == ["fractions"] * 4
 
 
 def users_of(module: str, names: set[str]) -> set[tuple[str | None, str]]:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -358,7 +357,7 @@ class TestVerifyFails:
         def engine(params):
             profile = real(params)
             shifted = table_shift(profile.vanishing_finite, 1)
-            return dataclasses.replace(profile, vanishing_finite=shifted)
+            return profile.replace(vanishing_finite=shifted)
 
         monkeypatch.setattr(cli, "profile_recursive", engine)
         code, doc = self.verify("--n-max", "1", "--den-max", "2")
@@ -381,8 +380,8 @@ class TestVerifyFails:
             ]
 
     def test_index_identity(self, monkeypatch):
-        # A recursive profile that breaks the fibre law fails the report's
-        # identity flag; the closed profile keeps the law.
+        # A recursive profile that breaks the fibre law is named, with the
+        # engine, at each index; the closed profile keeps the law.
         from hyphodge import cli
 
         real = cli.profile_recursive
@@ -392,7 +391,8 @@ class TestVerifyFails:
         reasons = [
             "engines disagree on nearby_infinity",
             "grading shift None, expected 0",
-            "index identity failed",
+            "fibre law failed on the recursive profile at p=1",
+            "fibre law failed on the recursive profile at p=2",
         ]
         assert doc["failures"] == [
             {"params": {"alpha": ["0"], "beta": ["1/2"]}, "reasons": reasons},
@@ -400,7 +400,8 @@ class TestVerifyFails:
         ]
 
     def test_fibre_rank_consistency(self, monkeypatch):
-        # A closed profile that breaks the fibre law is named at each index.
+        # A closed profile that breaks the fibre law is named, with the
+        # engine, at each index.
         from hyphodge import cli
 
         real = cli.profile_closed
@@ -412,9 +413,8 @@ class TestVerifyFails:
             assert failure["reasons"] == [
                 "engines disagree on nearby_infinity",
                 "grading shift None, expected 0",
-                "index identity failed",
-                "fibre-rank consistency failed at p=1",
-                "fibre-rank consistency failed at p=2",
+                "fibre law failed on the closed profile at p=1",
+                "fibre law failed on the closed profile at p=2",
             ]
 
     def test_closed_profile_order_sensitive(self, monkeypatch):

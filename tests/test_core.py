@@ -1,12 +1,11 @@
 import itertools
 import random
-from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_irreducible, residue_grid
@@ -22,6 +21,7 @@ from hyphodge import (
     SingularPoint,
     TableKind,
     UnknownData,
+    compare_profiles,
     equal_up_to_shift,
     frac,
     hodge_numbers,
@@ -167,8 +167,8 @@ class TestRationalFormat:
 
 class TestResidueMemo:
     # ``parse_residue`` memoizes ``(m, d, text)`` per exponent or residue
-    # text; it is the only memo over texts, and ``parse_rational`` reads a
-    # text on a miss.
+    # text; it is the only memo over texts, and a miss reads the text as
+    # ``parse_rational`` does, on ints.
     @pytest.mark.parametrize("text", MEMO_TEXTS)
     def test_memo_is_transparent(self, text):
         # A cold memo, then two hits: each call gives what the unmemoized
@@ -221,6 +221,87 @@ class TestResidueMemo:
         info = _residue.cache_info()
         assert info.maxsize == 4096
         assert info.currsize <= 4096
+
+
+HUGE_NUMERATOR = "1" * 4301
+"""Past the interpreter's default limit on the digits ``int`` converts."""
+
+PARSE_EDGES = [
+    "+1/2", "-1/2", "−1/2", "+0", "-0", "−0", "0/5", "-0/5",
+    "007/014", "-0009/0003", "000", "12/1", "-12/4", "−7/00003",
+]
+"""Signs, the Unicode minus, leading zeros and zero numerators."""
+
+PARSE_ERRORS = [
+    ("5/0", "zero denominator: '5/0'"),
+    ("-0/000", "zero denominator: '-0/000'"),
+    ("--1", "not a rational in a/b form: '--1'"),
+    ("1/-2", "not a rational in a/b form: '1/-2'"),
+    ("1/2/3", "not a rational in a/b form: '1/2/3'"),
+    ("", "not a rational in a/b form: ''"),
+]
+"""Refused texts and the message each gets."""
+
+
+def int_error(digits):
+    """The message of the ValueError ``int`` raises on ``digits``."""
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
+@st.composite
+def rational_texts(draw):
+    """Texts of the shared format: any sign, leading zeros on either side,
+    and a zero denominator now and then."""
+    sign = draw(st.sampled_from(["", "+", "-", "−"]))
+    zeros = st.sampled_from(["", "0", "000"])
+    text = f"{sign}{draw(zeros)}{draw(st.integers(0, 10**40))}"
+    den = draw(st.none() | st.integers(0, 10**40))
+    return text if den is None else f"{text}/{draw(zeros)}{den}"
+
+
+class TestParseCore:
+    """A miss of the residue memo reads and reduces the text on ints, with
+    the value and the errors ``Fraction`` and ``parse_rational`` give."""
+
+    @staticmethod
+    def check(text):
+        fraction = Fraction(text.replace("−", "-"))
+        expected = (fraction % 1).as_integer_ratio()
+        _residue.cache_clear()
+        assert parse_residue(text)[:2] == expected, text
+        assert _residue.__wrapped__(text)[:2] == expected, text
+        assert parse_rational(text) == fraction, text
+
+    @pytest.mark.parametrize("text", PARSE_EDGES)
+    def test_edges_reduce_as_fraction_does(self, text):
+        self.check(text)
+
+    @given(rational_texts())
+    @settings(max_examples=300, derandomize=True)
+    def test_texts_reduce_as_fraction_does(self, text):
+        if "/" in text and not int(text.partition("/")[2]):
+            assert parse_outcome(parse_residue, text) == (
+                "ValueError", f"zero denominator: {text!r}"
+            )
+        else:
+            self.check(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            *PARSE_ERRORS,
+            (HUGE_NUMERATOR, int_error(HUGE_NUMERATOR)),
+            (f"-{HUGE_NUMERATOR}/3", int_error(HUGE_NUMERATOR)),
+            (f"1/{HUGE_NUMERATOR}", int_error(HUGE_NUMERATOR)),
+        ],
+    )
+    def test_errors_keep_their_type_and_message(self, text, message):
+        _residue.cache_clear()
+        for parse in (parse_residue, _residue.__wrapped__, parse_rational):
+            assert parse_outcome(parse, text) == ("ValueError", message)
+        assert _residue.cache_info().currsize == 0
 
 
 class TestTotals:
@@ -679,10 +760,10 @@ class TestProfileSlots:
         for other in itertools.product(SingularPoint, TableKind):
             table = LocalHodgeTable(*other, entries)
             if other == (point, kind):
-                assert replace(p, **{slot: table}) == p
+                assert p.replace(**{slot: table}) == p
             else:
                 with pytest.raises(ValueError, match=text):
-                    replace(p, **{slot: table})
+                    p.replace(**{slot: table})
 
     def test_profiles_whose_document_is_refused_cannot_be_built(self):
         """No vanishing table, two of them, the nearby tables swapped, a table
@@ -716,7 +797,7 @@ class TestProfileSlots:
             cases.append((f"rank must be at least 1, got {rank}", {"rank": rank, **empty}))
         for text, changes in cases:
             with pytest.raises(ValueError, match=text):
-                replace(p, **changes)
+                p.replace(**changes)
         data = profile_to_dict(p)
         data.update(rank=0, hodge={})
         data["nearby_zero"]["entries"] = data["nearby_infinity"]["entries"] = []
@@ -725,9 +806,9 @@ class TestProfileSlots:
 
     def test_hodge_is_read_from_nearby_zero(self, rng):
         p = small_profile()
-        assert "hodge" not in {f.name for f in fields(HodgeProfile)}
+        assert "hodge" not in HodgeProfile._fields
         with pytest.raises(TypeError):
-            HodgeProfile(hodge=p.hodge, **{f.name: getattr(p, f.name) for f in fields(p)})
+            HodgeProfile(hodge=p.hodge, **{name: getattr(p, name) for name in p._fields})
         for _ in range(30):
             params = random_irreducible(rng, rng.randint(1, 5), 8)
             for prof in (profile_closed(params), profile_recursive(params)):
@@ -747,3 +828,120 @@ class TestSingularPoint:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             SingularPoint("pole")
+
+
+def value_instances():
+    """One instance of each value class of the data model, and its parent-
+    commit ``repr``."""
+    p = small_profile()
+    table = LocalHodgeTable(ZERO, TableKind.NEARBY, {(F(1, 2), 0, 1): 1}, {(F(1, 3), 1)})
+    nearby_zero = (
+        "LocalHodgeTable(point=<SingularPoint.ZERO: 'zero'>, kind=<TableKind.NEARBY: "
+        "'nearby'>, den=1, int_entries={(0, 1, 2): 1}, int_unknown=frozenset())"
+    )
+    return [
+        (
+            HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(3, 4))),
+            "HypergeometricParams(den=12, alpha_numerators=(0, 4), beta_numerators=(6, 9))",
+        ),
+        (
+            table,
+            "LocalHodgeTable(point=<SingularPoint.ZERO: 'zero'>, kind=<TableKind.NEARBY: "
+            "'nearby'>, den=6, int_entries={(3, 0, 1): 1}, int_unknown=frozenset({(2, 1)}))",
+        ),
+        (
+            p,
+            f"HodgeProfile(rank=2, nearby_zero={nearby_zero}, nearby_infinity=LocalHodgeTable("
+            "point=<SingularPoint.INFINITY: 'infinity'>, kind=<TableKind.NEARBY: 'nearby'>, "
+            "den=2, int_entries={(1, 1, 2): 1}, int_unknown=frozenset()), vanishing_finite="
+            "LocalHodgeTable(point=<SingularPoint.ONE: 'one'>, kind=<TableKind.VANISHING: "
+            "'vanishing'>, den=1, int_entries={(0, 0, 2): 1}, int_unknown=frozenset()), "
+            "degrees=None, note='')",
+        ),
+        (
+            compare_profiles(p, p.shifted(1)),
+            "EngineReport(shift=1, table_equal={'nearby_zero': False, 'nearby_infinity': "
+            "False, 'vanishing_finite': False, 'hodge': False}, identities_ok=True)",
+        ),
+    ]
+
+
+class TestValueSemantics:
+    """The data model's classes are frozen values: equality over their
+    fields within one class, a hash for ``HypergeometricParams`` only, and
+    the ``repr`` a dataclass writes."""
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_equal_copies_and_no_other_type(self, index):
+        value, _text = value_instances()[index]
+        again, _text = value_instances()[index]
+        assert value == again and not value != again
+        fields = tuple(getattr(value, name) for name in value._fields)
+        for other in (fields, None, object(), value_instances()[index - 1][0]):
+            assert value != other and not value == other
+            assert value.__eq__(other) is NotImplemented
+
+    def test_unequal_in_one_field(self):
+        params, table, profile, report = (v for v, _text in value_instances())
+        assert params != params.permuted([1, 0])
+        assert table != table_shift(table, 1)
+        assert profile != profile.replace(note="other")
+        assert report != compare_profiles(profile, profile)
+
+    def test_only_params_hash(self):
+        params, *others = (v for v, _text in value_instances())
+        assert hash(params) == hash((params.den, params.alpha_numerators, params.beta_numerators))
+        for value in others:
+            with pytest.raises(TypeError):
+                hash(value)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_repr_is_the_dataclass_text(self, index):
+        value, text = value_instances()[index]
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_no_assignment_or_deletion(self, index):
+        value, _text = value_instances()[index]
+        before = repr(value)
+        for name in (*value._fields, "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to or delete field '{name}'$"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError, match=f"^cannot assign to or delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == before
+
+    def test_replace_runs_every_check(self):
+        p = small_profile().replace(degrees={1: 2, 3: 0})
+        assert p.degrees == {1: 2}
+        assert p.replace() == p and p.replace() is not p
+        assert p.replace(note="n").note == "n" and p.replace(note="n").degrees == {1: 2}
+        with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
+            p.replace(rank=0)
+        with pytest.raises(ValueError, match="nearby_infinity must be the nearby table"):
+            p.replace(nearby_infinity=p.nearby_zero)
+        with pytest.raises(ValueError, match="vanishing_finite has dimension 2"):
+            p.replace(vanishing_finite=LocalHodgeTable(AT_ONE, TableKind.VANISHING, {(F(0), 1, 2): 1}))
+        with pytest.raises(TypeError):
+            p.replace(hodge={})
+
+    def test_views_survive_equality_and_copying(self):
+        import copy
+        import pickle
+
+        params, table = (v for v, _text in value_instances()[:2])
+        views = [
+            *((params, name) for name in ("alpha", "beta", "texts", "is_irreducible")),
+            *((table, name) for name in ("entries", "unknown")),
+            (small_profile(), "hodge"),
+        ]
+        for value, name in views:
+            fresh = copy.copy(value)
+            assert name not in vars(value)
+            view = getattr(value, name)
+            # The view is kept in the instance dict, which equality does not read.
+            assert name in vars(value) and value == fresh and fresh == value
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value and getattr(twin, name) == view
+            assert getattr(fresh, name) == view
+        assert hash(params) == hash(copy.deepcopy(params))

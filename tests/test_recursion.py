@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -430,7 +429,7 @@ class TestCrossEngine:
         p = HypergeometricParams((F(0), F(1, 3)), (F(1, 2), F(3, 4)))
         closed, recursive = profile_closed(p), profile_recursive(p)
         low = profile_min_p(closed) - 2
-        recursive = dataclasses.replace(recursive, degrees={**recursive.degrees, low: 1})
+        recursive = recursive.replace(degrees={**recursive.degrees, low: 1})
         rep = compare_profiles(closed, recursive)
         assert rep.agree and rep.shift == 0
 

@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -408,7 +407,7 @@ class TestWriter:
         params = HypergeometricParams((0, 1), (2, 3), den=4, texts=texts)
         assert params.texts is texts
         profiles, report, shift = _compute(params, "both", False)
-        profiles = {name: replace(p, note='tab\there "\u00fc"') for name, p in profiles.items()}
+        profiles = {name: p.replace(note='tab\there "\u00fc"') for name, p in profiles.items()}
         text = compute_document_text(params, "both", profiles, report, shift)
         assert text.isascii()
         assert text == compact(build_compute_document(params, "both", profiles, report, shift))
@@ -459,7 +458,7 @@ class TestTableReuse:
             closed, recursive = profile_closed(params), profile_recursive(params)
             if slot is not None:
                 # Shifted, the table keeps its dimension; only its indices differ.
-                recursive = replace(recursive, **{slot: table_shift(getattr(recursive, slot), 1)})
+                recursive = recursive.replace(**{slot: table_shift(getattr(recursive, slot), 1)})
             profiles = {"closed": closed, "recursive": recursive}
             report = compare_profiles(closed, recursive)
             mismatched = {slot, "hodge"} if slot == "nearby_zero" else {slot} - {None}
