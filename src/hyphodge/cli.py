@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .closed_form import profile_closed
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     NoValidPeel,
     ReducibleInput,
     UnknownData,
+    common_numerators,
     compare_profiles,
     fibre_mismatches,
     profile_min_p,
@@ -36,15 +36,20 @@ from .serialize import (
     compute_document_parts,
     compute_document_text,
     document_to_json,
+    exponents_from_dict,
     params_from_dict,
-    params_text,
+    params_from_residues,
+    params_text_from_residues,
     params_to_dict,
     tsv_lines,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
+    from collections.abc import Callable, Sequence
     from fractions import Fraction
+    from typing import Any
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -276,27 +281,44 @@ def _batch_answer(line: str, args: argparse.Namespace) -> str:
     except for the params text it echoes: the main theorem makes every
     invariant a function of the factors, the recursive engine reads them
     sorted and the closed one reads sorted exponents.  So the memo keys an
-    instance by ``(den, sorted pairs, engine, normalize)``; a hit writes
-    only the line's params and joins the kept parts around them.  A miss
-    runs the engines and the writer on the line itself.  A line whose
-    engines fail leaves its slot empty, so the instance is computed again
-    next time.
+    instance by ``(den, sorted pairs, engine, normalize)``, read off the
+    line's residues.  A hit builds no instance: it writes the params from
+    the residues' own texts and joins the kept parts around them.  A miss
+    builds the instance from the same residues and runs the engines and the
+    writer on it.  One guard admits a line to the memo: lists of equal
+    nonzero length (``zip`` would cut a longer one to a kept key's prefix),
+    within the memo's bounds, a known engine, and no exponent shared.  Any
+    other line is built, checked, and refused or computed as without the
+    memo, and makes no slot.  A line whose engines fail leaves its slot
+    empty, so the instance is computed again next time.
     """
     try:
         data = json.loads(line)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    params = params_from_dict(data)
-    params.require_irreducible()
+    residues, n = exponents_from_dict(data)
+    den, nums = common_numerators(residues)
+    alpha, beta = nums[:n], nums[n:]
     engine = data.get("engine", args.engine)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    den, alpha, beta = params.numerators
-    if len(alpha) > _MEMO_RANK_MAX or den.bit_length() > _MEMO_DEN_BITS_MAX:
+    kept = None
+    if (
+        0 < n == len(beta) <= _MEMO_RANK_MAX
+        and den.bit_length() <= _MEMO_DEN_BITS_MAX
+        and engine in ENGINES
+        and set(alpha).isdisjoint(beta)
+    ):
+        kept = _memo((den, tuple(sorted(zip(alpha, beta))), engine, args.normalize))
+        if kept:
+            return params_text_from_residues(residues, n).join(kept)
+    params = params_from_residues(residues, n, den, nums)
+    if kept is None:
+        params.require_irreducible()
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         return _compute_text(params, engine, args.normalize)
-    kept = _memo((den, tuple(sorted(zip(alpha, beta))), engine, args.normalize))
-    if kept:
-        return params_text(params).join(kept)
+    # The guard found alpha and beta disjoint: the engines' check reads that
+    # instead of building the set again.
+    params.__dict__["is_irreducible"] = True
     text, parts = compute_document_parts(
         params, engine, *_compute(params, engine, args.normalize)
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import gcd
 from operator import lt
-from typing import TYPE_CHECKING
 
 from .core import (
     AT_ONE,
@@ -34,6 +33,7 @@ from .core import (
     TableKind,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

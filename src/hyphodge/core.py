@@ -32,10 +32,12 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping, Sequence
     from fractions import Fraction
+    from typing import Any
 
 
 class UnknownData(Exception):
@@ -365,7 +367,7 @@ class HypergeometricParams(_Frozen):
     beta)`` takes rationals (``Fraction`` or int; a float or a bool raises
     :class:`TypeError`) and puts them mod 1 on their least common
     denominator.  With ``den=`` the exponents are numerators over ``den``,
-    kept as given: :func:`hyphodge.serialize.params_from_dict` passes the
+    kept as given: :func:`hyphodge.serialize.params_from_residues` passes the
     lcm of reduced ratios and :meth:`permuted` its own ``den``.  Either way
     ``__post_init__`` runs once and checks them.  ``alpha`` and ``beta`` are
     the exponents as ``Fraction``s, built on first read.
@@ -373,7 +375,7 @@ class HypergeometricParams(_Frozen):
     ``texts`` maps each exponent numerator to its residue text, as
     :func:`format_residue` writes it.  A caller that has the texts in hand
     passes that map with ``texts=``, keyed by numerator over ``den=``, as
-    ``params_from_dict`` does, and it is kept as given.  Otherwise the map
+    ``params_from_residues`` does, and it is kept as given.  Otherwise the map
     is formatted on first read.
     """
 

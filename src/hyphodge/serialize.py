@@ -16,11 +16,11 @@ literals, integers through f-strings and every other string through
 where the params go, as the params text and the parts around it, and
 :func:`compute_document_text` joins them.  The batch stream writes that
 text, and keeps the parts of recent instances to answer the same instance
-again in any order of its pairs (:func:`params_text` writes the params of
-such an answer).  The dict builders (:func:`build_compute_document`,
-:func:`emit_document`, :func:`profile_to_dict`, :func:`table_to_dict`,
-:func:`params_to_dict`) and the TSV projection (:func:`tsv_lines`) read the
-writer's text back with ``json.loads``, so they spell no key of their own.
+again in any order of its pairs.  The dict builders
+(:func:`build_compute_document`, :func:`emit_document`,
+:func:`profile_to_dict`, :func:`table_to_dict`, :func:`params_to_dict`) and
+the TSV projection (:func:`tsv_lines`) read the writer's text back with
+``json.loads``, so they spell no key of their own.
 A table equal to the same slot's table of the profile written just before
 it is written once and its text reused, so a ``both`` document whose
 engines agree formats the recursive profile's tables not at all.
@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Collection, Iterable, Mapping
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any, Collection, Mapping
 
 from .core import (
     COMPARED,
@@ -61,6 +61,10 @@ from .core import (
     format_residue,
     parse_residue,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 SCHEMA_VERSION = "1"
 ENGINE_PROFILES = {
@@ -262,11 +266,9 @@ def profile_from_dict(data: Any, name: str = "profile") -> HodgeProfile:
     return profile
 
 
-def _params_text(params: HypergeometricParams, texts: _Texts) -> str:
-    """The exponents, ``texts`` holding each one's literal by its numerator."""
-    alpha = ",".join(map(texts.__getitem__, params.alpha_numerators))
-    beta = ",".join(map(texts.__getitem__, params.beta_numerators))
-    return f'{{"alpha":[{alpha}],"beta":[{beta}]}}'
+def _params_text(alpha: Iterable[str], beta: Iterable[str]) -> str:
+    """The params as compact JSON text, from each exponent's string literal."""
+    return f'{{"alpha":[{",".join(alpha)}],"beta":[{",".join(beta)}]}}'
 
 
 def _exponent_texts(params: HypergeometricParams) -> _Texts:
@@ -274,47 +276,83 @@ def _exponent_texts(params: HypergeometricParams) -> _Texts:
     return _Texts(params.den, params.texts)
 
 
-def params_text(params: HypergeometricParams) -> str:
-    """The exponents as compact JSON text, as a compute document writes them."""
-    return _params_text(params, _exponent_texts(params))
+def _instance_params_text(params: HypergeometricParams, texts: _Texts) -> str:
+    """The params text of ``params``, ``texts`` holding each exponent's
+    literal by its numerator."""
+    literal = texts.__getitem__
+    alpha, beta = params.alpha_numerators, params.beta_numerators
+    return _params_text(map(literal, alpha), map(literal, beta))
 
 
 def params_to_dict(params: HypergeometricParams) -> dict[str, Any]:
-    return json.loads(params_text(params))
+    return json.loads(_instance_params_text(params, _exponent_texts(params)))
 
 
-def params_from_dict(data: Any) -> HypergeometricParams:
-    """The instance in a ``{"alpha": [...], "beta": [...]}`` JSON object.
+Residues = list[tuple[int, int, str]]
+"""Exponents as :func:`exponents_from_dict` reads them: each its residue
+``(m, d, text)`` (:func:`~hyphodge.core.parse_residue`), alpha's then beta's."""
+
+
+def _integer(value: Any) -> tuple[int, int, str]:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return 0, 1, "0"
+    raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
+
+
+def _residues(data: Mapping[str, Any], key: str) -> Residues:
+    """The exponents under ``key``, each its residue ``(m, d, text)``."""
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    values = data[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of exponents, got {values!r}")
+    return [parse_residue(v) if isinstance(v, str) else _integer(v) for v in values]
+
+
+def exponents_from_dict(data: Any) -> tuple[Residues, int]:
+    """The exponents in a ``{"alpha": [...], "beta": [...]}`` JSON object,
+    and how many of them are alpha's.
 
     Anything else (a line that is not an object, a missing key, exponents
     that are not a list of ``a/b`` strings or integers) raises
-    :class:`ValueError` naming the problem.
+    :class:`ValueError` naming the problem.  The two lists' lengths are the
+    instance's to check (:func:`params_from_residues`).
     """
-    if not isinstance(data, Mapping):
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise ValueError("line must be a JSON object")
-
-    def integer(value: Any) -> tuple[int, int, str]:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return 0, 1, "0"
-        raise ValueError(f"exponents must be 'a/b' strings, got {value!r}")
-
-    def many(key: str) -> list[tuple[int, int, str]]:
-        """The exponents under ``key``, each its residue ``(m, d, text)``."""
-        if key not in data:
-            raise ValueError(f"missing key {key!r}")
-        values = data[key]
-        if not isinstance(values, list):
-            raise ValueError(f"{key} must be a list of exponents, got {values!r}")
-        return [parse_residue(v) if isinstance(v, str) else integer(v) for v in values]
-
-    residues = many("alpha")
+    residues = _residues(data, "alpha")
     n = len(residues)
-    residues += many("beta")
-    # Each m/d is reduced, so the lcm of the denominators is the instance's
-    # least common denominator.
-    den, nums = common_numerators(residues)
+    residues += _residues(data, "beta")
+    return residues, n
+
+
+def params_from_residues(
+    residues: Residues, n: int, den: int, nums: list[int]
+) -> HypergeometricParams:
+    """The instance of exponents :func:`exponents_from_dict` read, its first
+    ``n`` alpha's, on ``den, nums = common_numerators(residues)``.
+
+    Each m/d is reduced, so ``den`` is the instance's least common
+    denominator; each exponent's text goes to
+    :attr:`~hyphodge.core.HypergeometricParams.texts`.
+    """
     texts = {r: residue[2] for r, residue in zip(nums, residues)}
     return HypergeometricParams(nums[:n], nums[n:], den=den, texts=texts)
+
+
+def params_from_dict(data: Any) -> HypergeometricParams:
+    """The instance in a ``{"alpha": [...], "beta": [...]}`` JSON object:
+    :func:`exponents_from_dict`, then :func:`params_from_residues`."""
+    residues, n = exponents_from_dict(data)
+    return params_from_residues(residues, n, *common_numerators(residues))
+
+
+def params_text_from_residues(residues: Residues, n: int) -> str:
+    """The params text of exponents :func:`exponents_from_dict` read, as a
+    compute document writes them, with no instance built: each exponent is
+    its residue's own text."""
+    literals = [_quote(text) for _m, _d, text in residues]
+    return _params_text(literals[:n], literals[n:])
 
 
 def _report_rest(report: EngineReport) -> str:
@@ -388,7 +426,7 @@ def compute_document_parts(
         parts = _HEAD, f"{middle}null{end}"
     else:
         parts = _HEAD, f'{middle}{{"params":', f"{_report_rest(report)}{end}"
-    return _params_text(params, texts), parts
+    return _instance_params_text(params, texts), parts
 
 
 def compute_document_text(
@@ -502,7 +540,7 @@ def tsv_lines(
     """Flat projection, one row per table entry, spreadsheet-friendly: read
     back from the writer's text of the exponents and of each profile."""
     texts = _exponent_texts(params)
-    exponents = json.loads(_params_text(params, texts))
+    exponents = json.loads(_instance_params_text(params, texts))
     lines = [
         "# alpha " + ",".join(exponents["alpha"]),
         "# beta " + ",".join(exponents["beta"]),

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -90,9 +91,10 @@ def test_recursive_engine_imports_nothing_from_convolution():
     assert "table_shift" not in imports["core"]
 
 
-HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "typing")
 """Standard modules the command line never needs: slow to import, and
-``Fraction`` is only the library's boundary."""
+``Fraction`` is only the library's boundary.  The package names ``typing``
+only in annotations, which are never evaluated at run time."""
 
 FIRST_ANSWERS = """\
 import json, sys
@@ -114,7 +116,8 @@ def test_command_line_loads_no_reference_module():
     # batch line per engine, each a miss of the parse memo, as every compute
     # and batch run does, leaves both reference modules and the heavy
     # standard modules unloaded.  The library's ``Fraction`` views load
-    # ``fractions`` when they are read.
+    # ``fractions`` when they are read.  The child runs without ``site``,
+    # since a ``.pth`` file there may import ``typing`` at start-up.
     lines = [
         {"alpha": ["0", "1/3"], "beta": ["1/2", "3/4"], "engine": "closed"},
         {"alpha": ["1/5", "-2/5"], "beta": ["1/7", "002/7"], "engine": "recursive"},
@@ -310,6 +313,42 @@ def test_batch_path_builds_and_hashes_no_fraction(monkeypatch):
     assert [remembered(*case) for case in cases] == warm
     assert counts == {"__new__": 0, "__hash__": 0}
     assert _memo.cache_info().hits == hits + len(cases)
+
+
+def test_batch_memo_hit_builds_no_instance(monkeypatch):
+    # A hit reads the line's residues, keys them and writes the params from
+    # their own texts: it builds no instance and no map of residue texts,
+    # and formats no residue, whatever the order of the pairs.
+    from hyphodge import core, serialize
+
+    cases = []
+    for line, engine in BATCH_LINES:
+        data = json.loads(line)
+        turned = json.dumps({key: data[key][::-1] for key in ("alpha", "beta")})
+        cases += [(text, engine, norm) for text in (line, turned) for norm in (False, True)]
+    warm = [remembered(*case) for case in cases]
+    calls = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    init = HypergeometricParams.__init__
+    monkeypatch.setattr(HypergeometricParams, "__init__", counting("params", init))
+    monkeypatch.setattr(serialize._Texts, "__init__", counting("texts", serialize._Texts.__init__))
+    for module in (core, serialize):
+        monkeypatch.setattr(module, "format_residue", counting("format", module.format_residue))
+    hits = _memo.cache_info().hits
+    assert [remembered(*case) for case in cases] == warm
+    assert _memo.cache_info().hits == hits + len(cases)
+    assert calls == Counter()
+    # The counters count: a miss builds the instance and its map.
+    _memo.cache_clear()
+    assert remembered(*cases[0]) == warm[0]
+    assert calls["params"] == 1 and calls["texts"] == 1, calls
 
 
 def remembered(line: str, engine: str, normalize: bool) -> str:

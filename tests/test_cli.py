@@ -771,6 +771,45 @@ class TestBatchMemo:
             _batch_answer(line, memo_args("closed"))
             assert _memo.cache_info().currsize == size + 1
 
+    def test_hit_refuses_what_a_miss_refuses(self):
+        # Each line is refused, or computed above a gate, with the same code
+        # and message whether or not the memo holds instances it resembles,
+        # and it makes no memo slot.  ``zip`` would cut the two alphas of
+        # the first unequal line to the kept rank-one key.
+        from hyphodge.cli import _answer
+
+        rng = random.Random(20261023)
+        kept = [
+            '{"alpha": ["0"], "beta": ["1/2"]}',
+            '{"alpha": ["0", "1/3"], "beta": ["1/2", "3/4"]}',
+        ]
+        above = [distinct_residue_line(rng, 65, MERSENNE_127)]
+        above.append(distinct_residue_line(rng, 2, (1 << 129) - 1))
+        codes = {
+            '["0", "1/2"]': 2,
+            '{"alpha": ["0"]}': 2,
+            '{"beta": ["1/2"]}': 2,
+            '{"alpha": "0", "beta": ["1/2"]}': 2,
+            '{"alpha": [0.5], "beta": ["1/2"]}': 2,
+            '{"alpha": [true], "beta": ["1/2"]}': 2,
+            '{"alpha": [""], "beta": ["1/2"]}': 2,
+            '{"alpha": ["0", "0"], "beta": ["1/2"]}': 2,
+            '{"alpha": ["0"], "beta": ["1/2", "1/2"]}': 2,
+            '{"alpha": [], "beta": []}': 2,
+            '{"alpha": ["0", "1/3"], "beta": ["1/2", "1/3"]}': 3,
+            '{"alpha": ["0"], "beta": ["1/2"], "engine": "magic"}': 2,
+            '{"alpha": ["0"], "beta": ["0"], "engine": "magic"}': 3,
+            **{json.dumps({**json.loads(line), "engine": "closed"}): 0 for line in above},
+        }
+        cold = {line: _answer(_batch_answer, line, memo_args()) for line in codes}
+        assert {line: code for line, (code, _text) in cold.items()} == codes
+        assert _memo.cache_info().currsize == 0
+        for line in kept:
+            _batch_answer(line, memo_args())
+        for line, answer in cold.items():
+            assert _answer(_batch_answer, line, memo_args()) == answer, line
+            assert _memo.cache_info().currsize == len(kept)
+
     def test_batch_memo_memory_is_flat(self, monkeypatch):
         # Twice the memo's size of distinct lines at the gate, rank 64 with
         # 128 distinct residues of 39-digit texts: a full memo of closed
